@@ -25,16 +25,35 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .bitlinalg import disjoint_information_systematizations
-from .errors import BudgetExceeded, InvariantViolation, RankOutOfRange, ShardGap, ShardOverlap
-from .qrcodes import QrCodeFamily
+from .errors import (
+    BudgetExceeded,
+    CheckFailure,
+    InvariantViolation,
+    RankOutOfRange,
+    ShardGap,
+    ShardOverlap,
+)
+
+if TYPE_CHECKING:
+    from .qrcodes import QrCodeFamily
 
 DEFAULT_BLOCK_SIZE = 10**8
 DEFAULT_PATTERN_BUDGET = 10**8
+
+
+def pattern_cost(k: int, t: int) -> int:
+    """Patterns a full census walks: every pattern of size <= t, in both matrices."""
+    return 2 * sum(comb(k, i) for i in range(t + 1))
+
+
+def check_budget(cost: int, budget: int, long_run: bool) -> None:
+    if cost > budget and not long_run:
+        raise BudgetExceeded(f"census needs {cost} patterns, budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -160,23 +179,26 @@ def plan_shards(s: int, t: int, block_size: int) -> ShardPlan:
     return ShardPlan(s=s, t=t, block_size=block_size, shards=tuple(shards))
 
 
+def shard_digest(unit: Iterable[int], weight_counts: Iterable[tuple[int, int]]) -> str:
+    """Digest binding a plan unit (index, matrix, size, start_rank, count) to its nonzero tallies."""
+    payload = json.dumps([*unit, list(weight_counts)], separators=(",", ":"))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 @dataclass(frozen=True)
 class ShardRecord:
-    """Audit record of one processed shard."""
+    """Audit record of one processed shard: its plan unit and the digest of its tallies."""
 
     index: int
     matrix: int
     size: int
     start_rank: int
     count: int
-    weight_counts: tuple[tuple[int, int], ...]
+    sha256: str
 
-    def digest(self) -> str:
-        payload = json.dumps(
-            [self.index, self.matrix, self.size, self.start_rank, self.count, list(self.weight_counts)],
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+    @property
+    def unit(self) -> tuple[int, int, int, int, int]:
+        return (self.index, self.matrix, self.size, self.start_rank, self.count)
 
 
 @dataclass(frozen=True)
@@ -193,7 +215,8 @@ class WeightCensus:
     """Per-weight codeword counts, exact for every even weight <= complete_upto.
 
     A census produced for a subset of shard indices is a fragment: its counts
-    are partial sums and only a gap-free merge restores exactness.
+    are partial sums and only a gap-free merge restores exactness. A fragment
+    and a complete census share one artifact format (``census_payload``).
     """
 
     p: int
@@ -276,9 +299,7 @@ def run_census(
         if missing:
             raise RankOutOfRange(f"no such shard indices: {sorted(missing)}")
         units = [u for u in units if u[0] in wanted]
-    cost = sum(u[4] for u in units)
-    if cost > budget and not long_run:
-        raise BudgetExceeded(f"census needs {cost} patterns, budget {budget}")
+    check_budget(sum(u[4] for u in units), budget, long_run)
 
     left_mask = (1 << k) - 1
     max_weight = 2 * t
@@ -294,17 +315,8 @@ def run_census(
 
     totals: dict[int, int] = {}
     records = []
-    for index, matrix, size, start, count, weight_counts in sorted(results):
-        records.append(
-            ShardRecord(
-                index=index,
-                matrix=matrix,
-                size=size,
-                start_rank=start,
-                count=count,
-                weight_counts=weight_counts,
-            )
-        )
+    for *unit, weight_counts in sorted(results):
+        records.append(ShardRecord(*unit, sha256=shard_digest(unit, weight_counts)))
         for w, c in weight_counts:
             totals[w] = totals.get(w, 0) + c
     for w, c in totals.items():
@@ -327,57 +339,114 @@ def run_census(
     )
 
 
+def census_payload(result: WeightCensus) -> dict:
+    """The JSON payload of a census artifact; ``census_from_payload`` inverts it."""
+    prov = result.provenance
+    return {
+        **vars(result),
+        "counts": [[w, c] for w, c in sorted(result.counts.items())],
+        "provenance": {**vars(prov), "shards": [dict(vars(rec)) for rec in prov.shards]},
+    }
+
+
+def _int(value) -> int:
+    if type(value) is not int:
+        raise CheckFailure(f"census payload: expected an integer, got {value!r}")
+    return value
+
+
+def census_from_payload(payload: dict) -> WeightCensus:
+    """Read a census payload back, checking only its shape.
+
+    Whether the content agrees with the code and the shard plan is checked by
+    ``merge_censuses``, which every census read from disk goes through.
+    """
+    try:
+        prov = payload["provenance"]
+        counts = {_int(w): _int(c) for w, c in payload["counts"]}
+        if len(counts) != len(payload["counts"]):
+            raise CheckFailure("census payload lists a weight more than once")
+        shards = tuple(
+            ShardRecord(*(_int(rec[f]) for f in ("index", "matrix", "size", "start_rank", "count")),
+                        sha256=str(rec["sha256"]))
+            for rec in prov["shards"]
+        )
+        return WeightCensus(
+            *(_int(payload[f]) for f in ("p", "n", "k", "complete_upto")),
+            counts=counts,
+            provenance=CensusProvenance(
+                str(prov["code_digest"]),
+                *(_int(prov[f]) for f in ("max_info_weight", "block_size", "total_shards")),
+                shards=shards,
+            ),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckFailure(f"malformed census payload: {exc!r}") from exc
+
+
+def _check_part_counts(part: WeightCensus) -> None:
+    """A part's counts must be tallies its own shard records could have made."""
+    records = part.provenance.shards
+    where = f"shard {records[0].index}" if len(records) == 1 else f"part of {len(records)} shards"
+    for w, c in part.counts.items():
+        if w % 2 or not 0 <= w <= part.complete_upto or c < 0:
+            raise InvariantViolation(f"{where}: count {c} at weight {w} (even, <= {part.complete_upto} only)")
+    patterns = sum(rec.count for rec in records)
+    found = sum(part.counts.values())
+    if found > patterns:
+        raise InvariantViolation(f"{where}: {found} codewords counted in only {patterns} patterns")
+    if len(records) == 1:
+        tallies = [(w, c) for w, c in sorted(part.counts.items()) if c]
+        if shard_digest(records[0].unit, tallies) != records[0].sha256:
+            raise InvariantViolation(f"{where}: sha256 does not match the shard and its counts")
+
+
 def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
-    """Combine fragments of one plan; rejects duplicate or missing shards."""
+    """Combine the parts of one shard plan into the complete census.
+
+    Parts may have been read from disk, so nothing in them is trusted: all
+    share one code and plan identity; their records cover the plan once; each
+    record equals its unit of the plan recomputed from (k, t, block size);
+    and each part's counts are even weights <= complete_upto that sum to at
+    most the patterns its records walk. A one-record part's counts are that
+    shard's tallies, so its sha256 is recomputed as well. A one-part merge
+    validates a complete census.
+    """
     if not parts:
         raise ValueError("nothing to merge")
     first = parts[0]
-    ident = (
-        first.p,
-        first.n,
-        first.k,
-        first.complete_upto,
-        first.provenance.code_digest,
-        first.provenance.block_size,
-        first.provenance.total_shards,
-    )
+    prov = first.provenance
+
+    def identity(part: WeightCensus) -> tuple:
+        return (part.p, part.n, part.k, part.complete_upto, replace(part.provenance, shards=()))
+
+    if any(identity(part) != identity(first) for part in parts):
+        raise InvariantViolation("fragments come from different plans or codes")
     seen: dict[int, ShardRecord] = {}
     for part in parts:
-        pid = (
-            part.p,
-            part.n,
-            part.k,
-            part.complete_upto,
-            part.provenance.code_digest,
-            part.provenance.block_size,
-            part.provenance.total_shards,
-        )
-        if pid != ident:
-            raise InvariantViolation("fragments come from different plans or codes")
         for rec in part.provenance.shards:
             if rec.index in seen:
                 raise ShardOverlap(f"shard {rec.index} appears more than once")
             seen[rec.index] = rec
-    expected = set(range(1, first.provenance.total_shards + 1))
-    missing = expected - set(seen)
+    missing = set(range(1, prov.total_shards + 1)) - set(seen)
     if missing:
         raise ShardGap(f"missing shards: {sorted(missing)}")
-    totals: dict[int, int] = {}
+    plan = census_work_units(first.k, prov.max_info_weight, prov.block_size)
+    if len(plan) != prov.total_shards or first.complete_upto != 2 * prov.max_info_weight:
+        raise InvariantViolation(
+            f"plan claims {prov.total_shards} shards up to weight {first.complete_upto}, but t = "
+            f"{prov.max_info_weight} and block size {prov.block_size} give {len(plan)} up to weight "
+            f"{2 * prov.max_info_weight}"
+        )
     for rec in seen.values():
-        for w, c in rec.weight_counts:
-            totals[w] = totals.get(w, 0) + c
-    counts = {w: totals.get(w, 0) for w in range(0, first.complete_upto + 1, 2)}
-    return WeightCensus(
-        p=first.p,
-        n=first.n,
-        k=first.k,
-        complete_upto=first.complete_upto,
-        counts=counts,
-        provenance=CensusProvenance(
-            code_digest=first.provenance.code_digest,
-            max_info_weight=first.provenance.max_info_weight,
-            block_size=first.provenance.block_size,
-            total_shards=first.provenance.total_shards,
-            shards=tuple(seen[i] for i in sorted(seen)),
-        ),
-    )
+        if not 1 <= rec.index <= len(plan) or plan[rec.index - 1] != rec.unit:
+            raise InvariantViolation(
+                f"shard {rec.index}: (matrix, size, start_rank, count) = {rec.unit[1:]} is not in the plan"
+            )
+    totals = dict.fromkeys(range(0, first.complete_upto + 1, 2), 0)
+    for part in parts:
+        _check_part_counts(part)
+        for w, c in part.counts.items():
+            totals[w] += c
+    shards = tuple(seen[i] for i in sorted(seen))
+    return replace(first, counts=totals, provenance=replace(prov, shards=shards))

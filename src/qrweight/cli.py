@@ -14,9 +14,9 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
 import time
-from math import comb
 from pathlib import Path
 
 from . import __version__, census as census_mod, congruence as congruence_mod, fixtures, gleason
@@ -25,7 +25,6 @@ from .errors import (
     BothRejected,
     BudgetExceeded,
     CheckFailure,
-    InvariantViolation,
     QrWeightError,
 )
 from .psl2 import find_sylow_plan, group_order
@@ -69,7 +68,7 @@ def _write_artifact(path: Path, payload: dict, command: list[str], code: dict, i
 
 def _read_artifact(path: Path) -> dict:
     data = json.loads(path.read_text(encoding="utf-8"))
-    if "payload" not in data or "manifest" not in data:
+    if not isinstance(data, dict) or "payload" not in data or not isinstance(data.get("manifest"), dict):
         raise CheckFailure(f"{path} is not an artifact (payload/manifest missing)")
     stored = data["manifest"].get("payload_sha256")
     actual = _digest(data["payload"])
@@ -215,81 +214,26 @@ def cmd_congruence(args) -> int:
 
 
 def cmd_shard_plan(args) -> int:
-    plan = census_mod.plan_shards(args.s, args.t, args.block_size)
-    for index, start, count in plan.shards:
-        print(f"{index} {start} {count}")
+    family = build_family(args.p)
+    for unit in census_mod.census_work_units(family.k, args.t, args.block_size):
+        print(*unit)
     return 0
 
 
 # ---------------------------------------------------------------- census
 
 
-def _census_payload(result) -> dict:
-    prov = result.provenance
-    return {
-        "p": result.p,
-        "n": result.n,
-        "k": result.k,
-        "complete_upto": result.complete_upto,
-        "counts": _weight_pairs(result.counts),
-        "provenance": {
-            "code_digest": prov.code_digest,
-            "max_info_weight": prov.max_info_weight,
-            "block_size": prov.block_size,
-            "total_shards": prov.total_shards,
-            "shards": [
-                {
-                    "index": rec.index,
-                    "matrix": rec.matrix,
-                    "size": rec.size,
-                    "start_rank": rec.start_rank,
-                    "count": rec.count,
-                    "sha256": rec.digest(),
-                }
-                for rec in prov.shards
-            ],
-        },
-    }
-
-
 def cmd_census(args) -> int:
-    if args.shard_index is not None and not args.emit_fragment:
-        raise ValueError("--shard-index requires --emit-fragment FILE")
     family = build_family(args.p)
-    shard_indices = [args.shard_index] if args.shard_index is not None else None
     result = census_mod.run_census(
         family,
         args.t,
         workers=args.workers,
         block_size=args.block_size,
         long_run=args.long_run,
-        shard_indices=shard_indices,
+        shard_indices=None if args.shard_index is None else [args.shard_index],
     )
-    if args.shard_index is not None:
-        rec = result.provenance.shards[0]
-        fragment = {
-            "code_id": _code_identity(family),
-            "shard": {
-                "index": rec.index,
-                "matrix": rec.matrix,
-                "size": rec.size,
-                "start_rank": rec.start_rank,
-                "count": rec.count,
-            },
-            "counts": [[w, c] for w, c in rec.weight_counts],
-            "plan": {
-                "max_info_weight": result.provenance.max_info_weight,
-                "block_size": result.provenance.block_size,
-                "total_shards": result.provenance.total_shards,
-                "complete_upto": result.complete_upto,
-            },
-        }
-        path = Path(args.emit_fragment)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_canonical(fragment), encoding="utf-8")
-        log.info("wrote fragment %s", path)
-        return 0
-    payload = _census_payload(result)
+    payload = census_mod.census_payload(result)
     print(_canonical(payload), end="")
     if args.out:
         _write_artifact(
@@ -298,48 +242,27 @@ def cmd_census(args) -> int:
     return 0
 
 
-def _fragment_to_census(frag: dict) -> census_mod.WeightCensus:
-    code = frag["code_id"]
-    plan = frag["plan"]
-    shard = frag["shard"]
-    record = census_mod.ShardRecord(
-        index=shard["index"],
-        matrix=shard["matrix"],
-        size=shard["size"],
-        start_rank=shard["start_rank"],
-        count=shard["count"],
-        weight_counts=tuple((int(w), int(c)) for w, c in frag["counts"]),
-    )
-    upto = plan["complete_upto"]
-    totals = {w: 0 for w in range(0, upto + 1, 2)}
-    for w, c in record.weight_counts:
-        totals[w] = totals.get(w, 0) + c
-    return census_mod.WeightCensus(
-        p=code["p"],
-        n=code["n"],
-        k=code["k"],
-        complete_upto=upto,
-        counts=totals,
-        provenance=census_mod.CensusProvenance(
-            code_digest=code["generator_sha256"],
-            max_info_weight=plan["max_info_weight"],
-            block_size=plan["block_size"],
-            total_shards=plan["total_shards"],
-            shards=(record,),
-        ),
-    )
+def _read_census(paths: list[str], family=None):
+    """Merge census artifacts after checking their digests, shard plan and code.
+
+    A single complete census goes through the same one-part merge, so a lone
+    fragment is refused rather than taken for the whole census. Returns the
+    merged census and the family it was checked against.
+    """
+    parts = [census_mod.census_from_payload(_read_artifact(Path(name))["payload"]) for name in paths]
+    merged = census_mod.merge_censuses(parts)
+    family = family or build_family(merged.p)
+    claimed = {"p": merged.p, "n": merged.n, "k": merged.k, "generator_sha256": merged.provenance.code_digest}
+    if claimed != _code_identity(family):
+        raise CheckFailure(f"census was computed for a different code than the p={family.p} family")
+    return merged, family
 
 
 def cmd_census_merge(args) -> int:
-    parts = []
-    for name in args.fragments:
-        frag = json.loads(Path(name).read_text(encoding="utf-8"))
-        parts.append(_fragment_to_census(frag))
-    merged = census_mod.merge_censuses(parts)
-    payload = _census_payload(merged)
+    merged, family = _read_census(args.fragments)
+    payload = census_mod.census_payload(merged)
     print(_canonical(payload), end="")
     if args.out:
-        family = build_family(merged.p)
         _write_artifact(
             Path(args.out) / "census.json",
             payload,
@@ -351,10 +274,6 @@ def cmd_census_merge(args) -> int:
 
 
 # ---------------------------------------------------------------- solve
-
-
-def _counts_from_census_payload(payload: dict) -> dict[int, int]:
-    return {int(w): int(c) for w, c in payload["counts"]}
 
 
 def _constraint_from_payload(payload: dict, weight: int) -> congruence_mod.CongruenceConstraint:
@@ -412,10 +331,7 @@ def cmd_solve(args) -> int:
     counts: dict[int, int] = {}
     inputs = {}
     if args.census:
-        artifact = _read_artifact(Path(args.census))
-        if artifact["manifest"]["code"]["generator_sha256"] != family.code_digest():
-            raise CheckFailure("census artifact was computed for a different code")
-        counts.update(_counts_from_census_payload(artifact["payload"]))
+        counts.update(_read_census([args.census], family)[0].counts)
         inputs["census"] = _file_digest(Path(args.census))
     for item in args.inject_a or []:
         w, _, c = item.partition("=")
@@ -490,11 +406,9 @@ def cmd_pipeline(args) -> int:
             raise ValueError(f"census t={args.t} too small: need t >= {m - 1}")
 
         stage = "census"
-        cost = 2 * sum(comb(family.k, i) for i in range(args.t + 1))
-        if cost > census_mod.DEFAULT_PATTERN_BUDGET and not args.long_run:
-            raise BudgetExceeded(
-                f"census needs {cost} patterns, budget {census_mod.DEFAULT_PATTERN_BUDGET}"
-            )
+        census_mod.check_budget(
+            census_mod.pattern_cost(family.k, args.t), census_mod.DEFAULT_PATTERN_BUDGET, args.long_run
+        )
 
         stage = "congruence"
         weights = list(range(2, 2 * m + 1, 2))
@@ -527,7 +441,7 @@ def cmd_pipeline(args) -> int:
         cmdline = _command_line(args)
         _write_artifact(out / "construct.json", _construct_payload(family), cmdline, code, {})
         _write_artifact(out / "congruence.json", _bundle_payload(bundle), cmdline, code, {})
-        _write_artifact(out / "census.json", _census_payload(result), cmdline, code, {})
+        _write_artifact(out / "census.json", census_mod.census_payload(result), cmdline, code, {})
         _write_artifact(out / "solution.json", _solution_payload(solution), cmdline, code, {})
         (out / "table.txt").write_text(_solution_table(solution), encoding="utf-8")
     print(f"ok: pipeline p={p} t={args.t}: all checks passed")
@@ -692,10 +606,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--long-run", action="store_true")
     sp.add_argument("--out", default=None)
 
-    sp = add("shard-plan", cmd_shard_plan, "print the shard manifest for C(s, t)")
-    sp.add_argument("--s", type=int, required=True)
+    sp = add("shard-plan", cmd_shard_plan, "print the census work units: index matrix size start_rank count")
+    sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--M", dest="block_size", type=int, required=True)
+    sp.add_argument("--block-size", type=int, default=census_mod.DEFAULT_BLOCK_SIZE)
 
     sp = add("census", cmd_census, "partial weight census by information patterns")
     sp.add_argument("--p", type=int, required=True)
@@ -703,11 +617,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--block-size", type=int, default=census_mod.DEFAULT_BLOCK_SIZE)
     sp.add_argument("--long-run", action="store_true")
-    sp.add_argument("--shard-index", type=int, default=None)
-    sp.add_argument("--emit-fragment", default=None)
+    sp.add_argument("--shard-index", type=int, default=None, help="compute only this unit of shard-plan")
     sp.add_argument("--out", default=None)
 
-    sp = add("census-merge", cmd_census_merge, "merge emitted census fragments")
+    sp = add("census-merge", cmd_census_merge, "merge census fragments written by census --shard-index")
     sp.add_argument("fragments", nargs="+")
     sp.add_argument("--out", default=None)
 
@@ -750,7 +663,13 @@ def main(argv: list[str] | None = None) -> int:
     args._raw_argv = raw
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s", stream=sys.stderr)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): silence the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from math import comb
 
 from sympy import isprime
 
+from . import census as census_mod
 from .bitlinalg import BitMatrix, dual_basis, rank, same_row_space
 from .errors import (
     BothZero,
-    BudgetExceeded,
     ClassificationFailed,
     InvariantViolation,
     NotQrPrime,
@@ -232,14 +231,11 @@ def _validate_family(f: QrCodeFamily) -> None:
             raise InvariantViolation(f"family p={p}: check failed: {name}")
 
 
-DEFAULT_PATTERN_BUDGET = 10**8
-
-
 def min_weight_even_floor(
     family: QrCodeFamily,
     upto: int,
     *,
-    budget: int = DEFAULT_PATTERN_BUDGET,
+    budget: int = census_mod.DEFAULT_PATTERN_BUDGET,
     long_run: bool = False,
     workers: int = 1,
 ) -> int | None:
@@ -248,12 +244,7 @@ def min_weight_even_floor(
     Runs a partial census covering all weights <= 2*ceil(upto/2); returns None
     when no nonzero codeword that light exists.
     """
-    from . import census as census_mod
-
     t = (upto + 1) // 2
-    cost = 2 * sum(comb(family.k, i) for i in range(t + 1))
-    if cost > budget and not long_run:
-        raise BudgetExceeded(f"census needs {cost} patterns, budget {budget}")
     result = census_mod.run_census(family, t, workers=workers, budget=budget, long_run=long_run)
     for w in range(2, upto + 1, 2):
         if result.counts.get(w, 0) > 0:

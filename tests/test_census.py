@@ -1,9 +1,12 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
 
 from qrweight.census import (
     CombPattern,
+    census_from_payload,
+    census_payload,
     merge_censuses,
     plan_shards,
     rd_predecessor,
@@ -12,7 +15,14 @@ from qrweight.census import (
     rd_unrank,
     run_census,
 )
-from qrweight.errors import BudgetExceeded, RankOutOfRange, ShardGap, ShardOverlap
+from qrweight.errors import (
+    BudgetExceeded,
+    CheckFailure,
+    InvariantViolation,
+    RankOutOfRange,
+    ShardGap,
+    ShardOverlap,
+)
 
 
 def full_walk(s, t):
@@ -173,3 +183,24 @@ def test_comb_pattern_validation():
         CombPattern(5, (3, 3))
     with pytest.raises(ValueError):
         CombPattern(5, (2, 5))
+
+
+def test_census_from_payload_rejects_malformed(family17):
+    payload = census_payload(run_census(family17, 2))
+    payload["provenance"]["shards"][0]["start_rank"] = "0"
+    with pytest.raises(CheckFailure):
+        census_from_payload(payload)
+    del payload["provenance"]
+    with pytest.raises(CheckFailure):
+        census_from_payload(payload)
+    payload = census_payload(run_census(family17, 2))
+    payload["counts"].append([4, 0])
+    with pytest.raises(CheckFailure):
+        census_from_payload(payload)
+
+
+def test_merge_rejects_plan_not_matching_its_parameters(family17):
+    whole = run_census(family17, 2, block_size=10)
+    forged = replace(whole, provenance=replace(whole.provenance, block_size=20))
+    with pytest.raises(InvariantViolation, match="plan claims"):
+        merge_censuses([forged])

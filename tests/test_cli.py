@@ -1,15 +1,27 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from qrweight.cli import main
+from qrweight.census import shard_digest
+from qrweight.cli import _digest, main
 from qrweight.fixtures import load_p137
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
     rc = main(list(argv))
     return rc, capsys.readouterr().out
+
+
+def run_err(capsys, *argv) -> tuple[int, str]:
+    rc = main(list(argv))
+    return rc, capsys.readouterr().err
 
 
 def test_construct_json(capsys):
@@ -62,11 +74,28 @@ def test_congruence_command(capsys):
 
 
 def test_shard_plan_output(capsys):
-    rc, out = run(capsys, "shard-plan", "--s", "8", "--t", "3", "--M", "10")
+    rc, out = run(capsys, "shard-plan", "--p", "17", "--t", "2", "--block-size", "10")
     assert rc == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "1 0 10"
-    assert lines[-1] == "6 50 6"
+    # index matrix size start_rank count: C(9, 2) = 36 patterns split 10+10+10+6
+    assert lines[0] == "1 1 0 0 1"
+    assert lines[4] == "5 1 2 20 10"
+    assert lines[-1] == "12 2 2 30 6"
+    rc, out = run(capsys, "census", "--p", "17", "--t", "2", "--block-size", "10")
+    assert json.loads(out)["provenance"]["total_shards"] == len(lines)
+
+
+def test_shard_plan_into_closed_pipe_is_quiet():
+    # about 300 kB of plan lines, far more than a pipe buffers before head exits
+    cmd = (
+        f"{shlex.quote(sys.executable)} -c 'import sys; from qrweight.cli import main; sys.exit(main())' "
+        "shard-plan --p 41 --t 6 --block-size 10 | head -1"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(cmd, shell=True, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout == "1 1 0 0 1\n"
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 def test_census_and_solve_and_verify(tmp_path, capsys):
@@ -115,26 +144,133 @@ def test_verify_rejects_tampered_artifact(tmp_path, capsys):
     assert rc == 1
 
 
-def test_fragment_emit_and_merge(tmp_path, capsys):
-    plan_out = run(capsys, "census", "--p", "17", "--t", "4")
-    assert plan_out[0] == 0
-    total = json.loads(plan_out[1])["provenance"]["total_shards"]
-    fragments = []
-    for index in range(1, total + 1):
-        frag = tmp_path / f"frag{index}.json"
-        rc, _ = run(capsys, "census", "--p", "17", "--t", "4",
-                    "--shard-index", str(index), "--emit-fragment", str(frag))
+def _emit_fragments(tmp_path, capsys) -> list[str]:
+    """The 12 fragments of the p = 17, t = 2, block size 10 census, one per unit."""
+    paths = []
+    for index in range(1, 13):
+        out_dir = tmp_path / "run" / f"shard-{index}"
+        rc, _ = run(capsys, "census", "--p", "17", "--t", "2", "--block-size", "10",
+                    "--shard-index", str(index), "--out", str(out_dir))
         assert rc == 0
-        fragments.append(str(frag))
-    payload = json.loads(Path(fragments[0]).read_text())
-    assert set(payload) == {"code_id", "shard", "counts", "plan"}
-    assert set(payload["shard"]) >= {"index", "start_rank", "count"}
-    rc, out = run(capsys, "census-merge", *fragments)
+        paths.append(str(out_dir / "census.json"))
+    return paths
+
+
+def _edit_payload(path, mutate, *, redigest_record=True, redigest_payload=True) -> None:
+    """Edit a census artifact's payload, optionally re-sealing its digests as a forger would."""
+    artifact = json.loads(Path(path).read_text())
+    payload = artifact["payload"]
+    mutate(payload)
+    if redigest_record:
+        (rec,) = payload["provenance"]["shards"]
+        tallies = [(w, c) for w, c in payload["counts"] if c]
+        unit = [rec[f] for f in ("index", "matrix", "size", "start_rank", "count")]
+        rec["sha256"] = shard_digest(unit, tallies)
+    if redigest_payload:
+        artifact["manifest"]["payload_sha256"] = _digest(payload)
+    Path(path).write_text(json.dumps(artifact))
+
+
+def test_fragment_emit_and_merge(tmp_path, capsys):
+    fragments = _emit_fragments(tmp_path, capsys)
+    artifact = json.loads(Path(fragments[4]).read_text())
+    assert set(artifact) == {"payload", "manifest"}
+    assert [rec["index"] for rec in artifact["payload"]["provenance"]["shards"]] == [5]
+    rc, whole = run(capsys, "census", "--p", "17", "--t", "2", "--block-size", "10")
     assert rc == 0
-    merged = json.loads(out)
-    assert dict((w, c) for w, c in merged["counts"]) == dict(
-        (w, c) for w, c in json.loads(plan_out[1])["counts"]
-    )
+    rc, merged = run(capsys, "census-merge", *reversed(fragments), "--out", str(tmp_path / "merged"))
+    assert rc == 0
+    assert merged == whole
+    rc, _ = run(capsys, "solve", "--p", "17", "--census", str(tmp_path / "merged" / "census.json"))
+    assert rc == 0
+
+
+def test_merge_rejects_record_moved_off_the_plan(tmp_path, capsys):
+    fragments = _emit_fragments(tmp_path, capsys)
+
+    def mutate(payload):
+        payload["provenance"]["shards"][0]["start_rank"] += 3
+        payload["counts"] = [[4, 999]]
+
+    _edit_payload(fragments[4], mutate)
+    rc, err = run_err(capsys, "census-merge", *fragments)
+    assert rc == 1
+    assert "shard 5:" in err
+
+
+def test_merge_rejects_payload_edited_without_digest(tmp_path, capsys):
+    fragments = _emit_fragments(tmp_path, capsys)
+
+    def mutate(payload):
+        payload["counts"][2][1] += 1
+
+    _edit_payload(fragments[4], mutate, redigest_record=False, redigest_payload=False)
+    rc, err = run_err(capsys, "census-merge", *fragments)
+    assert rc == 1
+    assert "payload digest mismatch" in err
+
+
+@pytest.mark.parametrize("text", ['{"payload": {}, "manifest": []}', "[]"])
+def test_merge_rejects_non_artifact(tmp_path, capsys, text):
+    fragments = _emit_fragments(tmp_path, capsys)
+    Path(fragments[4]).write_text(text)
+    rc, err = run_err(capsys, "census-merge", *fragments)
+    assert rc == 1
+    assert "is not an artifact" in err
+
+
+def test_merge_rejects_record_digest_mismatch(tmp_path, capsys):
+    fragments = _emit_fragments(tmp_path, capsys)
+
+    def mutate(payload):
+        payload["counts"][2][1] += 1
+
+    _edit_payload(fragments[4], mutate, redigest_record=False)
+    rc, err = run_err(capsys, "census-merge", *fragments)
+    assert rc == 1
+    assert "shard 5: sha256" in err
+
+
+@pytest.mark.parametrize("counts", [[[4, 11]], [[3, 1]], [[6, 1]], [[4, -1]]])
+def test_merge_rejects_impossible_counts(tmp_path, capsys, counts):
+    # shard 5 walks 10 patterns; t = 2 makes the census complete up to weight 4
+    fragments = _emit_fragments(tmp_path, capsys)
+
+    def mutate(payload):
+        payload["counts"] = counts
+
+    _edit_payload(fragments[4], mutate)
+    rc, err = run_err(capsys, "census-merge", *fragments)
+    assert rc == 1
+    assert "shard 5:" in err
+
+
+def test_merge_rejects_fragments_of_two_codes(tmp_path, capsys):
+    fragments = _emit_fragments(tmp_path, capsys)
+    other = tmp_path / "p41"
+    assert run(capsys, "census", "--p", "41", "--t", "2", "--block-size", "10",
+               "--shard-index", "1", "--out", str(other))[0] == 0
+    assert run(capsys, "census-merge", str(other / "census.json"), *fragments[1:])[0] == 1
+
+
+def test_merge_rejects_code_digest_not_of_the_family(tmp_path, capsys):
+    fragments = _emit_fragments(tmp_path, capsys)
+
+    def mutate(payload):
+        payload["provenance"]["code_digest"] = "0" * 64
+
+    for path in fragments:
+        _edit_payload(path, mutate)
+    rc, err = run_err(capsys, "census-merge", *fragments)
+    assert rc == 1
+    assert "different code" in err
+
+
+def test_solve_refuses_a_lone_fragment(tmp_path, capsys):
+    fragments = _emit_fragments(tmp_path, capsys)
+    rc, err = run_err(capsys, "solve", "--p", "17", "--census", fragments[0])
+    assert rc == 1
+    assert "missing shards" in err
 
 
 def test_pipeline_p17(tmp_path, capsys):
@@ -226,6 +362,5 @@ def test_solve_from_injections_only(capsys):
 
 
 def test_census_rejects_unknown_shard(capsys):
-    rc, _ = run(capsys, "census", "--p", "17", "--t", "4", "--shard-index", "999",
-                "--emit-fragment", "/tmp/nonexistent-fragment.json")
+    rc, _ = run(capsys, "census", "--p", "17", "--t", "4", "--shard-index", "999")
     assert rc == 1
