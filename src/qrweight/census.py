@@ -16,8 +16,11 @@ obey the reflected recursion
 
     rank(a_t .. a_1) = C(a_t + 1, t) - 1 - rank(a_t-1 .. a_1)
 
-which gives O(t) ranking and unranking. Unranking lets every shard of the
-work re-derive its own starting codeword, so shards are fully independent.
+which gives O(t) ranking and unranking. The walk itself is Knuth's Algorithm
+R (TAOCP 4A, 7.2.1.3): one loop that moves a sorted list to its successor in
+place and reports the exchanged pair. That step reads nothing but the current
+pattern, so any shard can start from the pattern unranked at its start rank
+and re-derive its own starting codeword: shards are fully independent.
 """
 
 from __future__ import annotations
@@ -75,58 +78,47 @@ class CombPattern:
         return len(self.elements)
 
 
-def _succ(c: tuple[int, ...], s: int) -> tuple[tuple[int, ...], int, int] | None:
-    """Next pattern in revolving-door order: (pattern, removed, added), or None."""
-    t = len(c)
-    if t == 0:
-        return None
-    a = c[-1]
-    rest = c[:-1]
-    if rest == tuple(range(t - 1)):
-        # last pattern of the a-block; hop to the first pattern of block a+1
-        if a + 1 >= s:
-            return None
-        if t == 1:
-            return (a + 1,), a, a + 1
-        return tuple(range(t - 2)) + (a, a + 1), t - 2, a + 1
-    step = _pred(rest)
-    assert step is not None
-    new_rest, removed, added = step
-    return new_rest + (a,), removed, added
+def _step(c: list[int], s: int) -> tuple[int, int] | None:
+    """Move a sorted pattern to its revolving-door successor in place.
 
-
-def _pred(c: tuple[int, ...]) -> tuple[tuple[int, ...], int, int] | None:
-    """Previous pattern in revolving-door order, or None at rank 0."""
+    Knuth's Algorithm R (TAOCP 4A, 7.2.1.3, steps R3-R5): scanning up from
+    the smallest element, c[j] moves up when len(c) - j is odd and down
+    otherwise, and the first element that can move does. Reaching c[j] means
+    every element below it is as small as it can be (moving up) or sits just
+    below it (moving down). Returns (removed, added), or None after the last
+    pattern, leaving c unchanged.
+    """
     t = len(c)
-    if t == 0 or c == tuple(range(t)):
-        return None
-    a = c[-1]
-    rest = c[:-1]
-    if rest == tuple(range(t - 2)) + ((a - 1,) if t >= 2 else ()):
-        # first pattern of the a-block; land on the last pattern of block a-1
-        if t == 1:
-            return (a - 1,), a, a - 1
-        return tuple(range(t - 1)) + (a - 1,), a, t - 2
-    step = _succ(rest, a)
-    assert step is not None
-    new_rest, removed, added = step
-    return new_rest + (a,), removed, added
+    for j in range(t):
+        if (t - j) % 2:
+            if c[j] + 1 < (c[j + 1] if j + 1 < t else s):
+                if j == 0:
+                    c[0] += 1
+                    return c[0] - 1, c[0]
+                # j - 1 leaves, and c[j] + 1 joins above c[j]
+                removed = c[j - 1]
+                c[j - 1] = c[j]
+                c[j] += 1
+                return removed, c[j]
+        elif j == 0:
+            if c[0]:
+                c[0] -= 1
+                return c[0] + 1, c[0]
+        elif c[j - 1] >= j:
+            # c[j] = c[j - 1] + 1 leaves, and j - 1 joins below c[j - 1]
+            removed = c[j]
+            c[j] = c[j - 1]
+            c[j - 1] = j - 1
+            return removed, j - 1
+    return None
 
 
 def rd_successor(c: CombPattern) -> CombPattern | None:
     """Next pattern in revolving-door order; None after the last of C(s, t)."""
-    step = _succ(c.elements, c.s)
-    if step is None:
+    elements = list(c.elements)
+    if _step(elements, c.s) is None:
         return None
-    return CombPattern(c.s, step[0])
-
-
-def rd_predecessor(c: CombPattern) -> CombPattern | None:
-    """Previous pattern in revolving-door order; None at rank 0."""
-    step = _pred(c.elements)
-    if step is None:
-        return None
-    return CombPattern(c.s, step[0])
+    return CombPattern(c.s, tuple(elements))
 
 
 def rd_rank(c: CombPattern) -> int:
@@ -246,7 +238,7 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
     starting codeword is rebuilt from the shard's start rank.
     """
     index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
-    elements = rd_unrank(start_rank, k, size).elements
+    elements = list(rd_unrank(start_rank, k, size).elements)
     word = 0
     for i in elements:
         word ^= rows[i]
@@ -263,10 +255,10 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
         remaining -= 1
         if remaining == 0:
             break
-        step = _succ(elements, k)
+        step = _step(elements, k)
         if step is None:
             raise InvariantViolation("shard ran past the end of the walk")
-        elements, removed, added = step
+        removed, added = step
         word ^= rows[removed] ^ rows[added]
     return index, matrix, size, start_rank, count, tuple(sorted(counts.items()))
 

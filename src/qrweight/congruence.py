@@ -227,16 +227,10 @@ def compute_bundle(
     max_w = max(weights)
     evens = sorted(w for w in weights if w % 2 == 0)
 
-    z = to_permutation(plan.central_involution())
-    t = to_permutation(plan.T)
-    pt = to_permutation(plan.P * plan.T)
-    zt = to_permutation(plan.central_involution() * plan.T)
-    zpt = to_permutation(plan.central_involution() * plan.P * plan.T)
-
+    sylow2_groups = {H2: plan.h2_elements(), G4_0: plan.g4_elements(0), G4_1: plan.g4_elements(1)}
     subcodes = {
-        H2: invariant_subcode(code, [z], parent=parent, group_label=H2),
-        G4_0: invariant_subcode(code, [z, t, zt], parent=parent, group_label=G4_0),
-        G4_1: invariant_subcode(code, [z, pt, zpt], parent=parent, group_label=G4_1),
+        label: invariant_subcode(code, [to_permutation(g) for g in group], parent=parent, group_label=label)
+        for label, group in sylow2_groups.items()
     }
     odd_primes = [q for q, _ in plan.factorization if q != 2]
     for q in odd_primes:

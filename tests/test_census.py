@@ -9,12 +9,12 @@ from qrweight.census import (
     census_payload,
     merge_censuses,
     plan_shards,
-    rd_predecessor,
     rd_rank,
     rd_successor,
     rd_unrank,
     run_census,
 )
+from qrweight.cli import _digest
 from qrweight.errors import (
     BudgetExceeded,
     CheckFailure,
@@ -83,13 +83,6 @@ def test_unrank_out_of_range():
         rd_unrank(-1, 8, 3)
 
 
-def test_predecessor_inverts_successor():
-    walk = full_walk(7, 3)
-    for a, b in zip(walk, walk[1:]):
-        assert rd_predecessor(b) == a
-    assert rd_predecessor(walk[0]) is None
-
-
 def test_plan_shards_sizes():
     plan = plan_shards(8, 3, 10)
     assert [count for _, _, count in plan.shards] == [10, 10, 10, 10, 10, 6]
@@ -127,6 +120,22 @@ def test_census_p41_matches_oracle(family41, dist41):
     result = run_census(family41, 6)
     for w in range(0, 13, 2):
         assert result.counts[w] == dist41[w]
+
+
+# Digests of census_payload measured before the walk became Knuth's Algorithm R;
+# they pin the walk order, the shard plan and every shard record's sha256.
+@pytest.mark.parametrize(
+    "p, t, block_size, shards, digest",
+    [
+        (41, 6, 1000, 174, "26edc1a2316ffc85a0c2fe2f72d496cf068ba63e310da5f9eb2ceee44f61a971"),
+        # shards start deep inside C(69, 3), far from rank 0
+        (137, 3, 10000, 18, "7665f3cb2dc88e52194e9f086541f8093a7f4d6a5fe3f933327b3ec75501e60f"),
+    ],
+)
+def test_census_golden_digest(request, p, t, block_size, shards, digest):
+    result = run_census(request.getfixturevalue(f"family{p}"), t, block_size=block_size)
+    assert len(result.provenance.shards) == shards
+    assert _digest(census_payload(result)) == digest
 
 
 def test_census_zero_below_minimum_distance(family17):

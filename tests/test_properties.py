@@ -1,4 +1,4 @@
-"""Property tests of the combinatorial core: rank/unrank, shard plans, merges."""
+"""Property tests of the combinatorial core: rank/unrank, the revolving-door step, shard plans, merges."""
 
 import json
 from math import comb
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qrweight.census import (
     CombPattern,
+    _step,
     census_from_payload,
     census_payload,
     census_work_units,
@@ -32,6 +33,25 @@ def test_unrank_inverts_rank(c):
     r = rd_rank(c)
     assert 0 <= r < comb(c.s, c.t)
     assert rd_unrank(r, c.s, c.t) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_step_moves_to_the_next_rank(data):
+    s = data.draw(st.integers(1, 69))  # 69 is k at p = 137
+    t = data.draw(st.integers(0, min(s, 8)))
+    total = comb(s, t)
+    r = data.draw(st.one_of(st.integers(0, total - 1), st.just(total - 1)))
+    before = rd_unrank(r, s, t).elements
+    c = list(before)
+    step = _step(c, s)
+    if r == total - 1:
+        assert step is None and tuple(c) == before
+        return
+    after = rd_unrank(r + 1, s, t).elements
+    assert tuple(c) == after
+    removed, added = step
+    assert ({removed}, {added}) == (set(before) - set(after), set(after) - set(before))
 
 
 @settings(max_examples=60, deadline=None)
