@@ -54,9 +54,9 @@ def pattern_cost(k: int, t: int) -> int:
     return 2 * sum(comb(k, i) for i in range(t + 1))
 
 
-def check_budget(cost: int, budget: int, long_run: bool) -> None:
-    if cost > budget and not long_run:
-        raise BudgetExceeded(f"census needs {cost} patterns, budget {budget}")
+def check_budget(cost: int, long_run: bool) -> None:
+    if cost > DEFAULT_PATTERN_BUDGET and not long_run:
+        raise BudgetExceeded(f"census needs {cost} patterns, budget {DEFAULT_PATTERN_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,6 @@ def run_census(
     *,
     workers: int = 1,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    budget: int = DEFAULT_PATTERN_BUDGET,
     long_run: bool = False,
     shard_indices: Iterable[int] | None = None,
 ) -> WeightCensus:
@@ -291,7 +290,7 @@ def run_census(
         if missing:
             raise RankOutOfRange(f"no such shard indices: {sorted(missing)}")
         units = [u for u in units if u[0] in wanted]
-    check_budget(sum(u[4] for u in units), budget, long_run)
+    check_budget(sum(u[4] for u in units), long_run)
 
     left_mask = (1 << k) - 1
     max_weight = 2 * t

@@ -278,16 +278,32 @@ def cmd_census_merge(args) -> int:
 # ---------------------------------------------------------------- solve
 
 
-def _constraint_from_payload(payload: dict, weight: int) -> congruence_mod.CongruenceConstraint:
-    entry = payload["constraints"].get(str(weight))
-    if entry is None:
-        raise CheckFailure(f"constraint artifact has no entry for weight {weight}")
-    return congruence_mod.CongruenceConstraint(
-        j=weight,
-        residue=int(entry["residue"]),
-        modulus=int(entry["modulus"]),
-        parts=tuple((int(pp), int(r), label) for pp, r, label in entry["parts"]),
-    )
+def _require_ints(what: str, values) -> None:
+    bad = [v for v in values if type(v) is not int]
+    if bad:
+        raise CheckFailure(f"malformed {what}: {bad[0]!r} is not an integer")
+
+
+def _constraint_from_artifact(artifact: dict, family, weight: int) -> congruence_mod.CongruenceConstraint:
+    """The weight's constraint, once the artifact is shown to be of this code and group."""
+    if artifact["manifest"].get("code") != _code_identity(family):
+        raise CheckFailure(f"constraint artifact was computed for a different code than the p={family.p} family")
+    try:
+        entry = artifact["payload"]["constraints"][str(weight)]
+        constraint = congruence_mod.CongruenceConstraint(
+            j=weight,
+            residue=entry["residue"],
+            modulus=entry["modulus"],
+            parts=tuple((pp, r, label) for pp, r, label in entry["parts"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckFailure(f"constraint artifact has no well-formed entry for weight {weight}: {exc!r}") from exc
+    _require_ints("constraint artifact", [constraint.residue, constraint.modulus,
+                                          *(x for pp, r, _ in constraint.parts for x in (pp, r))])
+    order = group_order(family.p)[0]
+    if constraint.modulus != order:
+        raise CheckFailure(f"constraint modulus {constraint.modulus} is not |PSL2({family.p})| = {order}")
+    return constraint
 
 
 def _solution_payload(solution) -> dict:
@@ -348,9 +364,8 @@ def cmd_solve(args) -> int:
         raise ValueError("nothing to solve from: give --census and/or --inject-a")
     constraint = None
     if args.constraint:
-        cart = _read_artifact(Path(args.constraint))
         m = (args.p - 1) // 8
-        constraint = _constraint_from_payload(cart["payload"], 2 * m)
+        constraint = _constraint_from_artifact(_read_artifact(Path(args.constraint)), family, 2 * m)
         inputs["constraint"] = _file_digest(Path(args.constraint))
     solution = gleason.solve_distribution(args.p, counts, constraint=constraint, family=family)
     if args.format == "table":
@@ -365,22 +380,35 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
+def _solution_from_payload(payload) -> gleason.GleasonSolution:
+    """Read a solution payload back, checking only its shape; ``validate_solution``
+    checks its content."""
+    try:
+        solution = gleason.GleasonSolution(
+            p=payload["p"],
+            m=payload["m"],
+            coefficients=tuple(payload["coefficients"]),
+            extended=tuple(c for _, c in payload["extended"]),
+            augmented=tuple(c for _, c in payload["augmented"]),
+            sign_certificate=None,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckFailure(f"malformed solution payload: {exc!r}") from exc
+    _require_ints("solution payload", [solution.p, solution.m, *solution.coefficients,
+                                       *solution.extended, *solution.augmented])
+    return solution
+
+
 def cmd_verify(args) -> int:
     artifact = _read_artifact(Path(args.table))
-    payload = artifact["payload"]
-    if payload["p"] != args.p:
-        raise CheckFailure(f"artifact is for p={payload['p']}, not p={args.p}")
+    solution = _solution_from_payload(artifact["payload"])
+    if solution.p != args.p:
+        raise CheckFailure(f"artifact is for p={solution.p}, not p={args.p}")
     family = build_family(args.p)
-    if artifact["manifest"]["code"]["generator_sha256"] != family.code_digest():
+    if artifact["manifest"].get("code") != _code_identity(family):
         raise CheckFailure("artifact code identity does not match the constructed family")
-    solution = gleason.GleasonSolution(
-        p=payload["p"],
-        m=payload["m"],
-        coefficients=tuple(payload["coefficients"]),
-        extended=tuple(c for _, c in payload["extended"]),
-        augmented=tuple(c for _, c in payload["augmented"]),
-        sign_certificate=None,
-    )
+    if solution.m != family.m:
+        raise CheckFailure(f"artifact has m={solution.m}, the p={args.p} family has m={family.m}")
     gleason.validate_solution(solution)
     ks = gleason.solve_coefficients(
         solution.m, {j: solution.extended[2 * j] for j in range(solution.m + 1)}
@@ -409,9 +437,7 @@ def cmd_pipeline(args) -> int:
             raise ValueError(f"census t={args.t} too small: need t >= {m - 1}")
 
         stage = "census"
-        census_mod.check_budget(
-            census_mod.pattern_cost(family.k, args.t), census_mod.DEFAULT_PATTERN_BUDGET, args.long_run
-        )
+        census_mod.check_budget(census_mod.pattern_cost(family.k, args.t), args.long_run)
 
         stage = "congruence"
         weights = list(range(2, 2 * m + 1, 2))

@@ -392,9 +392,11 @@ def validate_solution(sol: GleasonSolution) -> None:
     k = (p + 1) // 2
     ext = sol.extended
     aug = sol.augmented
+    # the lengths first: every check below indexes both sequences
+    for name, seq, length in (("extended", ext, n + 1), ("augmented", aug, n)):
+        if len(seq) != length:
+            raise InvariantViolation(f"solution p={p}: check failed: {name} length")
     checks = [
-        ("extended length", len(ext) == n + 1),
-        ("augmented length", len(aug) == n),
         ("A_0 = 1", ext[0] == 1),
         ("odd extended weights vanish", all(ext[j] == 0 for j in range(1, n + 1, 2))),
         ("extended symmetry", all(ext[j] == ext[n - j] for j in range(n + 1))),

@@ -5,14 +5,17 @@ infinity, matching the extended-code column layout (parity column last).
 Only the subgroup structure the congruence method needs is provided: one
 element of each required order, the dihedral generator pair (P, T), and the
 order-2 and order-4 subgroups built from them.
+
+The integer arithmetic behind it (primality, the factorization of the group
+order, the primitive-root test) is one trial-division helper,
+``prime_factors``; every number it factors is at most p + 1. ``require_qr_prime``
+is the one check of which primes are supported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-
-from sympy import factorint, isprime, n_order
 
 from .errors import BadDeterminant, NotPrimitiveRoot, NotQrPrime, SearchExhausted
 
@@ -159,13 +162,38 @@ def to_permutation(m: MoebiusMap) -> CoordPermutation:
     return CoordPermutation(p, tuple(image))
 
 
+def prime_factors(n: int) -> dict[int, int]:
+    """Prime factorization {q: e} of n by trial division; {} for n < 2."""
+    factors: dict[int, int] = {}
+    q = 2
+    while q * q <= n:
+        while n % q == 0:
+            factors[q] = factors.get(q, 0) + 1
+            n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def require_qr_prime(p: int) -> None:
+    """Raise NotQrPrime unless p is a prime = +-1 mod 8 (so also p >= 7)."""
+    if p % 8 not in (1, 7) or prime_factors(p) != {p: 1}:
+        raise NotQrPrime(f"p={p} is not a prime congruent to +-1 mod 8")
+
+
 def group_order(p: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """|PSL2(p)| = p(p^2-1)/2 and its prime factorization."""
-    if p < 7 or not isprime(p):
-        raise NotQrPrime(f"p={p} must be a prime >= 7")
-    order = p * (p * p - 1) // 2
-    fac = tuple(sorted(factorint(order).items()))
-    return order, fac
+    """|PSL2(p)| = p(p^2-1)/2 and its prime factorization.
+
+    The order is p * (p-1)/2 * (p+1); their factorizations are merged by
+    adding exponents, since (p-1)/2 and p+1 share a factor 2 when p = 1 mod 8.
+    """
+    require_qr_prime(p)
+    fac: dict[int, int] = {}
+    for part in (p, (p - 1) // 2, p + 1):
+        for q, e in prime_factors(part).items():
+            fac[q] = fac.get(q, 0) + e
+    return p * (p * p - 1) // 2, tuple(sorted(fac.items()))
 
 
 @dataclass(frozen=True)
@@ -233,8 +261,6 @@ def find_sylow_plan(p: int, *, include_p: bool = False) -> SylowPlan:
     The Sylow-p generator is only searched when include_p is set; the subcode
     it fixes is just {0, all-ones} and is handled directly downstream.
     """
-    if p % 8 not in (1, 7):
-        raise NotQrPrime(f"p={p} is not +-1 mod 8")
     order, fac = group_order(p)
     s = dict(fac)[2]
     odd = {}
@@ -266,12 +292,13 @@ def find_sylow_plan(p: int, *, include_p: bool = False) -> SylowPlan:
 def verify_scaling_word(p: int, rho: int) -> bool:
     """Check that y -> rho^2 * y equals the word T S^rho T S^mu T S^rho.
 
-    rho must generate the multiplicative group mod p; mu = rho^-1 mod p. The
-    word is applied left to right (T first), so the squared-scaling generator
-    is redundant given the translation S and the inversion T.
+    rho must generate the multiplicative group mod p, i.e. rho^((p-1)/q) != 1
+    for every prime q dividing p - 1; mu = rho^-1 mod p. The word is applied
+    left to right (T first), so the squared-scaling generator is redundant
+    given the translation S and the inversion T.
     """
-    if n_order(rho, p) != p - 1:
-        raise NotPrimitiveRoot(f"{rho} has order {n_order(rho, p)} mod {p}, need {p - 1}")
+    if rho % p == 0 or any(pow(rho, (p - 1) // q, p) == 1 for q in prime_factors(p - 1)):
+        raise NotPrimitiveRoot(f"{rho} does not generate the multiplicative group mod {p}")
     mu = pow(rho, -1, p)
     t = to_permutation(MoebiusMap.inversion(p))
     s_rho = to_permutation(MoebiusMap.translation(p, rho))

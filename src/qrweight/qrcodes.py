@@ -18,16 +18,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from sympy import isprime
-
 from . import census as census_mod
 from .bitlinalg import BitMatrix, dual_basis, rank, same_row_space
-from .errors import (
-    BothZero,
-    ClassificationFailed,
-    InvariantViolation,
-    NotQrPrime,
-)
+from .errors import BothZero, ClassificationFailed, InvariantViolation
+from .psl2 import require_qr_prime
 
 
 @dataclass(frozen=True)
@@ -107,8 +101,7 @@ def poly_gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
 
 def quadratic_residues(p: int) -> tuple[frozenset[int], frozenset[int]]:
     """The residue set Q = {a^2 mod p} and its nonzero complement N."""
-    if not isprime(p) or p % 8 not in (1, 7):
-        raise NotQrPrime(f"p={p} is not a prime congruent to +-1 mod 8")
+    require_qr_prime(p)
     q = frozenset((a * a) % p for a in range(1, p))
     n = frozenset(range(1, p)) - q
     if 2 not in q:
@@ -231,21 +224,14 @@ def _validate_family(f: QrCodeFamily) -> None:
             raise InvariantViolation(f"family p={p}: check failed: {name}")
 
 
-def min_weight_even_floor(
-    family: QrCodeFamily,
-    upto: int,
-    *,
-    budget: int = census_mod.DEFAULT_PATTERN_BUDGET,
-    long_run: bool = False,
-    workers: int = 1,
-) -> int | None:
+def min_weight_even_floor(family: QrCodeFamily, upto: int, *, long_run: bool = False) -> int | None:
     """Smallest nonzero codeword weight of the extended code that is <= upto.
 
     Runs a partial census covering all weights <= 2*ceil(upto/2); returns None
     when no nonzero codeword that light exists.
     """
     t = (upto + 1) // 2
-    result = census_mod.run_census(family, t, workers=workers, budget=budget, long_run=long_run)
+    result = census_mod.run_census(family, t, long_run=long_run)
     for w in range(2, upto + 1, 2):
         if result.counts.get(w, 0) > 0:
             return w

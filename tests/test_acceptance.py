@@ -10,6 +10,7 @@ from math import comb
 
 import pytest
 
+from qrweight import census
 from qrweight.census import plan_shards, rd_rank, rd_successor, rd_unrank, run_census
 from qrweight.cli import main
 from qrweight.congruence import check_candidate, compute_bundle
@@ -174,16 +175,20 @@ def test_criterion_6_census_determinism(family41):
            time.perf_counter() - t0, 120.0)
 
 
-def test_criterion_7_desk_scale_declaration(family137, family41):
+def test_criterion_7_desk_scale_declaration(family137, family41, monkeypatch):
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceeded):
         run_census(family137, 11)
     rc = main(["paper-regression"])
     assert rc == 0
     # the long-run override takes the same code path at any scale; exercise it
-    # where an oracle exists by forcing a run past an artificially tiny budget
-    forced = run_census(family41, 6, budget=1, long_run=True)
-    assert forced.counts == run_census(family41, 6).counts
+    # where an oracle exists: under a one-pattern budget the p=41 census is
+    # refused, and with long_run it runs and matches the unpatched counts
+    reference = run_census(family41, 6).counts
+    monkeypatch.setattr(census, "DEFAULT_PATTERN_BUDGET", 1)
+    with pytest.raises(BudgetExceeded):
+        run_census(family41, 6)
+    assert run_census(family41, 6, long_run=True).counts == reference
     report(7, "p=137 full enumeration declared out of desk scale: budget gate + "
               "fixture regression + long-run path verified against the p=41 oracle",
            time.perf_counter() - t0, 600.0)

@@ -144,6 +144,24 @@ def test_verify_rejects_tampered_artifact(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda payload: payload.update(extended=payload["extended"][:-3]),
+    lambda payload: payload.pop("m"),
+    lambda payload: payload.update(m="2"),
+    lambda payload: payload.update(m=100),
+], ids=["short-extended", "no-m", "string-m", "m-off-the-family"])
+def test_verify_rejects_malformed_solution(tmp_path, capsys, mutate):
+    out_dir = str(tmp_path)
+    assert run(capsys, "census", "--p", "17", "--t", "2", "--out", out_dir)[0] == 0
+    assert run(capsys, "solve", "--p", "17", "--census", str(tmp_path / "census.json"),
+               "--out", out_dir)[0] == 0
+    path = tmp_path / "solution.json"
+    _edit_payload(path, mutate, redigest_record=False)
+    rc, err = run_err(capsys, "verify", "--p", "17", "--table", str(path))
+    assert rc == 1
+    assert "check failed" in err
+
+
 def _emit_fragments(tmp_path, capsys) -> list[str]:
     """The 12 fragments of the p = 17, t = 2, block size 10 census, one per unit."""
     paths = []
@@ -361,6 +379,43 @@ def test_solve_from_injections_only(capsys):
     assert payload["coefficients"] == [1, -9, -9]
 
 
+def test_solve_rejects_a_constraint_of_another_code(tmp_path, capsys):
+    assert run(capsys, "congruence", "--p", "41", "--weights", "2..10", "--out", str(tmp_path))[0] == 0
+    rc, err = run_err(capsys, "solve", "--p", "17", "--inject-a", "2=0",
+                      "--constraint", str(tmp_path / "congruence.json"))
+    assert rc == 1
+    assert "different code" in err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda payload: payload["constraints"]["4"].update(modulus=2448 * 2),
+    lambda payload: payload["constraints"]["4"].update(residue=str(payload["constraints"]["4"]["residue"])),
+    lambda payload: payload["constraints"]["4"].pop("parts"),
+    lambda payload: payload["constraints"].pop("4"),
+    lambda payload: payload.update(constraints=[]),
+], ids=["modulus", "string-residue", "no-parts", "no-entry", "not-a-map"])
+def test_solve_rejects_a_malformed_constraint(tmp_path, capsys, mutate):
+    assert run(capsys, "congruence", "--p", "17", "--weights", "2..4", "--out", str(tmp_path))[0] == 0
+    path = tmp_path / "congruence.json"
+    _edit_payload(path, mutate, redigest_record=False)
+    rc, err = run_err(capsys, "solve", "--p", "17", "--inject-a", "2=0", "--constraint", str(path))
+    assert rc == 1
+    assert "check failed" in err
+
+
 def test_census_rejects_unknown_shard(capsys):
     rc, _ = run(capsys, "census", "--p", "17", "--t", "4", "--shard-index", "999")
     assert rc == 1
+
+
+
+def test_pipeline_runs_without_sympy():
+    # sympy is a test oracle only: the package must run with it unimportable
+    code = (
+        "import sys; sys.modules['sympy'] = None; from qrweight.cli import main; "
+        "sys.exit(main(['pipeline', '--p', '17', '--t', '4']))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in proc.stdout

@@ -1,15 +1,17 @@
 import random
 
 import pytest
-from sympy import primitive_root
+from sympy import factorint, n_order, primerange, primitive_root
 
 from qrweight.bitlinalg import row_space_contains
 from qrweight.errors import BadDeterminant, NotPrimitiveRoot, NotQrPrime
+from qrweight.qrcodes import quadratic_residues
 from qrweight.psl2 import (
     CoordPermutation,
     MoebiusMap,
     find_sylow_plan,
     group_order,
+    prime_factors,
     to_permutation,
     verify_scaling_word,
 )
@@ -55,6 +57,26 @@ def test_group_orders():
     order17, fac17 = group_order(17)
     assert order17 == 2448
     assert fac17 == ((2, 4), (3, 2), (17, 1))
+
+
+def test_prime_factors_matches_sympy():
+    for n in range(1, 20001):
+        assert prime_factors(n) == factorint(n), n
+
+
+def test_group_order_matches_sympy():
+    for p in primerange(7, 3000):
+        if p % 8 in (1, 7):
+            order, fac = group_order(p)
+            assert order == p * (p * p - 1) // 2
+            assert dict(fac) == factorint(order), p
+
+
+@pytest.mark.parametrize("p", [-7, 0, 1, 2, 3, 5, 9, 11, 13, 49, 119])
+def test_one_check_rejects_unsupported_p(p):
+    for call in (group_order, quadratic_residues, find_sylow_plan):
+        with pytest.raises(NotQrPrime):
+            call(p)
 
 
 def test_published_generators_p137():
@@ -164,6 +186,18 @@ def test_scaling_word_p137():
 def test_scaling_word_rejects_non_primitive_root():
     with pytest.raises(NotPrimitiveRoot):
         verify_scaling_word(17, 2)  # 2 has order 8 mod 17
+    with pytest.raises(NotPrimitiveRoot):
+        verify_scaling_word(17, 17)  # 0 mod 17 is no unit at all
+
+
+@pytest.mark.parametrize("p", [17, 41])
+def test_scaling_word_accepts_exactly_the_primitive_roots(p):
+    for rho in range(1, p):
+        if n_order(rho, p) == p - 1:
+            assert verify_scaling_word(p, rho) is True
+        else:
+            with pytest.raises(NotPrimitiveRoot):
+                verify_scaling_word(p, rho)
 
 
 def test_canonical_representative():
