@@ -26,7 +26,6 @@ from .census import (
     merge_censuses,
     plan_shards,
     rd_rank,
-    rd_successor,
     rd_unrank,
     run_census,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "quadratic_residues",
     "rank",
     "rd_rank",
-    "rd_successor",
     "rd_unrank",
     "reconstruct",
     "resolve_top_coefficient",

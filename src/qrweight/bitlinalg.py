@@ -3,11 +3,17 @@
 Vectors are Python ints used as bitsets (bit i = coordinate i), so XOR is
 vector addition and ``int.bit_count`` is the Hamming weight. Everything here
 is a pure function on immutable values and safe to share across workers.
+
+Tables of many words are also stored transposed ("bit-sliced"): column j is
+one int whose bit x is coordinate j of word x, the table's lane x. One big-int
+operation then acts on every lane at once, and ``weight_histogram`` counts
+the weights of a whole table in a few hundred of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import NotHalfRate, RankDeficient, SingularInformationSet
@@ -131,12 +137,19 @@ def rank(m: BitMatrix) -> int:
 
 def row_space_contains(m: BitMatrix, bits: int) -> bool:
     """Membership test: reduce ``bits`` against the rref basis of ``m``."""
+    return row_space_contains_all(m, (bits,))
+
+
+def row_space_contains_all(m: BitMatrix, vectors: Iterable[int]) -> bool:
+    """Whether every vector lies in the row space of ``m``; ``m`` is reduced once."""
     reduced, pivots = rref(m)
-    v = bits
-    for row, c in zip(reduced.rows, pivots):
-        if (v >> c) & 1:
-            v ^= row
-    return v == 0
+    for v in vectors:
+        for row, c in zip(reduced.rows, pivots):
+            if (v >> c) & 1:
+                v ^= row
+        if v:
+            return False
+    return True
 
 
 def same_row_space(a: BitMatrix, b: BitMatrix) -> bool:
@@ -230,3 +243,93 @@ def disjoint_information_systematizations(g: BitMatrix) -> tuple[BitMatrix, BitM
     order = sorted(range(k), key=lambda i: piv2[i])
     g2 = BitMatrix(g.cols, tuple(g2_raw.rows[i] for i in order))
     return g1, g2
+
+
+TABLE_BITS = 1 << 22  # columns x lanes of the tables below, about 512 KB
+
+
+def span_columns(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """Bit-sliced table of all 2^len(rows) XOR combinations of ``rows``.
+
+    Lane x is the combination selected by the bits of x, so the first 2^b
+    lanes are the combinations of the first b rows. Built by doubling.
+    """
+    columns = [0] * width
+    lanes = 1
+    for row in rows:
+        ones = (1 << lanes) - 1
+        for j, col in enumerate(columns):
+            columns[j] = col | ((col ^ ones if (row >> j) & 1 else col) << lanes)
+        lanes <<= 1
+    return tuple(columns)
+
+
+def subset_columns(rows: Sequence[int], width: int) -> tuple[tuple[int, ...], ...]:
+    """Bit-sliced tables T_0..T_D of the XORs of the d-subsets of ``rows``.
+
+    The first C(m, d) lanes of T_d are the d-subsets of rows[0..m) in colex
+    order, built by T_d(m + 1) = T_d(m) ++ (row_m ^ T_{d-1}(m)). D is the
+    largest depth at which all the tables together fit in TABLE_BITS.
+    """
+    k = len(rows)
+    depth, lanes = 0, 1
+    while depth < k and width * (lanes + comb(k, depth + 1)) <= TABLE_BITS:
+        depth += 1
+        lanes += comb(k, depth)
+    tables = [[0] * width for _ in range(depth + 1)]  # T_0 is the one empty subset
+    for m, row in enumerate(rows):
+        for d in range(min(m + 1, depth), 0, -1):  # T_{d-1}(m) is read before it grows
+            shift = comb(m, d)
+            ones = (1 << comb(m, d - 1)) - 1
+            grown = tables[d]
+            for j, col in enumerate(tables[d - 1]):
+                grown[j] |= (col ^ ones if (row >> j) & 1 else col) << shift
+    return tuple(tuple(table) for table in tables)
+
+
+def weight_histogram(columns: Sequence[int], flips: int, lanes: int, max_weight: int) -> dict[int, int]:
+    """Nonzero counts of each weight <= max_weight among the first ``lanes``
+    words of a bit-sliced table, every word XORed with ``flips``.
+
+    A carry-save adder chain sums the columns into bit-planes of every lane's
+    weight (plane i holds bit i), and the count of weight w is the bit_count
+    of the AND of the planes, or of their complements, that spell w. Those
+    ANDs share their prefixes from the top plane down.
+    """
+    if lanes <= 0 or max_weight < 0:
+        return {}
+    mask = (1 << lanes) - 1
+    level = []
+    for j, col in enumerate(columns):
+        col &= mask
+        if (flips >> j) & 1:
+            col ^= mask
+        if col:
+            level.append(col)
+    planes = []
+    while level:
+        carries = []
+        while len(level) > 2:  # full adder: three bits of weight 2^i make one of 2^i, one of 2^(i+1)
+            a, b, c = level.pop(), level.pop(), level.pop()
+            ab = a ^ b
+            level.append(ab ^ c)
+            carries.append((a & b) | (ab & c))
+        if len(level) == 2:
+            a, b = level
+            level = [a ^ b]
+            carries.append(a & b)
+        planes.append(level[0])
+        level = [c for c in carries if c]
+    counts = {}
+    stack = [(len(planes), 0, mask)]  # (planes left, weight bits so far, lanes that match them)
+    while stack:
+        i, w, match = stack.pop()
+        if i == 0:
+            counts[w] = match.bit_count()
+            continue
+        i -= 1
+        ones = match & planes[i]
+        for sub, v in ((match ^ ones, w), (ones, w | 1 << i)):
+            if sub and v <= max_weight:
+                stack.append((i, v, sub))
+    return counts

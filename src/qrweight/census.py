@@ -1,4 +1,4 @@
-"""Partial weight census via revolving-door enumeration of information patterns.
+"""Partial weight census over the information patterns of two generator matrices.
 
 Low-weight codewords of a half-rate code are counted exactly by enumerating
 all information patterns of size <= t in two generator matrices systematic on
@@ -8,19 +8,19 @@ systematic matrix only when its left half is not heavier (ties included) and
 through the right-systematic matrix only when its right half is strictly
 lighter counts every qualifying codeword exactly once.
 
-The enumeration order is the revolving-door Gray code for combinations:
-successive patterns exchange a single element, so each codeword is one row
-XOR away from the previous one. Patterns of a fixed largest element a_t
-occupy the consecutive rank interval [C(a_t, t), C(a_t+1, t) - 1], and ranks
-obey the reflected recursion
+Shards are rank intervals of the revolving-door order for combinations.
+Patterns of a fixed largest element a_t occupy the consecutive rank interval
+[C(a_t, t), C(a_t+1, t) - 1], and ranks obey the reflected recursion
 
     rank(a_t .. a_1) = C(a_t + 1, t) - 1 - rank(a_t-1 .. a_1)
 
-which gives O(t) ranking and unranking. The walk itself is Knuth's Algorithm
-R (TAOCP 4A, 7.2.1.3): one loop that moves a sorted list to its successor in
-place and reports the exchanged pair. That step reads nothing but the current
-pattern, so any shard can start from the pattern unranked at its start rank
-and re-derive its own starting codeword: shards are fully independent.
+which gives O(t) ranking and unranking. The same recursion splits a shard's
+interval into blocks (TAOCP 4A, 7.2.1.3): fixed top elements together with
+every d-subset of [0, m). Such a block is the XOR of the top elements' rows
+with a prefix of one precomputed table of d-subset XORs, and
+``bitlinalg.weight_histogram`` counts the whole block at once. Counting is
+order-free and each shard re-derives everything from its own interval, so
+shards are fully independent.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .bitlinalg import disjoint_information_systematizations
+from .bitlinalg import disjoint_information_systematizations, subset_columns, weight_histogram
 from .errors import (
     BudgetExceeded,
     CheckFailure,
@@ -76,49 +77,6 @@ class CombPattern:
     @property
     def t(self) -> int:
         return len(self.elements)
-
-
-def _step(c: list[int], s: int) -> tuple[int, int] | None:
-    """Move a sorted pattern to its revolving-door successor in place.
-
-    Knuth's Algorithm R (TAOCP 4A, 7.2.1.3, steps R3-R5): scanning up from
-    the smallest element, c[j] moves up when len(c) - j is odd and down
-    otherwise, and the first element that can move does. Reaching c[j] means
-    every element below it is as small as it can be (moving up) or sits just
-    below it (moving down). Returns (removed, added), or None after the last
-    pattern, leaving c unchanged.
-    """
-    t = len(c)
-    for j in range(t):
-        if (t - j) % 2:
-            if c[j] + 1 < (c[j + 1] if j + 1 < t else s):
-                if j == 0:
-                    c[0] += 1
-                    return c[0] - 1, c[0]
-                # j - 1 leaves, and c[j] + 1 joins above c[j]
-                removed = c[j - 1]
-                c[j - 1] = c[j]
-                c[j] += 1
-                return removed, c[j]
-        elif j == 0:
-            if c[0]:
-                c[0] -= 1
-                return c[0] + 1, c[0]
-        elif c[j - 1] >= j:
-            # c[j] = c[j - 1] + 1 leaves, and j - 1 joins below c[j - 1]
-            removed = c[j]
-            c[j] = c[j - 1]
-            c[j - 1] = j - 1
-            return removed, j - 1
-    return None
-
-
-def rd_successor(c: CombPattern) -> CombPattern | None:
-    """Next pattern in revolving-door order; None after the last of C(s, t)."""
-    elements = list(c.elements)
-    if _step(elements, c.s) is None:
-        return None
-    return CombPattern(c.s, tuple(elements))
 
 
 def rd_rank(c: CombPattern) -> int:
@@ -231,35 +189,59 @@ def census_work_units(k: int, t: int, block_size: int) -> list[tuple[int, int, i
     return units
 
 
-def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
-    """Walk one shard and tally qualifying codeword weights.
+def _rank_blocks(lo: int, hi: int, s: int, t: int, depth: int, base: int, rows: Sequence[int]):
+    """Split the ranks [lo, hi) of the t-subsets of [0, s) into blocks.
 
-    Runs in worker processes; everything needed travels in ``args`` and the
-    starting codeword is rebuilt from the shard's start rank.
+    Each block (base, d, m) is ``base`` XOR every d-subset of rows[0..m), with
+    d <= depth: the fixed top elements are folded into ``base``. Patterns with
+    largest element a hold the ranks [C(a, t), C(a + 1, t)), and below a they
+    walk the (t-1)-subsets of [0, a) backwards, so only the edges of the
+    interval recurse deeper than ``depth``.
+    """
+    if lo == 0 and hi == comb(s, t) and t <= depth:
+        yield base, t, s
+        return
+    a = t - 1
+    while comb(a + 1, t) <= lo:
+        a += 1
+    while lo < hi:
+        end = comb(a + 1, t)
+        top_hi = min(hi, end)
+        yield from _rank_blocks(end - top_hi, end - lo, a, t - 1, depth, base ^ rows[a], rows)
+        lo = top_hi
+        a += 1
+
+
+@lru_cache(maxsize=1)
+def _parity_tables(parity: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Subset tables of one matrix's parity rows; shards come ordered by matrix."""
+    return subset_columns(parity, len(parity))
+
+
+def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
+    """Count one shard and tally qualifying codeword weights.
+
+    Runs in worker processes; everything needed travels in ``args``. The rows
+    are systematic on one half, so that half adds exactly ``size`` to every
+    pattern's weight and only the k parity bits go through the kernel: a
+    codeword of parity weight q is kept when size + q <= max_weight and q >=
+    size (matrix 1, ties kept) or q > size (matrix 2).
     """
     index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
-    elements = list(rd_unrank(start_rank, k, size).elements)
-    word = 0
-    for i in elements:
-        word ^= rows[i]
+    if not 0 <= start_rank < start_rank + count <= comb(k, size):
+        raise RankOutOfRange(f"shard [{start_rank}, {start_rank + count}) outside [0, {comb(k, size)})")
+    unit_shift, parity_shift = (0, k) if matrix == 1 else (k, 0)
+    parity = tuple((row >> parity_shift) & left_mask for row in rows)
+    for i, (row, q) in enumerate(zip(rows, parity)):
+        if row != (1 << i << unit_shift) | (q << parity_shift):
+            raise InvariantViolation(f"matrix {matrix} row {i} is not systematic on its half")
+    tables = _parity_tables(parity)
+    min_parity = size if matrix == 1 else size + 1
     counts: dict[int, int] = {}
-    keep_ties = matrix == 1
-    remaining = count
-    while True:
-        w = word.bit_count()
-        if w <= max_weight:
-            wl = (word & left_mask).bit_count()
-            wr = w - wl
-            if (wl <= wr) if keep_ties else (wr < wl):
-                counts[w] = counts.get(w, 0) + 1
-        remaining -= 1
-        if remaining == 0:
-            break
-        step = _step(elements, k)
-        if step is None:
-            raise InvariantViolation("shard ran past the end of the walk")
-        removed, added = step
-        word ^= rows[removed] ^ rows[added]
+    for base, d, m in _rank_blocks(start_rank, start_rank + count, k, size, len(tables) - 1, 0, parity):
+        for q, c in weight_histogram(tables[d], base, comb(m, d), max_weight - size).items():
+            if q >= min_parity:
+                counts[size + q] = counts.get(size + q, 0) + c
     return index, matrix, size, start_rank, count, tuple(sorted(counts.items()))
 
 

@@ -380,6 +380,16 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
+def _weight_column(pairs, name: str) -> tuple:
+    """The counts of a ``[[j, A_j], ...]`` list, whose j must count up from 0."""
+    counts = []
+    for position, (j, c) in enumerate(pairs):
+        if type(j) is not int or j != position:
+            raise CheckFailure(f"malformed solution payload: {name} has weight {j!r} at position {position}")
+        counts.append(c)
+    return tuple(counts)
+
+
 def _solution_from_payload(payload) -> gleason.GleasonSolution:
     """Read a solution payload back, checking only its shape; ``validate_solution``
     checks its content."""
@@ -388,8 +398,8 @@ def _solution_from_payload(payload) -> gleason.GleasonSolution:
             p=payload["p"],
             m=payload["m"],
             coefficients=tuple(payload["coefficients"]),
-            extended=tuple(c for _, c in payload["extended"]),
-            augmented=tuple(c for _, c in payload["augmented"]),
+            extended=_weight_column(payload["extended"], "extended"),
+            augmented=_weight_column(payload["augmented"], "augmented"),
             sign_certificate=None,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -69,9 +69,9 @@ def invariant_subcode(
             continue
         current = bitlinalg.intersect_rowspaces(current, fixed_space(perm))
     sub = InvariantSubcode(parent=parent, group_label=group_label, basis=current)
+    if not bitlinalg.row_space_contains_all(code, current.rows):
+        raise InvariantViolation("invariant subcode escaped the parent code")
     for row in current.rows:
-        if not bitlinalg.row_space_contains(code, row):
-            raise InvariantViolation("invariant subcode escaped the parent code")
         for perm in group:
             if perm.apply_to_bits(row) != row:
                 raise InvariantViolation("basis row not fixed by the defining group")
@@ -88,10 +88,13 @@ def subcode_weight_counts(
 ) -> dict[int, int]:
     """Exact per-weight counts over all 2^k subcode words, weights <= max_weight.
 
-    The walk is a binary-reflected Gray code over basis combinations, one row
-    XOR per word. A contiguous index range [start, stop) may be counted alone
-    (the range-start word is re-derived from its Gray encoding), so long runs
-    can be split across workers and merged by per-weight addition.
+    Word i is the combination of basis rows selected by the bits of gray(i).
+    A contiguous index range [start, stop) may be counted alone, so long runs
+    can be split across workers and merged by per-weight addition. The range
+    is cut into aligned blocks i = j*2^b .. (j+1)*2^b - 1, b <= a: the words of
+    one block are the combination of rows[b:] selected by gray(j), XORed with
+    every combination of rows[:b], the first 2^b lanes of the span table of
+    rows[:a]. Each block is one ``weight_histogram`` call.
     """
     k = sub.k
     if k > SUBCODE_ENUM_MAX_K and not long_run:
@@ -102,20 +105,22 @@ def subcode_weight_counts(
         stop = total
     if not 0 <= start <= stop <= total:
         raise ValueError("bad enumeration range")
+    a = min(k, max(0, (bitlinalg.TABLE_BITS // sub.basis.cols).bit_length() - 1))
+    columns = bitlinalg.span_columns(rows[:a], sub.basis.cols)
     counts: dict[int, int] = {}
-    word = 0
-    code = start ^ (start >> 1)  # Gray encoding of the range start
-    for i in range(k):
-        if (code >> i) & 1:
-            word ^= rows[i]
-    w = word.bit_count()
-    if start < stop and w <= max_weight:
-        counts[w] = 1
-    for i in range(start + 1, stop):
-        word ^= rows[(i & -i).bit_length() - 1]
-        w = word.bit_count()
-        if w <= max_weight:
-            counts[w] = counts.get(w, 0) + 1
+    i = start
+    while i < stop:
+        b = min(a, (i & -i).bit_length() - 1 if i else a, (stop - i).bit_length() - 1)
+        j = i >> b
+        code = j ^ (j >> 1)
+        base = 0
+        while code:
+            low = code & -code
+            base ^= rows[b + low.bit_length() - 1]
+            code ^= low
+        for w, c in bitlinalg.weight_histogram(columns, base, 1 << b, max_weight).items():
+            counts[w] = counts.get(w, 0) + c
+        i += 1 << b
     return counts
 
 

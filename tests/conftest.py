@@ -1,8 +1,9 @@
 """Shared fixtures: code families and brute-force oracles.
 
-The oracle enumerates full codeword spans by a plain binary-reflected Gray
-walk over generator rows; it shares no code with the census or congruence
-paths it is used to check.
+The oracles walk codewords one at a time: full spans and subcode index
+ranges by a plain binary-reflected Gray walk over generator rows, and census
+shards by the revolving-door walk of Knuth's Algorithm R. They share no code
+with the bit-sliced kernel that the census and congruence paths count with.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import pytest
 
 from qrweight import build_family
+from qrweight.census import CombPattern, rd_unrank
+from qrweight.errors import InvariantViolation
 
 
 def exhaustive_distribution(rows, n) -> list[int]:
@@ -32,6 +35,97 @@ def span_words(rows) -> set[int]:
         word ^= rows[(i & -i).bit_length() - 1]
         words.add(word)
     return words
+
+
+def gray_walk_counts(rows, max_weight, start, stop) -> dict[int, int]:
+    """Per-weight counts of words start..stop-1 of the Gray walk over ``rows``."""
+    counts: dict[int, int] = {}
+    word = 0
+    code = start ^ (start >> 1)  # Gray encoding of the range start
+    for i in range(len(rows)):
+        if (code >> i) & 1:
+            word ^= rows[i]
+    w = word.bit_count()
+    if start < stop and w <= max_weight:
+        counts[w] = 1
+    for i in range(start + 1, stop):
+        word ^= rows[(i & -i).bit_length() - 1]
+        w = word.bit_count()
+        if w <= max_weight:
+            counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+def rd_step(c: list[int], s: int) -> tuple[int, int] | None:
+    """Move a sorted pattern to its revolving-door successor in place.
+
+    Knuth's Algorithm R (TAOCP 4A, 7.2.1.3, steps R3-R5): scanning up from
+    the smallest element, c[j] moves up when len(c) - j is odd and down
+    otherwise, and the first element that can move does. Reaching c[j] means
+    every element below it is as small as it can be (moving up) or sits just
+    below it (moving down). Returns (removed, added), or None after the last
+    pattern, leaving c unchanged.
+    """
+    t = len(c)
+    for j in range(t):
+        if (t - j) % 2:
+            if c[j] + 1 < (c[j + 1] if j + 1 < t else s):
+                if j == 0:
+                    c[0] += 1
+                    return c[0] - 1, c[0]
+                # j - 1 leaves, and c[j] + 1 joins above c[j]
+                removed = c[j - 1]
+                c[j - 1] = c[j]
+                c[j] += 1
+                return removed, c[j]
+        elif j == 0:
+            if c[0]:
+                c[0] -= 1
+                return c[0] + 1, c[0]
+        elif c[j - 1] >= j:
+            # c[j] = c[j - 1] + 1 leaves, and j - 1 joins below c[j - 1]
+            removed = c[j]
+            c[j] = c[j - 1]
+            c[j - 1] = j - 1
+            return removed, j - 1
+    return None
+
+
+def rd_successor(c: CombPattern) -> CombPattern | None:
+    """Next pattern in revolving-door order; None after the last of C(s, t)."""
+    elements = list(c.elements)
+    if rd_step(elements, c.s) is None:
+        return None
+    return CombPattern(c.s, tuple(elements))
+
+
+def scalar_count_shard(args: tuple) -> tuple:
+    """``census._count_shard`` one pattern at a time: walk the shard in
+    revolving-door order, one row exchange and one popcount per pattern."""
+    index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
+    elements = list(rd_unrank(start_rank, k, size).elements)
+    word = 0
+    for i in elements:
+        word ^= rows[i]
+    counts: dict[int, int] = {}
+    keep_ties = matrix == 1
+    remaining = count
+    while True:
+        w = word.bit_count()
+        if w <= max_weight:
+            wl = (word & left_mask).bit_count()
+            wr = w - wl
+            if (wl <= wr) if keep_ties else (wr < wl):
+                counts[w] = counts.get(w, 0) + 1
+        remaining -= 1
+        if remaining == 0:
+            break
+        step = rd_step(elements, k)
+        if step is None:
+            raise InvariantViolation("shard ran past the end of the walk")
+        removed, added = step
+        word ^= rows[removed] ^ rows[added]
+    return index, matrix, size, start_rank, count, tuple(sorted(counts.items()))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from qrweight import census
-from qrweight.census import plan_shards, rd_rank, rd_successor, rd_unrank, run_census
+from qrweight.census import plan_shards, rd_rank, rd_unrank, run_census
 from qrweight.cli import main
 from qrweight.congruence import check_candidate, compute_bundle
 from qrweight.errors import BudgetExceeded
@@ -19,7 +19,7 @@ from qrweight.fixtures import load_p137
 from qrweight.gleason import reconstruct, solve_coefficients, solve_distribution
 from qrweight.psl2 import find_sylow_plan
 
-from conftest import exhaustive_distribution
+from conftest import exhaustive_distribution, rd_successor
 
 
 @pytest.fixture(scope="module")

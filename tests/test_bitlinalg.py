@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrweight.bitlinalg import (
     BitMatrix,
@@ -13,6 +15,7 @@ from qrweight.bitlinalg import (
     row_space_contains,
     rref,
     same_row_space,
+    weight_histogram,
 )
 from qrweight.errors import NotHalfRate, RankDeficient, SingularInformationSet
 from qrweight.qrcodes import cyclic_generator_matrix
@@ -189,3 +192,21 @@ def test_hull_equals_intersection_rank(family17):
 def test_cyclic_matrix_shape(family17):
     m = cyclic_generator_matrix(family17.gen_q, 17)
     assert m.cols == 17 and m.nrows == 9
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_weight_histogram_matches_direct_popcounts(data):
+    width = data.draw(st.integers(0, 40))
+    lanes = data.draw(st.one_of(st.just(1), st.integers(0, 200)))
+    extra = data.draw(st.integers(0, 40))  # table lanes beyond the counted prefix
+    columns = [data.draw(st.integers(0, (1 << (lanes + extra)) - 1)) for _ in range(width)]
+    flips = data.draw(st.integers(0, (1 << (width + 2)) - 1))
+    max_weight = data.draw(st.integers(-1, width + 1))
+    expected: dict[int, int] = {}
+    for x in range(lanes):
+        word = sum(((col >> x) & 1) << j for j, col in enumerate(columns)) ^ flips
+        w = (word & ((1 << width) - 1)).bit_count()
+        if w <= max_weight:
+            expected[w] = expected.get(w, 0) + 1
+    assert weight_histogram(columns, flips, lanes, max_weight) == expected

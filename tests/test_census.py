@@ -3,14 +3,17 @@ from math import comb
 
 import pytest
 
+from qrweight import bitlinalg, census
+from qrweight.bitlinalg import disjoint_information_systematizations
 from qrweight.census import (
     CombPattern,
+    _count_shard,
     census_from_payload,
     census_payload,
+    census_work_units,
     merge_censuses,
     plan_shards,
     rd_rank,
-    rd_successor,
     rd_unrank,
     run_census,
 )
@@ -23,6 +26,8 @@ from qrweight.errors import (
     ShardGap,
     ShardOverlap,
 )
+
+from conftest import rd_successor, scalar_count_shard
 
 
 def full_walk(s, t):
@@ -213,3 +218,48 @@ def test_merge_rejects_plan_not_matching_its_parameters(family17):
     forged = replace(whole, provenance=replace(whole.provenance, block_size=20))
     with pytest.raises(InvariantViolation, match="plan claims"):
         merge_censuses([forged])
+
+
+def _shard_jobs(family, t, block_size):
+    g1, g2 = disjoint_information_systematizations(family.extended)
+    k = family.k
+    return [
+        (index, matrix, size, start, count, (g1 if matrix == 1 else g2).rows, k, (1 << k) - 1, 2 * t)
+        for index, matrix, size, start, count in census_work_units(k, t, block_size)
+    ]
+
+
+@pytest.mark.parametrize(
+    "p, t, block_size, table_bits",
+    [
+        (17, 4, 1, None),
+        (17, 4, 7, None),
+        (17, 4, 2000, None),
+        (17, 4, 10**8, None),
+        (41, 3, 1, None),
+        (41, 4, 7, None),
+        (41, 6, 2000, None),
+        (41, 6, 10**8, None),
+        # tables of depth 1 only: every shard recurses below the table depth
+        (41, 4, 7, 21 * 22),
+        (41, 5, 2000, 21 * 22),
+    ],
+)
+def test_count_shard_matches_the_scalar_walk(request, monkeypatch, p, t, block_size, table_bits):
+    if table_bits is not None:
+        monkeypatch.setattr(bitlinalg, "TABLE_BITS", table_bits)
+    census._parity_tables.cache_clear()
+    try:
+        for job in _shard_jobs(request.getfixturevalue(f"family{p}"), t, block_size):
+            assert _count_shard(job) == scalar_count_shard(job), job[:5]
+    finally:
+        census._parity_tables.cache_clear()
+
+
+def test_count_shard_rejects_rows_not_systematic_on_their_half(family17):
+    jobs = _shard_jobs(family17, 2, 10**8)
+    for job in (jobs[0], jobs[-1]):  # matrix 1 and matrix 2
+        rows = job[5]
+        for forged in (rows[1:] + rows[:1], (rows[0] ^ rows[1],) + rows[1:]):
+            with pytest.raises(InvariantViolation, match="not systematic"):
+                _count_shard(job[:5] + (forged,) + job[6:])

@@ -149,7 +149,8 @@ def test_verify_rejects_tampered_artifact(tmp_path, capsys):
     lambda payload: payload.pop("m"),
     lambda payload: payload.update(m="2"),
     lambda payload: payload.update(m=100),
-], ids=["short-extended", "no-m", "string-m", "m-off-the-family"])
+    lambda payload: payload.update(extended=[[99, c] for _, c in payload["extended"]]),
+], ids=["short-extended", "no-m", "string-m", "m-off-the-family", "wrong-weight-index"])
 def test_verify_rejects_malformed_solution(tmp_path, capsys, mutate):
     out_dir = str(tmp_path)
     assert run(capsys, "census", "--p", "17", "--t", "2", "--out", out_dir)[0] == 0

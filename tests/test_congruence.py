@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qrweight import bitlinalg
 from qrweight.bitlinalg import BitMatrix, same_row_space
 from qrweight.congruence import (
     CongruenceConstraint,
@@ -17,6 +20,8 @@ from qrweight.congruence import (
 from qrweight.errors import BudgetExceeded, LengthMismatch, NotCoprime, WrongModulusProduct
 from qrweight.fixtures import load_p137
 from qrweight.psl2 import CoordPermutation, MoebiusMap, find_sylow_plan, to_permutation
+
+from conftest import gray_walk_counts
 
 
 @pytest.fixture(scope="session")
@@ -103,6 +108,25 @@ def test_subcode_counts_range_split(family17, bundle17):
         for w, c in part.items():
             merged[w] = merged.get(w, 0) + c
     assert merged == whole
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_subcode_range_counts_match_the_gray_walk(data):
+    k = data.draw(st.integers(0, 12))
+    n = data.draw(st.integers(1, 60))
+    rows = tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in range(k))
+    sub = InvariantSubcode(parent="", group_label="", basis=BitMatrix(n, rows))
+    start = data.draw(st.integers(0, 1 << k))
+    stop = data.draw(st.one_of(st.just(start), st.integers(start, 1 << k)))
+    max_weight = data.draw(st.integers(0, n))
+    # a small table cap leaves fewer rows in the span table than in the basis,
+    # so blocks get nonzero base words as well
+    table_bits = data.draw(st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8, 1]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
+        counts = subcode_weight_counts(sub, max_weight, start=start, stop=stop)
+    assert counts == gray_walk_counts(rows, max_weight, start, stop)
 
 
 def test_sylow2_count_published_values():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qrweight.census import (
     CombPattern,
-    _step,
     census_from_payload,
     census_payload,
     census_work_units,
@@ -18,6 +17,8 @@ from qrweight.census import (
     rd_unrank,
     run_census,
 )
+
+from conftest import rd_step
 
 
 @st.composite
@@ -44,7 +45,7 @@ def test_step_moves_to_the_next_rank(data):
     r = data.draw(st.one_of(st.integers(0, total - 1), st.just(total - 1)))
     before = rd_unrank(r, s, t).elements
     c = list(before)
-    step = _step(c, s)
+    step = rd_step(c, s)
     if r == total - 1:
         assert step is None and tuple(c) == before
         return
