@@ -264,44 +264,68 @@ def span_columns(rows: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(columns)
 
 
-def subset_columns(rows: Sequence[int], width: int) -> tuple[tuple[int, ...], ...]:
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def rd_subset_columns(rows: Sequence[int], width: int) -> tuple[tuple[int, ...], ...]:
     """Bit-sliced tables T_0..T_D of the XORs of the d-subsets of ``rows``.
 
-    The first C(m, d) lanes of T_d are the d-subsets of rows[0..m) in colex
-    order, built by T_d(m + 1) = T_d(m) ++ (row_m ^ T_{d-1}(m)). D is the
-    largest depth at which all the tables together fit in TABLE_BITS.
+    Lane x of T_d is the d-subset of revolving-door rank x (``census.rd_unrank``
+    with t = d), so the ranks [lo, hi) are the lanes [lo, hi), and the first
+    C(m, d) lanes are the d-subsets of rows[0..m). Subsets with largest
+    element m hold the ranks [C(m, d), C(m + 1, d)) and walk the (d-1)-subsets
+    of [0, m) backwards, so T_d(m + 1) = T_d(m) ++ (row_m ^ reversed
+    T_{d-1}(m)). Each level is built from the finished level below it, whose
+    columns are bit-reversed once: reversed T_{d-1}(m) is then one shift of
+    that mirror. D is the largest depth at which all the tables together fit
+    in TABLE_BITS.
     """
     k = len(rows)
     depth, lanes = 0, 1
     while depth < k and width * (lanes + comb(k, depth + 1)) <= TABLE_BITS:
         depth += 1
         lanes += comb(k, depth)
-    tables = [[0] * width for _ in range(depth + 1)]  # T_0 is the one empty subset
-    for m, row in enumerate(rows):
-        for d in range(min(m + 1, depth), 0, -1):  # T_{d-1}(m) is read before it grows
-            shift = comb(m, d)
-            ones = (1 << comb(m, d - 1)) - 1
-            grown = tables[d]
-            for j, col in enumerate(tables[d - 1]):
-                grown[j] |= (col ^ ones if (row >> j) & 1 else col) << shift
-    return tuple(tuple(table) for table in tables)
+    tables = [(0,) * width]  # T_0 is the one empty subset
+    for d in range(1, depth + 1):
+        nbytes = (comb(k, d - 1) + 7) // 8
+        steps = []
+        for m in range(d - 1, k):
+            n = comb(m, d - 1)  # T_{d-1}(m) is bits [8 nbytes - n, 8 nbytes) of a column's mirror
+            steps.append((8 * nbytes - n, (1 << n) - 1, comb(m, d), rows[m]))
+        level = []
+        for j, col in enumerate(tables[-1]):
+            mirror = int.from_bytes(col.to_bytes(nbytes, "little").translate(_BIT_REVERSED), "big")
+            column = 0
+            for drop, ones, shift, row in steps:
+                part = mirror >> drop
+                column |= (part ^ ones if (row >> j) & 1 else part) << shift
+            level.append(column)
+        tables.append(tuple(level))
+    return tuple(tables)
 
 
-def weight_histogram(columns: Sequence[int], flips: int, lanes: int, max_weight: int) -> dict[int, int]:
-    """Nonzero counts of each weight <= max_weight among the first ``lanes``
-    words of a bit-sliced table, every word XORed with ``flips``.
+def weight_histogram(columns: Sequence[int], flips: int, lo: int, hi: int, max_weight: int) -> dict[int, int]:
+    """Nonzero counts of each weight <= max_weight among the lanes [lo, hi)
+    of a bit-sliced table, every word XORed with ``flips``.
 
     A carry-save adder chain sums the columns into bit-planes of every lane's
     weight (plane i holds bit i), and the count of weight w is the bit_count
     of the AND of the planes, or of their complements, that spell w. Those
     ANDs share their prefixes from the top plane down.
     """
-    if lanes <= 0 or max_weight < 0:
+    if hi <= lo or max_weight < 0:
         return {}
-    mask = (1 << lanes) - 1
+    mask = (1 << (hi - lo)) - 1
+    below = (1 << hi) - 1
     level = []
     for j, col in enumerate(columns):
-        col &= mask
+        # cut the lanes from whichever end copies fewer bits; a shift by 0 copies too
+        if lo == 0:
+            col &= mask
+        elif col.bit_length() - lo < hi:
+            col = (col >> lo) & mask
+        else:
+            col = (col & below) >> lo
         if (flips >> j) & 1:
             col ^= mask
         if col:

@@ -15,10 +15,12 @@ Patterns of a fixed largest element a_t occupy the consecutive rank interval
     rank(a_t .. a_1) = C(a_t + 1, t) - 1 - rank(a_t-1 .. a_1)
 
 which gives O(t) ranking and unranking. The same recursion splits a shard's
-interval into blocks (TAOCP 4A, 7.2.1.3): fixed top elements together with
-every d-subset of [0, m). Such a block is the XOR of the top elements' rows
-with a prefix of one precomputed table of d-subset XORs, and
-``bitlinalg.weight_histogram`` counts the whole block at once. Counting is
+interval into blocks (TAOCP 4A, 7.2.1.3), one per fixed set of top elements
+above the table depth d. Such a block is the XOR of the top elements' rows
+with a lane range of one precomputed table of d-subset XORs in
+revolving-door order, where the ranks [lo, hi) of the d-subsets are the
+lanes [lo, hi), and ``bitlinalg.weight_histogram`` counts the whole block at
+once. A shard therefore costs one kernel call per top prefix. Counting is
 order-free and each shard re-derives everything from its own interval, so
 shards are fully independent.
 """
@@ -33,7 +35,7 @@ from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .bitlinalg import disjoint_information_systematizations, subset_columns, weight_histogram
+from .bitlinalg import disjoint_information_systematizations, rd_subset_columns, weight_histogram
 from .errors import (
     BudgetExceeded,
     CheckFailure,
@@ -189,17 +191,18 @@ def census_work_units(k: int, t: int, block_size: int) -> list[tuple[int, int, i
     return units
 
 
-def _rank_blocks(lo: int, hi: int, s: int, t: int, depth: int, base: int, rows: Sequence[int]):
-    """Split the ranks [lo, hi) of the t-subsets of [0, s) into blocks.
+def _rank_blocks(lo: int, hi: int, t: int, depth: int, base: int, rows: Sequence[int]):
+    """Split the ranks [lo, hi) of the t-subsets of the rows into blocks.
 
-    Each block (base, d, m) is ``base`` XOR every d-subset of rows[0..m), with
-    d <= depth: the fixed top elements are folded into ``base``. Patterns with
-    largest element a hold the ranks [C(a, t), C(a + 1, t)), and below a they
-    walk the (t-1)-subsets of [0, a) backwards, so only the edges of the
-    interval recurse deeper than ``depth``.
+    Each block (base, d, lo, hi) is ``base`` XOR the d-subsets of ranks
+    [lo, hi), d <= depth: a lane range of the revolving-door table T_d, with
+    the fixed top elements folded into ``base``. Patterns with largest
+    element a hold the ranks [C(a, t), C(a + 1, t)), and below a they walk
+    the (t-1)-subsets of [0, a) backwards, so the recursion stops at the
+    table depth and yields one block per fixed top prefix.
     """
-    if lo == 0 and hi == comb(s, t) and t <= depth:
-        yield base, t, s
+    if t <= depth:
+        yield base, t, lo, hi
         return
     a = t - 1
     while comb(a + 1, t) <= lo:
@@ -207,15 +210,15 @@ def _rank_blocks(lo: int, hi: int, s: int, t: int, depth: int, base: int, rows: 
     while lo < hi:
         end = comb(a + 1, t)
         top_hi = min(hi, end)
-        yield from _rank_blocks(end - top_hi, end - lo, a, t - 1, depth, base ^ rows[a], rows)
+        yield from _rank_blocks(end - top_hi, end - lo, t - 1, depth, base ^ rows[a], rows)
         lo = top_hi
         a += 1
 
 
 @lru_cache(maxsize=1)
 def _parity_tables(parity: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Subset tables of one matrix's parity rows; shards come ordered by matrix."""
-    return subset_columns(parity, len(parity))
+    """Revolving-door subset tables of one matrix's parity rows; shards come ordered by matrix."""
+    return rd_subset_columns(parity, len(parity))
 
 
 def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
@@ -238,8 +241,8 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
     tables = _parity_tables(parity)
     min_parity = size if matrix == 1 else size + 1
     counts: dict[int, int] = {}
-    for base, d, m in _rank_blocks(start_rank, start_rank + count, k, size, len(tables) - 1, 0, parity):
-        for q, c in weight_histogram(tables[d], base, comb(m, d), max_weight - size).items():
+    for base, d, lo, hi in _rank_blocks(start_rank, start_rank + count, size, len(tables) - 1, 0, parity):
+        for q, c in weight_histogram(tables[d], base, lo, hi, max_weight - size).items():
             if q >= min_parity:
                 counts[size + q] = counts.get(size + q, 0) + c
     return index, matrix, size, start_rank, count, tuple(sorted(counts.items()))
@@ -261,6 +264,10 @@ def run_census(
     count and block size: shards own private counters and merging is plain
     per-weight addition.
     """
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     k = family.k
     n = family.n_extended
     g1, g2 = disjoint_information_systematizations(family.extended)
@@ -280,11 +287,13 @@ def run_census(
         (index, matrix, size, start, count, (g1 if matrix == 1 else g2).rows, k, left_mask, max_weight)
         for index, matrix, size, start, count in units
     ]
-    if workers <= 1:
+    if workers == 1:
         results = [_count_shard(job) for job in jobs]
     else:
+        # a few chunks per worker: shards can be tiny, and each chunk is one round trip
+        chunksize = max(1, -(-len(jobs) // (4 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_count_shard, jobs))
+            results = list(pool.map(_count_shard, jobs, chunksize=chunksize))
 
     totals: dict[int, int] = {}
     records = []

@@ -593,6 +593,18 @@ def _command_line(args) -> list[str]:
     return out
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer >= minimum, else a usage error."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrweight",
@@ -622,13 +634,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("shard-plan", cmd_shard_plan, "print the census work units: index matrix size start_rank count")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True)
+    sp.add_argument("--t", type=_at_least(0), required=True)
     sp.add_argument("--block-size", type=int, default=census_mod.DEFAULT_BLOCK_SIZE)
 
     sp = add("census", cmd_census, "partial weight census by information patterns")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True, help="max information-pattern size")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--t", type=_at_least(0), required=True, help="max information-pattern size")
+    sp.add_argument("--workers", type=_at_least(1), default=1)
     sp.add_argument("--block-size", type=int, default=census_mod.DEFAULT_BLOCK_SIZE)
     sp.add_argument("--long-run", action="store_true")
     sp.add_argument("--shard-index", type=int, default=None, help="compute only this unit of shard-plan")
@@ -652,8 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("pipeline", cmd_pipeline, "construct, congruence, census, solve, verify")
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--t", type=int, required=True)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--t", type=_at_least(0), required=True)
+    sp.add_argument("--workers", type=_at_least(1), default=1)
     sp.add_argument("--block-size", type=int, default=census_mod.DEFAULT_BLOCK_SIZE)
     sp.add_argument("--long-run", action="store_true")
     sp.add_argument("--out", default=None)

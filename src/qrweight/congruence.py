@@ -118,7 +118,7 @@ def subcode_weight_counts(
             low = code & -code
             base ^= rows[b + low.bit_length() - 1]
             code ^= low
-        for w, c in bitlinalg.weight_histogram(columns, base, 1 << b, max_weight).items():
+        for w, c in bitlinalg.weight_histogram(columns, base, 0, 1 << b, max_weight).items():
             counts[w] = counts.get(w, 0) + c
         i += 1 << b
     return counts

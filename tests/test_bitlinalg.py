@@ -198,15 +198,16 @@ def test_cyclic_matrix_shape(family17):
 @given(data=st.data())
 def test_weight_histogram_matches_direct_popcounts(data):
     width = data.draw(st.integers(0, 40))
+    lo = data.draw(st.one_of(st.just(0), st.integers(0, 300)))  # lane offset
     lanes = data.draw(st.one_of(st.just(1), st.integers(0, 200)))
-    extra = data.draw(st.integers(0, 40))  # table lanes beyond the counted prefix
-    columns = [data.draw(st.integers(0, (1 << (lanes + extra)) - 1)) for _ in range(width)]
+    extra = data.draw(st.integers(0, 300))  # table lanes beyond the counted range
+    columns = [data.draw(st.integers(0, (1 << (lo + lanes + extra)) - 1)) for _ in range(width)]
     flips = data.draw(st.integers(0, (1 << (width + 2)) - 1))
     max_weight = data.draw(st.integers(-1, width + 1))
     expected: dict[int, int] = {}
-    for x in range(lanes):
+    for x in range(lo, lo + lanes):
         word = sum(((col >> x) & 1) << j for j, col in enumerate(columns)) ^ flips
         w = (word & ((1 << width) - 1)).bit_count()
         if w <= max_weight:
             expected[w] = expected.get(w, 0) + 1
-    assert weight_histogram(columns, flips, lanes, max_weight) == expected
+    assert weight_histogram(columns, flips, lo, lo + lanes, max_weight) == expected

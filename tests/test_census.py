@@ -256,6 +256,12 @@ def test_count_shard_matches_the_scalar_walk(request, monkeypatch, p, t, block_s
         census._parity_tables.cache_clear()
 
 
+@pytest.mark.parametrize("t, workers", [(-1, 1), (2, 0), (2, -3)])
+def test_run_census_rejects_negative_t_and_workers_below_one(family17, t, workers):
+    with pytest.raises(ValueError, match="must be >= "):
+        run_census(family17, t, workers=workers)
+
+
 def test_count_shard_rejects_rows_not_systematic_on_their_half(family17):
     jobs = _shard_jobs(family17, 2, 10**8)
     for job in (jobs[0], jobs[-1]):  # matrix 1 and matrix 2

@@ -373,6 +373,25 @@ def test_usage_errors(capsys):
     assert main(["solve", "--p", "17"]) == 2  # nothing to solve from
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--p", "17", "--t", "-1"],
+        ["census", "--p", "17", "--t", "2", "--workers", "0"],
+        ["pipeline", "--p", "17", "--t", "4", "--workers", "-3"],
+        ["pipeline", "--p", "17", "--t", "-1"],
+        ["shard-plan", "--p", "17", "--t", "-1"],
+    ],
+    ids=["census-t", "census-workers", "pipeline-workers", "pipeline-t", "shard-plan-t"],
+)
+def test_rejects_negative_t_and_workers_below_one(tmp_path, capsys, argv):
+    out_dir = [] if argv[0] == "shard-plan" else ["--out", str(tmp_path)]
+    assert main(argv + out_dir) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be >=" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
 def test_solve_from_injections_only(capsys):
     rc, out = run(capsys, "solve", "--p", "17", "--inject-a", "2=0", "--inject-a", "4=0")
     assert rc == 0

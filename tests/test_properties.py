@@ -1,4 +1,5 @@
-"""Property tests of the combinatorial core: rank/unrank, the revolving-door step, shard plans, merges."""
+"""Property tests of the combinatorial core: rank/unrank, the revolving-door step,
+the revolving-door subset tables and blocks, shard plans, merges."""
 
 import json
 from math import comb
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrweight import bitlinalg
 from qrweight.census import (
     CombPattern,
+    _rank_blocks,
     census_from_payload,
     census_payload,
     census_work_units,
@@ -19,6 +22,18 @@ from qrweight.census import (
 )
 
 from conftest import rd_step
+
+
+def lane(columns, x) -> int:
+    """Word x of a bit-sliced table."""
+    return sum(((col >> x) & 1) << j for j, col in enumerate(columns))
+
+
+def subset_xor(rows, c: CombPattern) -> int:
+    word = 0
+    for i in c.elements:
+        word ^= rows[i]
+    return word
 
 
 @st.composite
@@ -105,3 +120,50 @@ def test_any_fragmentation_merges_to_the_whole(family17, p17_whole, data):
         fragment = run_census(family17, P17_T, block_size=P17_BLOCK, shard_indices=group)
         parts.append(census_from_payload(json.loads(json.dumps(census_payload(fragment)))))
     assert census_payload(merge_censuses(parts)) == p17_whole
+
+
+@st.composite
+def random_rows(draw):
+    k = draw(st.integers(0, 12))
+    width = draw(st.integers(0, 16))
+    return [draw(st.integers(0, (1 << width) - 1)) for _ in range(k)], width
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_rows(), st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8, 1]))
+def test_subset_tables_follow_the_revolving_door_ranks(rows_width, table_bits):
+    rows, width = rows_width
+    k = len(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
+        tables = bitlinalg.rd_subset_columns(rows, width)
+    depth = len(tables) - 1
+    used = width * sum(comb(k, d) for d in range(depth + 1))
+    assert used <= table_bits or depth == 0
+    assert depth == k or used + width * comb(k, depth + 1) > table_bits
+    for d, table in enumerate(tables):
+        assert len(table) == width
+        assert all(col >> comb(k, d) == 0 for col in table)
+        for x in range(comb(k, d)):
+            assert lane(table, x) == subset_xor(rows, rd_unrank(x, k, d)), (d, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_rows(), st.data())
+def test_rank_blocks_cover_exactly_the_shard(rows_width, data):
+    rows, width = rows_width
+    k = len(rows)
+    t = data.draw(st.integers(0, k))
+    lo = data.draw(st.integers(0, comb(k, t) - 1))
+    hi = data.draw(st.integers(lo + 1, comb(k, t)))
+    depth = data.draw(st.integers(0, t))
+    tables = bitlinalg.rd_subset_columns(rows, width)  # all depths at this size
+    blocks = list(_rank_blocks(lo, hi, t, depth, 0, rows))
+    found = []
+    for base, d, block_lo, block_hi in blocks:
+        assert d <= depth and 0 <= block_lo < block_hi <= comb(k, d)
+        found += [base ^ lane(tables[d], x) for x in range(block_lo, block_hi)]
+    patterns = [rd_unrank(r, k, t) for r in range(lo, hi)]
+    assert sorted(found) == sorted(subset_xor(rows, c) for c in patterns)
+    # one block per fixed top prefix: the elements above the table depth
+    assert len(blocks) == len({c.elements[depth:] for c in patterns})
