@@ -260,9 +260,9 @@ def run_census(
     """Count extended-code codewords of every weight <= 2t.
 
     With shard_indices the run covers only those work units and returns a
-    fragment for later merging. Results are bit-identical for any worker
-    count and block size: shards own private counters and merging is plain
-    per-weight addition.
+    fragment for later merging; an index outside the plan is a ValueError.
+    Results are bit-identical for any worker count and block size: shards own
+    private counters and merging is plain per-weight addition.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -277,7 +277,7 @@ def run_census(
         wanted = set(shard_indices)
         missing = wanted - {u[0] for u in units}
         if missing:
-            raise RankOutOfRange(f"no such shard indices: {sorted(missing)}")
+            raise ValueError(f"no such shard indices: {sorted(missing)}; the plan has units 1..{total_shards}")
         units = [u for u in units if u[0] in wanted]
     check_budget(sum(u[4] for u in units), long_run)
 

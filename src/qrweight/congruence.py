@@ -5,6 +5,14 @@ Each coefficient A_j of the extended code satisfies A_j = A_j(fixed) mod
 That residue is assembled by CRT from one count per prime power dividing the
 group order: exhaustive counts inside invariant subcodes for the odd primes,
 and the dihedral inclusion-exclusion combination for the prime 2.
+
+A subcode is the parent code intersected, once, with the vectors constant on
+the orbits of its group. Its words are counted on a folded copy: coordinates
+whose basis columns are equal hold equal bits in every word, so a class of s
+of them weighs s or 0. Keeping s // g coordinates per class, g the gcd of the
+class sizes, divides every word's weight by exactly g and keeps the words in
+the same order, so the folded counts, with weights multiplied by g, are the
+exact counts.
 """
 
 from __future__ import annotations
@@ -41,16 +49,31 @@ class InvariantSubcode:
         return self.basis.nrows
 
 
-def fixed_space(perm: CoordPermutation) -> BitMatrix:
-    """Span of the orbit indicator vectors: exactly the vectors constant on cycles."""
-    n = perm.p + 1
-    rows = []
-    for cyc in perm.cycles():
-        v = 0
-        for i in cyc:
-            v |= 1 << i
-        rows.append(v)
-    return BitMatrix(n, tuple(rows))
+def fixed_space(group: Sequence[CoordPermutation], n: int) -> BitMatrix:
+    """Span of the orbit indicator vectors of the group the permutations generate.
+
+    These are exactly the vectors that every permutation fixes: the vectors
+    constant on each orbit, an orbit being a class of the union of all the
+    permutations' cycles.
+    """
+    parent = list(range(n))  # union-find forest over the coordinates
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for perm in group:
+        for i, v in enumerate(perm.image):
+            a, b = root(i), root(v)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    orbits: dict[int, int] = {}
+    for i in range(n):
+        r = root(i)
+        orbits[r] = orbits.get(r, 0) | 1 << i
+    return BitMatrix(n, tuple(orbits.values()))
 
 
 def invariant_subcode(
@@ -60,22 +83,46 @@ def invariant_subcode(
     parent: str = "",
     group_label: str = "",
 ) -> InvariantSubcode:
-    """Intersect the code with the fixed space of every non-identity element."""
-    current = code
+    """Intersect the code, once, with the space fixed by every element of the group."""
     for perm in group:
         if len(perm.image) != code.cols:
             raise LengthMismatch(f"permutation degree {len(perm.image)} != code length {code.cols}")
-        if perm.is_identity():
-            continue
-        current = bitlinalg.intersect_rowspaces(current, fixed_space(perm))
-    sub = InvariantSubcode(parent=parent, group_label=group_label, basis=current)
-    if not bitlinalg.row_space_contains_all(code, current.rows):
+    basis = bitlinalg.intersect_rowspaces(code, fixed_space(group, code.cols))
+    sub = InvariantSubcode(parent=parent, group_label=group_label, basis=basis)
+    if not bitlinalg.row_space_contains_all(code, basis.rows):
         raise InvariantViolation("invariant subcode escaped the parent code")
-    for row in current.rows:
+    for row in basis.rows:
         for perm in group:
             if perm.apply_to_bits(row) != row:
                 raise InvariantViolation("basis row not fixed by the defining group")
     return sub
+
+
+def _fold(basis: BitMatrix) -> tuple[list[int], int, int]:
+    """The basis rows projected onto ``size // g`` coordinates of each class.
+
+    A class is a set of coordinates whose basis columns are equal and nonzero,
+    and g is the gcd of the class sizes. Returns the projected rows, in the
+    basis order, with g and the projected width.
+    """
+    rows = basis.rows
+    classes: dict[int, int] = {}  # column (bit r = row r's bit) -> class size
+    for j in range(basis.cols):
+        column = 0
+        for r, row in enumerate(rows):
+            column |= (row >> j & 1) << r
+        if column:
+            classes[column] = classes.get(column, 0) + 1
+    g = gcd(*classes.values()) or 1  # no nonzero column: every word weighs 0
+    folded = [0] * len(rows)
+    width = 0
+    for column, size in classes.items():
+        for _ in range(size // g):
+            for r in range(len(rows)):
+                if column >> r & 1:
+                    folded[r] |= 1 << width
+            width += 1
+    return folded, g, width
 
 
 def subcode_weight_counts(
@@ -90,23 +137,32 @@ def subcode_weight_counts(
 
     Word i is the combination of basis rows selected by the bits of gray(i).
     A contiguous index range [start, stop) may be counted alone, so long runs
-    can be split across workers and merged by per-weight addition. The range
-    is cut into aligned blocks i = j*2^b .. (j+1)*2^b - 1, b <= a: the words of
-    one block are the combination of rows[b:] selected by gray(j), XORed with
-    every combination of rows[:b], the first 2^b lanes of the span table of
-    rows[:a]. Each block is one ``weight_histogram`` call.
+    can be split across workers and merged by per-weight addition.
+
+    The rows are folded first (``_fold``). Coordinates whose basis columns are
+    equal carry the same bit in every word, so a class of s such coordinates
+    adds s or 0 to a word's weight. With g the gcd of the class sizes, keeping
+    s // g coordinates of each class (and none of the all-zero columns) leaves
+    a code whose word i weighs exactly 1/g of the weight of word i here: same
+    rows, same Gray order, so the counts of folded weight w are the counts of
+    weight w * g, and weight <= max_weight means folded weight <= max_weight // g.
+
+    The range is cut into aligned blocks i = j*2^b .. (j+1)*2^b - 1, b <= a: the
+    words of one block are the combination of rows[b:] selected by gray(j),
+    XORed with every combination of rows[:b], the first 2^b lanes of the span
+    table of rows[:a]. Each block is one ``weight_histogram`` call.
     """
     k = sub.k
     if k > SUBCODE_ENUM_MAX_K and not long_run:
         raise BudgetExceeded(f"subcode enumeration needs 2^{k} words; pass long_run to allow")
-    rows = sub.basis.rows
     total = 1 << k
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
         raise ValueError("bad enumeration range")
-    a = min(k, max(0, (bitlinalg.TABLE_BITS // sub.basis.cols).bit_length() - 1))
-    columns = bitlinalg.span_columns(rows[:a], sub.basis.cols)
+    rows, g, width = _fold(sub.basis)
+    a = min(k, max(0, (bitlinalg.TABLE_BITS // max(width, 1)).bit_length() - 1))
+    columns = bitlinalg.span_columns(rows[:a], width)
     counts: dict[int, int] = {}
     i = start
     while i < stop:
@@ -118,8 +174,8 @@ def subcode_weight_counts(
             low = code & -code
             base ^= rows[b + low.bit_length() - 1]
             code ^= low
-        for w, c in bitlinalg.weight_histogram(columns, base, 0, 1 << b, max_weight).items():
-            counts[w] = counts.get(w, 0) + c
+        for w, c in bitlinalg.weight_histogram(columns, base, 0, 1 << b, max_weight // g).items():
+            counts[w * g] = counts.get(w * g, 0) + c
         i += 1 << b
     return counts
 

@@ -15,6 +15,7 @@ Everything here is exact integer or Gaussian-integer arithmetic; no floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Mapping, Sequence
 
@@ -162,11 +163,15 @@ ONE_PLUS_Z2 = BigPoly((1, 0, 1))
 CORE = BigPoly((0, 0, 1, 0, -2, 0, 1))  # z^2 (1 - z^2)^2
 
 
-def gleason_basis(m: int) -> list[BigPoly]:
-    """phi_j = (1+z^2)^(4m-4j+1) * (z^2 (1-z^2)^2)^j for j = 0..m."""
+@lru_cache(maxsize=None)
+def gleason_basis(m: int) -> tuple[BigPoly, ...]:
+    """phi_j = (1+z^2)^(4m-4j+1) * (z^2 (1-z^2)^2)^j for j = 0..m.
+
+    Cached: the basis depends on m alone, and BigPoly is frozen.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return [ONE_PLUS_Z2.pow(4 * m - 4 * j + 1) * CORE.pow(j) for j in range(m + 1)]
+    return tuple(ONE_PLUS_Z2.pow(4 * m - 4 * j + 1) * CORE.pow(j) for j in range(m + 1))
 
 
 def _solve_prefix(basis: Sequence[BigPoly], known: Mapping[int, int], upto_j: int) -> list[int]:
@@ -341,25 +346,27 @@ def augmented_enumerator(ext: BigPoly, p: int) -> BigPoly:
 def macwilliams_transform(dist: Sequence[int], n: int, k: int) -> list[int]:
     """Weight distribution of the dual code, exactly.
 
-    Expands sum_i A_i (1-z)^i (1+z)^(n-i) and divides by 2^k, which must be
-    exact when sum(dist) = 2^k.
+    Expands T(z) = sum_i A_i (1-z)^i (1+z)^(n-i) and divides by 2^k, which must
+    be exact when sum(dist) = 2^k. T is built by the Horner-like recurrence
+
+        S_0 = A_0,    S_i = (1+z) S_(i-1) + A_i (1-z)^i,    T = S_n,
+
+    with (1-z)^i updated in place from (1-z)^(i-1), so each step is O(n)
+    integer additions and the transform O(n^2).
     """
     if len(dist) != n + 1:
         raise ValueError(f"distribution must have {n + 1} entries")
     if sum(dist) != 1 << k:
         raise BadSum(f"distribution sums to {sum(dist)}, expected 2^{k}")
-    minus_pows = [BigPoly((1,))]
-    plus_pows = [BigPoly((1,))]
-    for _ in range(n):
-        minus_pows.append(minus_pows[-1] * BigPoly((1, -1)))
-        plus_pows.append(plus_pows[-1] * BigPoly((1, 1)))
-    acc = [0] * (n + 1)
+    acc = [0] * (n + 1)  # S_i, degree i
+    minus = [1] + [0] * n  # (1-z)^i, degree i
     for i, a in enumerate(dist):
-        if a == 0:
-            continue
-        term = minus_pows[i] * plus_pows[n - i]
-        for idx in range(n + 1):
-            acc[idx] += a * term.coeff(idx)
+        for idx in range(i, 0, -1):
+            acc[idx] += acc[idx - 1]
+            minus[idx] -= minus[idx - 1]
+        if a:
+            for idx in range(i + 1):
+                acc[idx] += a * minus[idx]
     out = []
     for v in acc:
         if v % (1 << k):

@@ -105,9 +105,6 @@ class CoordPermutation:
     def identity(cls, p: int) -> CoordPermutation:
         return cls(p, tuple(range(p + 1)))
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.image))
-
     def __mul__(self, other: CoordPermutation) -> CoordPermutation:
         """Composition with the right factor applied first."""
         return CoordPermutation(self.p, tuple(self.image[other.image[i]] for i in range(self.p + 1)))

@@ -4,6 +4,7 @@ The oracles walk codewords one at a time: full spans and subcode index
 ranges by a plain binary-reflected Gray walk over generator rows, and census
 shards by the revolving-door walk of Knuth's Algorithm R. They share no code
 with the bit-sliced kernel that the census and congruence paths count with.
+The MacWilliams oracle expands every term of the transform on its own.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import pytest
 
 from qrweight import build_family
 from qrweight.census import CombPattern, rd_unrank
-from qrweight.errors import InvariantViolation
+from qrweight.errors import BadSum, InvariantViolation, NonIntegerCoefficient
+from qrweight.gleason import BigPoly
 
 
 def exhaustive_distribution(rows, n) -> list[int]:
@@ -54,6 +56,33 @@ def gray_walk_counts(rows, max_weight, start, stop) -> dict[int, int]:
         if w <= max_weight:
             counts[w] = counts.get(w, 0) + 1
     return counts
+
+
+def macwilliams_expansion(dist, n, k) -> list[int]:
+    """The MacWilliams transform term by term: sum_i A_i (1-z)^i (1+z)^(n-i),
+    each product expanded separately, then divided by 2^k. O(n^3)."""
+    if len(dist) != n + 1:
+        raise ValueError(f"distribution must have {n + 1} entries")
+    if sum(dist) != 1 << k:
+        raise BadSum(f"distribution sums to {sum(dist)}, expected 2^{k}")
+    minus_pows = [BigPoly((1,))]
+    plus_pows = [BigPoly((1,))]
+    for _ in range(n):
+        minus_pows.append(minus_pows[-1] * BigPoly((1, -1)))
+        plus_pows.append(plus_pows[-1] * BigPoly((1, 1)))
+    acc = [0] * (n + 1)
+    for i, a in enumerate(dist):
+        if a == 0:
+            continue
+        term = minus_pows[i] * plus_pows[n - i]
+        for idx in range(n + 1):
+            acc[idx] += a * term.coeff(idx)
+    out = []
+    for v in acc:
+        if v % (1 << k):
+            raise NonIntegerCoefficient("transform is not divisible by 2^k")
+        out.append(v >> k)
+    return out
 
 
 def rd_step(c: list[int], s: int) -> tuple[int, int] | None:

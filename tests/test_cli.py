@@ -424,8 +424,19 @@ def test_solve_rejects_a_malformed_constraint(tmp_path, capsys, mutate):
 
 
 def test_census_rejects_unknown_shard(capsys):
-    rc, _ = run(capsys, "census", "--p", "17", "--t", "4", "--shard-index", "999")
-    assert rc == 1
+    rc, out = run(capsys, "census", "--p", "17", "--t", "4", "--shard-index", "999")
+    assert rc == 2 and out == ""
+
+
+@pytest.mark.parametrize("index", ["-4", "0", "13"], ids=["negative", "zero", "one-past-the-last"])
+def test_census_shard_index_outside_the_plan_is_a_usage_error(tmp_path, capsys, index):
+    # the p = 17, t = 2, block size 10 plan has the units 1..12
+    rc = main(["census", "--p", "17", "--t", "2", "--block-size", "10",
+               "--shard-index", index, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == "" and "usage error: no such shard indices" in captured.err
+    assert not any(tmp_path.iterdir())
 
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -127,6 +129,63 @@ def test_subcode_range_counts_match_the_gray_walk(data):
         mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
         counts = subcode_weight_counts(sub, max_weight, start=start, stop=stop)
     assert counts == gray_walk_counts(rows, max_weight, start, stop)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_folded_counts_match_the_gray_walk(data):
+    # rows whose coordinates come in classes of equal columns, with class
+    # sizes sharing a factor g, plus all-zero coordinates, in a random order
+    k = data.draw(st.integers(0, 10))
+    g = data.draw(st.integers(1, 4))
+    classes = data.draw(st.lists(
+        st.tuples(st.integers(0, (1 << k) - 1), st.integers(1, 3)), min_size=1, max_size=12))
+    zeros = data.draw(st.integers(0, 3))
+    coords = [column for column, mult in classes for _ in range(g * mult)] + [0] * zeros
+    coords = data.draw(st.permutations(coords))
+    n = len(coords)
+    rows = tuple(sum((column >> r & 1) << j for j, column in enumerate(coords)) for r in range(k))
+    sub = InvariantSubcode(parent="", group_label="", basis=BitMatrix(n, rows))
+    start = data.draw(st.integers(0, 1 << k))
+    stop = data.draw(st.one_of(st.just(start), st.integers(start, 1 << k)))
+    max_weight = data.draw(st.integers(0, n))
+    table_bits = data.draw(st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8, 1]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
+        counts = subcode_weight_counts(sub, max_weight, start=start, stop=stop)
+    assert counts == gray_walk_counts(rows, max_weight, start, stop)
+
+
+@pytest.mark.parametrize("p, digest", [
+    (17, "a6ab94f73926f12ce83a31d50d55f5aa6339702d02ee775964d59984a3e897b6"),
+    (41, "ffaf715f59a6d256f52d0beedd826c2e1b010b63886fb98424daf70c995e0985"),
+    (137, "4c0dacbc76b0a88953d351423366b54ed48c4d5dc50efab9d766e04a62762c1e"),
+])
+def test_full_subcode_rows_golden_digest(p, digest, request):
+    # every weight 0..n of every computed subcode row, and the dimensions, as
+    # the unfolded walk counted them; the H2 row at p = 137 is a placeholder
+    # (2^35 words is over the budget) and is left out
+    n = p + 1
+    evens = list(range(0, n + 1, 2))
+    bundle = compute_bundle(request.getfixturevalue(f"family{p}"), find_sylow_plan(p), evens,
+                            h2_counts_fixture={w: 0 for w in evens})
+    rows = {label: sorted(counts.items()) for label, counts in bundle.counts.items()
+            if not (label == "H2" and bundle.h2_source == "fixture")}
+    assert (p == 137) == ("H2" not in rows)
+    assert hashlib.sha256(json.dumps([bundle.dims, rows], sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_invariant_subcode_intersects_once_with_the_group_orbits(family41):
+    # H2 and G4_0 at p = 41 given as lists of elements: one intersection with
+    # the orbits of the whole group equals the intersection element by element
+    plan = find_sylow_plan(41)
+    for group in (plan.h2_elements(), plan.g4_elements(0)):
+        perms = [to_permutation(g) for g in group]
+        expected = family41.extended
+        for perm in perms:
+            expected = bitlinalg.intersect_rowspaces(expected, BitMatrix(42, tuple(
+                sum(1 << i for i in cycle) for cycle in perm.cycles())))
+        assert invariant_subcode(family41.extended, perms).basis == expected
 
 
 def test_sylow2_count_published_values():

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qrweight.bitlinalg import BitMatrix, dual_basis, rref
 from qrweight.congruence import CongruenceConstraint, compute_bundle
 from qrweight.errors import (
     BadSum,
@@ -30,7 +33,7 @@ from qrweight.gleason import (
 )
 from qrweight.psl2 import find_sylow_plan
 
-from conftest import exhaustive_distribution
+from conftest import exhaustive_distribution, macwilliams_expansion
 
 
 @pytest.fixture(scope="session")
@@ -277,6 +280,39 @@ def test_macwilliams_non_self_dual():
 def test_macwilliams_bad_sum():
     with pytest.raises(BadSum):
         macwilliams_check([1, 0, 5, 0, 1], 4, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_macwilliams_transform_matches_the_term_by_term_expansion(data):
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(0, 20))
+    if data.draw(st.booleans()):
+        # 2^k split over the n + 1 weights: the division by 2^k mostly fails
+        cuts = sorted(data.draw(st.lists(st.integers(0, 1 << k), min_size=n, max_size=n)))
+        dist = [b - a for a, b in zip([0, *cuts], [*cuts, 1 << k])]
+    else:
+        # 2^k times integers summing to 1: the division is always exact
+        c = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        dist = data.draw(st.permutations([(1 - sum(c)) << k] + [x << k for x in c]))
+    try:
+        expected = macwilliams_expansion(dist, n, k)
+    except NonIntegerCoefficient:
+        with pytest.raises(NonIntegerCoefficient):
+            macwilliams_transform(dist, n, k)
+    else:
+        assert macwilliams_transform(dist, n, k) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_macwilliams_transform_gives_the_dual_distribution(data):
+    n = data.draw(st.integers(1, 12))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))
+    code = rref(BitMatrix(n, tuple(rows)))[0]
+    dist = exhaustive_distribution(code.rows, n)
+    dual = exhaustive_distribution(dual_basis(code).rows, n)
+    assert macwilliams_transform(dist, n, code.nrows) == dual
 
 
 def test_solve_distribution_p17_direct(dist17):
