@@ -12,6 +12,7 @@ the weights of a whole table in a few hundred of them.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
@@ -183,24 +184,29 @@ def left_kernel(m: BitMatrix) -> BitMatrix:
     """Coefficient vectors c with sum_i c_i * row_i = 0 (over GF(2)).
 
     Rows of the result are packed coefficient vectors of length ``m.nrows``.
+    Each work row is one int: the vector in the low ``m.cols`` bits and the
+    combination of input rows that made it above them, so one XOR updates both.
     """
     n = m.nrows
-    work = [(m.rows[i], 1 << i) for i in range(n)]
+    shift = m.cols
+    work = [row | 1 << shift << i for i, row in enumerate(m.rows)]
     r = 0
-    for c in range(m.cols):
+    for c in range(shift):
+        bit = 1 << c
         pivot_row = None
         for i in range(r, n):
-            if (work[i][0] >> c) & 1:
+            if work[i] & bit:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
+        pivot = work[r]
         for i in range(n):
-            if i != r and ((work[i][0] >> c) & 1):
-                work[i] = (work[i][0] ^ work[r][0], work[i][1] ^ work[r][1])
+            if i != r and work[i] & bit:
+                work[i] ^= pivot
         r += 1
-    return BitMatrix(n, tuple(combo for vec, combo in work if vec == 0))
+    return BitMatrix(n, tuple(w >> shift for w in work if not w & ((1 << shift) - 1)))
 
 
 def intersect_rowspaces(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -219,10 +225,15 @@ def intersect_rowspaces(a: BitMatrix, b: BitMatrix) -> BitMatrix:
 
 
 def hull_dimension(g: BitMatrix) -> int:
-    """dim of rowspace(g) intersected with its orthogonal complement."""
+    """dim of rowspace(g) intersected with its orthogonal complement.
+
+    Computed as k - rank(G G^T): for G of full rank k, xG lies in the dual
+    exactly when x G G^T = 0, so the hull is the image of that left kernel.
+    """
     if rank(g) != g.nrows:
         raise RankDeficient("generator rows are dependent")
-    return intersect_rowspaces(g, dual_basis(g)).nrows
+    gram = tuple(sum(((a & b).bit_count() & 1) << j for j, b in enumerate(g.rows)) for a in g.rows)
+    return g.nrows - rank(BitMatrix(g.nrows, gram))
 
 
 def disjoint_information_systematizations(g: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
@@ -243,6 +254,37 @@ def disjoint_information_systematizations(g: BitMatrix) -> tuple[BitMatrix, BitM
     order = sorted(range(k), key=lambda i: piv2[i])
     g2 = BitMatrix(g.cols, tuple(g2_raw.rows[i] for i in order))
     return g1, g2
+
+
+INFORMATION_SET_TRIES = 32
+
+
+def disjoint_information_sets(g: BitMatrix) -> tuple[list[int], list[int]] | None:
+    """Two disjoint information sets of a k x 2k generator, or None.
+
+    The first candidate is the set of rref pivots in column order; it works
+    when the remaining k columns have rank k too. Otherwise the pivots are
+    taken along a fixed number of column orders drawn from
+    ``random.Random(0)``. Both sets come back sorted. None means the rows are
+    dependent or no tried order left a complementary information set, so the
+    search is deterministic and any pair it returns is as good as any other.
+    """
+    k, n = g.nrows, g.cols
+    if n != 2 * k:
+        raise NotHalfRate(f"{k} x {n} is not k x 2k")
+    rng = random.Random(0)
+    order = list(range(n))
+    for attempt in range(INFORMATION_SET_TRIES + 1):
+        if attempt:
+            rng.shuffle(order)
+        pivots = rref_on_columns(g, order)[1]
+        if len(pivots) < k:
+            return None  # dependent rows have no information set at all
+        chosen = set(pivots)
+        rest = [c for c in range(n) if c not in chosen]
+        if len(rref_on_columns(g, rest)[1]) == k:
+            return sorted(pivots), rest
+    return None
 
 
 TABLE_BITS = 1 << 22  # columns x lanes of the tables below, about 512 KB
@@ -267,7 +309,9 @@ def span_columns(rows: Sequence[int], width: int) -> tuple[int, ...]:
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def rd_subset_columns(rows: Sequence[int], width: int) -> tuple[tuple[int, ...], ...]:
+def rd_subset_columns(
+    rows: Sequence[int], width: int, max_depth: int | None = None
+) -> tuple[tuple[int, ...], ...]:
     """Bit-sliced tables T_0..T_D of the XORs of the d-subsets of ``rows``.
 
     Lane x of T_d is the d-subset of revolving-door rank x (``census.rd_unrank``
@@ -278,11 +322,12 @@ def rd_subset_columns(rows: Sequence[int], width: int) -> tuple[tuple[int, ...],
     T_{d-1}(m)). Each level is built from the finished level below it, whose
     columns are bit-reversed once: reversed T_{d-1}(m) is then one shift of
     that mirror. D is the largest depth at which all the tables together fit
-    in TABLE_BITS.
+    in TABLE_BITS, and at most ``max_depth`` when that is given.
     """
     k = len(rows)
+    limit = k if max_depth is None else min(k, max_depth)
     depth, lanes = 0, 1
-    while depth < k and width * (lanes + comb(k, depth + 1)) <= TABLE_BITS:
+    while depth < limit and width * (lanes + comb(k, depth + 1)) <= TABLE_BITS:
         depth += 1
         lanes += comb(k, depth)
     tables = [(0,) * width]  # T_0 is the one empty subset

@@ -2,11 +2,18 @@
 
 Low-weight codewords of a half-rate code are counted exactly by enumerating
 all information patterns of size <= t in two generator matrices systematic on
-disjoint halves. A codeword of weight w <= 2t has its lighter half reachable
-as a pattern of size <= t, so counting a word found through the left-
-systematic matrix only when its left half is not heavier (ties included) and
-through the right-systematic matrix only when its right half is strictly
-lighter counts every qualifying codeword exactly once.
+disjoint halves. A codeword of weight w <= W, W in {2t, 2t + 1}, has its
+lighter half reachable as a pattern of size <= t, so counting a word found
+through the left-systematic matrix only when its left half is not heavier
+(ties included) and through the right-systematic matrix only when its right
+half is strictly lighter counts every qualifying codeword exactly once.
+
+The module has a core and a thin wrapper. ``count_units`` is the core: it
+counts a list of work units of any half-rate code, given its two systematic
+row sets and the bound W, and keeps odd weights. ``run_census`` wraps it for
+the extended QR code: it plans the shards, checks the budget, runs the pool,
+records the provenance and rejects odd weights, which an even code cannot
+have. Folded invariant subcodes call the core directly (``congruence``).
 
 Shards are rank intervals of the revolving-door order for combinations.
 Patterns of a fixed largest element a_t occupy the consecutive rank interval
@@ -29,13 +36,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .bitlinalg import disjoint_information_systematizations, rd_subset_columns, weight_histogram
+from .bitlinalg import BitMatrix, disjoint_information_systematizations, rd_subset_columns, weight_histogram
 from .errors import (
     BudgetExceeded,
     CheckFailure,
@@ -216,9 +222,9 @@ def _rank_blocks(lo: int, hi: int, t: int, depth: int, base: int, rows: Sequence
 
 
 @lru_cache(maxsize=1)
-def _parity_tables(parity: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+def _parity_tables(parity: tuple[int, ...], max_depth: int) -> tuple[tuple[int, ...], ...]:
     """Revolving-door subset tables of one matrix's parity rows; shards come ordered by matrix."""
-    return rd_subset_columns(parity, len(parity))
+    return rd_subset_columns(parity, len(parity), max_depth)
 
 
 def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
@@ -228,7 +234,8 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
     are systematic on one half, so that half adds exactly ``size`` to every
     pattern's weight and only the k parity bits go through the kernel: a
     codeword of parity weight q is kept when size + q <= max_weight and q >=
-    size (matrix 1, ties kept) or q > size (matrix 2).
+    size (matrix 1, ties kept) or q > size (matrix 2). No pattern of a census
+    to max_weight is larger than max_weight // 2, so neither are the tables.
     """
     index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
     if not 0 <= start_rank < start_rank + count <= comb(k, size):
@@ -238,7 +245,7 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
     for i, (row, q) in enumerate(zip(rows, parity)):
         if row != (1 << i << unit_shift) | (q << parity_shift):
             raise InvariantViolation(f"matrix {matrix} row {i} is not systematic on its half")
-    tables = _parity_tables(parity)
+    tables = _parity_tables(parity, max_weight // 2)
     min_parity = size if matrix == 1 else size + 1
     counts: dict[int, int] = {}
     for base, d, lo, hi in _rank_blocks(start_rank, start_rank + count, size, len(tables) - 1, 0, parity):
@@ -246,6 +253,40 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
             if q >= min_parity:
                 counts[size + q] = counts.get(size + q, 0) + c
     return index, matrix, size, start_rank, count, tuple(sorted(counts.items()))
+
+
+def count_units(
+    g1: BitMatrix,
+    g2: BitMatrix,
+    units: Sequence[tuple[int, int, int, int, int]],
+    max_weight: int,
+    *,
+    workers: int = 1,
+) -> list[tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]]:
+    """The census core: count work units of any half-rate code up to max_weight.
+
+    ``g1`` = [I | A] and ``g2`` = [B | I] generate one k x 2k code; ``units``
+    are (index, matrix, size, start_rank, count) with size <= max_weight // 2.
+    Returns each unit with its nonzero tallies of weights <= max_weight, in
+    unit order. Over the full plan to t = max_weight // 2 every codeword of
+    weight <= max_weight is counted exactly once, odd weights included: its
+    lighter half weighs at most t and is reached by one of the two matrices.
+    """
+    k = g1.nrows
+    left_mask = (1 << k) - 1
+    jobs = [
+        (index, matrix, size, start, count, (g1 if matrix == 1 else g2).rows, k, left_mask, max_weight)
+        for index, matrix, size, start, count in units
+    ]
+    if workers == 1:
+        return sorted(_count_shard(job) for job in jobs)
+    # imported here so that importing the package does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # a few chunks per worker: shards can be tiny, and each chunk is one round trip
+    chunksize = max(1, -(-len(jobs) // (4 * workers)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sorted(pool.map(_count_shard, jobs, chunksize=chunksize))
 
 
 def run_census(
@@ -259,6 +300,8 @@ def run_census(
 ) -> WeightCensus:
     """Count extended-code codewords of every weight <= 2t.
 
+    A thin wrapper over ``count_units``: it plans the shards, checks the
+    budget, records the provenance and checks that no odd weight occurs.
     With shard_indices the run covers only those work units and returns a
     fragment for later merging; an index outside the plan is a ValueError.
     Results are bit-identical for any worker count and block size: shards own
@@ -268,10 +311,8 @@ def run_census(
         raise ValueError(f"t must be >= 0, got {t}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    k = family.k
-    n = family.n_extended
     g1, g2 = disjoint_information_systematizations(family.extended)
-    units = census_work_units(k, t, block_size)
+    units = census_work_units(family.k, t, block_size)
     total_shards = len(units)
     if shard_indices is not None:
         wanted = set(shard_indices)
@@ -281,23 +322,10 @@ def run_census(
         units = [u for u in units if u[0] in wanted]
     check_budget(sum(u[4] for u in units), long_run)
 
-    left_mask = (1 << k) - 1
     max_weight = 2 * t
-    jobs = [
-        (index, matrix, size, start, count, (g1 if matrix == 1 else g2).rows, k, left_mask, max_weight)
-        for index, matrix, size, start, count in units
-    ]
-    if workers == 1:
-        results = [_count_shard(job) for job in jobs]
-    else:
-        # a few chunks per worker: shards can be tiny, and each chunk is one round trip
-        chunksize = max(1, -(-len(jobs) // (4 * workers)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_count_shard, jobs, chunksize=chunksize))
-
     totals: dict[int, int] = {}
     records = []
-    for *unit, weight_counts in sorted(results):
+    for *unit, weight_counts in count_units(g1, g2, units, max_weight, workers=workers):
         records.append(ShardRecord(*unit, sha256=shard_digest(unit, weight_counts)))
         for w, c in weight_counts:
             totals[w] = totals.get(w, 0) + c
@@ -307,8 +335,8 @@ def run_census(
     counts = {w: totals.get(w, 0) for w in range(0, max_weight + 1, 2)}
     return WeightCensus(
         p=family.p,
-        n=n,
-        k=k,
+        n=family.n_extended,
+        k=family.k,
         complete_upto=max_weight,
         counts=counts,
         provenance=CensusProvenance(

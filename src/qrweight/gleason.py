@@ -207,12 +207,14 @@ def reconstruct(ks: Sequence[int], m: int) -> BigPoly:
     return acc
 
 
+@lru_cache(maxsize=None)
 def derivative_at_i(m: int) -> GaussianInt:
     """The factor c with dA/dz at z=i equal to c * K_m.
 
     Every basis derivative except the top one vanishes at i because it keeps
     a positive power of (1+z^2); the survivor evaluates to 2i*(-4)^m. Both
-    the symbolic evaluation and the closed form are computed and compared.
+    the symbolic evaluation and the closed form are computed and compared,
+    once per m: the result depends on m alone and GaussianInt is frozen.
     """
     basis = gleason_basis(m)
     for j in range(m):

@@ -4,7 +4,8 @@ The oracles walk codewords one at a time: full spans and subcode index
 ranges by a plain binary-reflected Gray walk over generator rows, and census
 shards by the revolving-door walk of Knuth's Algorithm R. They share no code
 with the bit-sliced kernel that the census and congruence paths count with.
-The MacWilliams oracle expands every term of the transform on its own.
+The MacWilliams oracle expands every term of the transform on its own, and
+the hull oracle intersects the code with its dual basis.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from qrweight import build_family
+from qrweight.bitlinalg import dual_basis, intersect_rowspaces
 from qrweight.census import CombPattern, rd_unrank
 from qrweight.errors import BadSum, InvariantViolation, NonIntegerCoefficient
 from qrweight.gleason import BigPoly
@@ -56,6 +58,11 @@ def gray_walk_counts(rows, max_weight, start, stop) -> dict[int, int]:
         if w <= max_weight:
             counts[w] = counts.get(w, 0) + 1
     return counts
+
+
+def hull_dimension_by_intersection(g) -> int:
+    """dim of rowspace(g) & its dual, by intersecting with a dual basis."""
+    return intersect_rowspaces(g, dual_basis(g)).nrows
 
 
 def macwilliams_expansion(dist, n, k) -> list[int]:

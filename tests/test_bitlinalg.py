@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from qrweight.bitlinalg import (
     BitMatrix,
     BitVector,
+    disjoint_information_sets,
     disjoint_information_systematizations,
     dual_basis,
     hull_dimension,
     intersect_rowspaces,
+    left_kernel,
     rank,
     row_space_contains,
     rref,
@@ -20,7 +22,7 @@ from qrweight.bitlinalg import (
 from qrweight.errors import NotHalfRate, RankDeficient, SingularInformationSet
 from qrweight.qrcodes import cyclic_generator_matrix
 
-from conftest import span_words
+from conftest import hull_dimension_by_intersection, span_words
 
 
 def spanned_rank(rows) -> int:
@@ -187,6 +189,85 @@ def test_intersect_dimension_identity_random():
 def test_hull_equals_intersection_rank(family17):
     g = family17.expurgated
     assert hull_dimension(g) == intersect_rowspaces(g, dual_basis(g)).nrows
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hull_dimension_matches_the_intersection(data):
+    # self-orthogonal rows (pairs of equal columns) make nonzero hulls common
+    k = data.draw(st.integers(0, 10))
+    n = data.draw(st.integers(k, 24))
+    rows = [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(k)]
+    doubled = data.draw(st.integers(0, n))
+    rows = [r | (r & ((1 << doubled) - 1)) << n for r in rows]
+    g = BitMatrix(n + doubled, tuple(rows))
+    if rank(g) < k:
+        with pytest.raises(RankDeficient):
+            hull_dimension(g)
+    else:
+        assert hull_dimension(g) == hull_dimension_by_intersection(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_left_kernel_is_every_vanishing_combination(data):
+    n = data.draw(st.integers(0, 14))
+    cols = data.draw(st.integers(0, 12))
+    m = BitMatrix(cols, tuple(data.draw(st.integers(0, (1 << cols) - 1)) for _ in range(n)))
+    kernel = left_kernel(m)
+    assert kernel.cols == n and kernel.nrows == n - rank(m)
+    assert rank(kernel) == kernel.nrows
+    for combo in kernel.rows:
+        v = 0
+        for i in range(n):
+            if combo >> i & 1:
+                v ^= m.rows[i]
+        assert v == 0
+
+
+def _column_rank(g, columns) -> int:
+    rows = tuple(sum((r >> c & 1) << i for i, c in enumerate(columns)) for r in g.rows)
+    return rank(BitMatrix(len(columns), rows))
+
+
+def _check_information_sets(g, sets):
+    left, right = sets
+    k = g.nrows
+    assert sorted(left + right) == list(range(2 * k))
+    assert left == sorted(left) and right == sorted(right) and len(left) == k
+    assert _column_rank(g, left) == k and _column_rank(g, right) == k
+
+
+@pytest.mark.parametrize("p", [7, 17, 41])
+def test_information_sets_of_extended_qr_codes(p, request):
+    g = request.getfixturevalue(f"family{p}").extended
+    _check_information_sets(g, disjoint_information_sets(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_information_sets_are_disjoint_and_of_full_rank(data):
+    k = data.draw(st.integers(0, 8))
+    g = BitMatrix(2 * k, tuple(data.draw(st.integers(0, (1 << 2 * k) - 1)) for _ in range(k)))
+    sets = disjoint_information_sets(g)
+    if sets is not None:
+        _check_information_sets(g, sets)
+    if _column_rank(g, range(2 * k)) < k:
+        assert sets is None
+    assert disjoint_information_sets(g) == sets  # deterministic
+
+
+def test_information_sets_none_for_a_zero_column():
+    # columns 1 and 3 are zero: every half holding one of them has rank < 2
+    g = BitMatrix.from_lists([[1, 0, 1, 0], [0, 0, 1, 0]])
+    assert rank(g) == 2
+    assert disjoint_information_sets(g) is None
+    assert disjoint_information_sets(BitMatrix(2, (0b01,))) is None  # one zero column
+
+
+def test_information_sets_not_half_rate():
+    with pytest.raises(NotHalfRate):
+        disjoint_information_sets(BitMatrix.identity(3))
 
 
 def test_cyclic_matrix_shape(family17):

@@ -1,8 +1,12 @@
+import subprocess
+import sys
 from dataclasses import replace
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import qrweight
 from qrweight import bitlinalg, census
 from qrweight.bitlinalg import disjoint_information_systematizations
 from qrweight.census import (
@@ -269,3 +273,14 @@ def test_count_shard_rejects_rows_not_systematic_on_their_half(family17):
         for forged in (rows[1:] + rows[:1], (rows[0] ^ rows[1],) + rows[1:]):
             with pytest.raises(InvariantViolation, match="not systematic"):
                 _count_shard(job[:5] + (forged,) + job[6:])
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # the pool is imported only by a census that runs on more than one worker
+    src = str(Path(qrweight.__file__).resolve().parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import qrweight; "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

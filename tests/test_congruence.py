@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrweight import bitlinalg
+from qrweight import bitlinalg, census
 from qrweight.bitlinalg import BitMatrix, same_row_space
 from qrweight.congruence import (
     CongruenceConstraint,
@@ -154,6 +154,88 @@ def test_folded_counts_match_the_gray_walk(data):
         mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
         counts = subcode_weight_counts(sub, max_weight, start=start, stop=stop)
     assert counts == gray_walk_counts(rows, max_weight, start, stop)
+
+
+@pytest.fixture
+def census_route(monkeypatch):
+    """Record the max weight of every census the subcode counts make, with
+    the subset-table cache emptied before and after."""
+    calls = []
+    core = census.count_units
+
+    def spy(g1, g2, units, max_weight, **kwargs):
+        calls.append(max_weight)
+        return core(g1, g2, units, max_weight, **kwargs)
+
+    monkeypatch.setattr(census, "count_units", spy)
+    census._parity_tables.cache_clear()
+    yield calls
+    census._parity_tables.cache_clear()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_census_route_matches_the_gray_walk(data):
+    # a half-rate folded code: 2k coordinates (columns drawn at random, so
+    # mostly distinct), each repeated g times, plus all-zero coordinates, in a
+    # random order; g odd or even, max_weight odd or even
+    k = data.draw(st.integers(1, 10))
+    g = data.draw(st.integers(1, 3))
+    folded = [data.draw(st.integers(1, (1 << k) - 1)) for _ in range(2 * k)]
+    zeros = data.draw(st.integers(0, 3))
+    coords = data.draw(st.permutations([c for c in folded for _ in range(g)] + [0] * zeros))
+    rows = tuple(sum((column >> r & 1) << j for j, column in enumerate(coords)) for r in range(k))
+    sub = InvariantSubcode(parent="", group_label="", basis=BitMatrix(len(coords), rows))
+    # the census route needs 2 * sum(C(k, i), i <= t) < 2^k, t = max_weight // g // 2,
+    # which folded bounds up to about k meet
+    folded_max = data.draw(st.one_of(st.integers(0, k), st.integers(0, 2 * k)))
+    max_weight = g * folded_max + data.draw(st.integers(0, g - 1))
+    table_bits = data.draw(st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8, 1]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
+        census._parity_tables.cache_clear()
+        counts = subcode_weight_counts(sub, max_weight)
+        census._parity_tables.cache_clear()
+    assert counts == gray_walk_counts(rows, max_weight, 0, 1 << k)
+
+
+def _odd_prime_subcodes(family, p):
+    plan = find_sylow_plan(p)
+    for q, gen in sorted(plan.odd_generators.items()):
+        yield q, invariant_subcode(family.extended, [to_permutation(gen)])
+
+
+@pytest.mark.parametrize("p", [17, 41])
+def test_odd_prime_subcodes_match_the_gray_walk_at_every_max_weight(p, request, census_route):
+    family = request.getfixturevalue(f"family{p}")
+    n = family.n_extended
+    for q, sub in _odd_prime_subcodes(family, p):
+        full = gray_walk_counts(sub.basis.rows, n, 0, 1 << sub.k)
+        for max_weight in range(n + 1):
+            expected = {w: c for w, c in full.items() if w <= max_weight}
+            assert subcode_weight_counts(sub, max_weight) == expected, (q, max_weight)
+    if p == 41:
+        assert census_route  # S_3 folds to a [14, 7] code with two information sets
+
+
+def test_p137_s3_is_counted_by_the_census(family137, census_route):
+    sub = dict(_odd_prime_subcodes(family137, 137))[3]
+    assert sub.k == 23
+    assert subcode_weight_counts(sub, 34) == {0: 1, 24: 46, 30: 943}
+    assert census_route == [34 // 3]  # folded weights <= 11: patterns of size <= 5
+
+
+def test_a_subcode_range_is_always_walked(family41, census_route):
+    sub = dict(_odd_prime_subcodes(family41, 41))[3]
+    whole = subcode_weight_counts(sub, 12)
+    assert census_route == [4]
+    half = 1 << (sub.k - 1)
+    merged: dict[int, int] = {}
+    for start, stop in ((0, half), (half, 1 << sub.k)):
+        for w, c in subcode_weight_counts(sub, 12, start=start, stop=stop).items():
+            merged[w] = merged.get(w, 0) + c
+    assert merged == whole
+    assert census_route == [4]
 
 
 @pytest.mark.parametrize("p, digest", [

@@ -148,6 +148,17 @@ def test_subset_tables_follow_the_revolving_door_ranks(rows_width, table_bits):
             assert lane(table, x) == subset_xor(rows, rd_unrank(x, k, d)), (d, x)
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_rows(), st.integers(-1, 14), st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8]))
+def test_subset_tables_stop_at_the_depth_cap(rows_width, max_depth, table_bits):
+    rows, width = rows_width
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
+        full = bitlinalg.rd_subset_columns(rows, width)
+        capped = bitlinalg.rd_subset_columns(rows, width, max_depth)
+    assert capped == full[: max(0, max_depth) + 1]
+
+
 @settings(max_examples=150, deadline=None)
 @given(random_rows(), st.data())
 def test_rank_blocks_cover_exactly_the_shard(rows_width, data):
