@@ -19,16 +19,7 @@ from .bitlinalg import (
     rank,
     rref,
 )
-from .census import (
-    CombPattern,
-    ShardPlan,
-    WeightCensus,
-    merge_censuses,
-    plan_shards,
-    rd_rank,
-    rd_unrank,
-    run_census,
-)
+from .census import WeightCensus, merge_censuses, run_census
 from .congruence import (
     CongruenceConstraint,
     InvariantSubcode,
@@ -79,7 +70,6 @@ __all__ = [
     "BigPoly",
     "BitMatrix",
     "BitVector",
-    "CombPattern",
     "CongruenceConstraint",
     "CoordPermutation",
     "GaussianInt",
@@ -89,7 +79,6 @@ __all__ = [
     "MoebiusMap",
     "QrCodeFamily",
     "Reject",
-    "ShardPlan",
     "SylowPlan",
     "WeightCensus",
     "assemble_constraint",
@@ -112,12 +101,9 @@ __all__ = [
     "macwilliams_transform",
     "merge_censuses",
     "min_weight_even_floor",
-    "plan_shards",
     "poly_gcd",
     "quadratic_residues",
     "rank",
-    "rd_rank",
-    "rd_unrank",
     "reconstruct",
     "resolve_top_coefficient",
     "rref",

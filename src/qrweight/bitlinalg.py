@@ -314,12 +314,12 @@ def rd_subset_columns(
 ) -> tuple[tuple[int, ...], ...]:
     """Bit-sliced tables T_0..T_D of the XORs of the d-subsets of ``rows``.
 
-    Lane x of T_d is the d-subset of revolving-door rank x (``census.rd_unrank``
-    with t = d), so the ranks [lo, hi) are the lanes [lo, hi), and the first
-    C(m, d) lanes are the d-subsets of rows[0..m). Subsets with largest
-    element m hold the ranks [C(m, d), C(m + 1, d)) and walk the (d-1)-subsets
-    of [0, m) backwards, so T_d(m + 1) = T_d(m) ++ (row_m ^ reversed
-    T_{d-1}(m)). Each level is built from the finished level below it, whose
+    Lane x of T_d is the d-subset of revolving-door rank x (the oracle
+    ``rd_unrank`` of ``tests/conftest.py``, with t = d), so the ranks
+    [lo, hi) are the lanes [lo, hi), and the first C(m, d) lanes are the
+    d-subsets of rows[0..m). Subsets with largest element m hold the ranks
+    [C(m, d), C(m + 1, d)) and walk the (d-1)-subsets of [0, m) backwards, so
+    T_d(m + 1) = T_d(m) ++ (row_m ^ reversed T_{d-1}(m)). Each level is built from the finished level below it, whose
     columns are bit-reversed once: reversed T_{d-1}(m) is then one shift of
     that mirror. D is the largest depth at which all the tables together fit
     in TABLE_BITS, and at most ``max_depth`` when that is given.

@@ -8,6 +8,19 @@ through the left-systematic matrix only when its left half is not heavier
 (ties included) and through the right-systematic matrix only when its right
 half is strictly lighter counts every qualifying codeword exactly once.
 
+The same rule leaves some work units empty. A pattern of size s is kept only
+with parity weight q >= s (matrix 1) or q > s (matrix 2), and only when
+s + q <= W, so a unit (matrix, size) is live iff size + min_parity <= W with
+min_parity = size for matrix 1 and size + 1 for matrix 2. In any other unit
+q >= min_parity and size + q <= W cannot both hold, so it has no qualifying
+pattern whatever the code. Units stop at size t = W // 2, where matrix 1 is
+always live; for even W = 2t every matrix-2 unit of size t is dead (47% of
+the patterns of the p = 137, t = 4 census), and odd W has no dead unit.
+Dead units keep their place in the plan and their records, with empty
+tallies, but no table is built and no kernel call is made for them.
+``pattern_cost`` counts the patterns of the live units, which is what a
+census walks.
+
 The module has a core and a thin wrapper. ``count_units`` is the core: it
 counts a list of work units of any half-rate code, given its two systematic
 row sets and the bound W, and keeps odd weights. ``run_census`` wraps it for
@@ -21,9 +34,8 @@ Patterns of a fixed largest element a_t occupy the consecutive rank interval
 
     rank(a_t .. a_1) = C(a_t + 1, t) - 1 - rank(a_t-1 .. a_1)
 
-which gives O(t) ranking and unranking. The same recursion splits a shard's
-interval into blocks (TAOCP 4A, 7.2.1.3), one per fixed set of top elements
-above the table depth d. Such a block is the XOR of the top elements' rows
+which splits a shard's interval into blocks (TAOCP 4A, 7.2.1.3), one per
+fixed set of top elements above the table depth d. Such a block is the XOR of the top elements' rows
 with a lane range of one precomputed table of d-subset XORs in
 revolving-door order, where the ranks [lo, hi) of the d-subsets are the
 lanes [lo, hi), and ``bitlinalg.weight_histogram`` counts the whole block at
@@ -58,83 +70,29 @@ DEFAULT_BLOCK_SIZE = 10**8
 DEFAULT_PATTERN_BUDGET = 10**8
 
 
-def pattern_cost(k: int, t: int) -> int:
-    """Patterns a full census walks: every pattern of size <= t, in both matrices."""
-    return 2 * sum(comb(k, i) for i in range(t + 1))
+def is_live(matrix: int, size: int, max_weight: int) -> bool:
+    """Whether a unit (matrix, size) can hold a word of weight <= max_weight.
+
+    Its patterns weigh ``size`` on the systematic half and, to be counted,
+    at least size (matrix 1) or size + 1 (matrix 2) on the parity half.
+    """
+    return 2 * size + (matrix == 2) <= max_weight
+
+
+def pattern_cost(k: int, max_weight: int) -> int:
+    """Patterns a full census to max_weight walks: those of its live units,
+    sum(C(k, s), s <= W // 2) + sum(C(k, s), s <= (W - 1) // 2)."""
+    return sum(
+        comb(k, size)
+        for matrix in (1, 2)
+        for size in range(max_weight // 2 + 1)
+        if is_live(matrix, size, max_weight)
+    )
 
 
 def check_budget(cost: int, long_run: bool) -> None:
     if cost > DEFAULT_PATTERN_BUDGET and not long_run:
         raise BudgetExceeded(f"census needs {cost} patterns, budget {DEFAULT_PATTERN_BUDGET}")
-
-
-@dataclass(frozen=True)
-class CombPattern:
-    """A t-subset of {0..s-1} stored as a strictly increasing tuple."""
-
-    s: int
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        prev = -1
-        for a in self.elements:
-            if a <= prev or a >= self.s:
-                raise ValueError(f"elements not strictly increasing in [0, {self.s})")
-            prev = a
-
-    @property
-    def t(self) -> int:
-        return len(self.elements)
-
-
-def rd_rank(c: CombPattern) -> int:
-    """Position of the pattern in the walk; the walk starts at rank 0."""
-    r = 0
-    sign = 1
-    for i in range(c.t - 1, -1, -1):
-        r += sign * (comb(c.elements[i] + 1, i + 1) - 1)
-        sign = -sign
-    return r
-
-
-def rd_unrank(r: int, s: int, t: int) -> CombPattern:
-    """Pattern of the given rank, by locating a_t in its block and reflecting."""
-    if not 0 <= r < comb(s, t):
-        raise RankOutOfRange(f"rank {r} outside [0, {comb(s, t)}) for C({s},{t})")
-    out = []
-    for tt in range(t, 0, -1):
-        a = tt - 1
-        while comb(a + 1, tt) <= r:
-            a += 1
-        out.append(a)
-        r = comb(a + 1, tt) - 1 - r
-    out.reverse()
-    return CombPattern(s, tuple(out))
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """Partition of the C(s, t) ranks into consecutive blocks of size <= block_size."""
-
-    s: int
-    t: int
-    block_size: int
-    shards: tuple[tuple[int, int, int], ...]  # (index, start_rank, count), 1-indexed
-
-
-def plan_shards(s: int, t: int, block_size: int) -> ShardPlan:
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    total = comb(s, t)
-    shards = []
-    index = 1
-    start = 0
-    while start < total:
-        count = min(block_size, total - start)
-        shards.append((index, start, count))
-        index += 1
-        start += count
-    return ShardPlan(s=s, t=t, block_size=block_size, shards=tuple(shards))
 
 
 def shard_digest(unit: Iterable[int], weight_counts: Iterable[tuple[int, int]]) -> str:
@@ -186,14 +144,20 @@ class WeightCensus:
 
 
 def census_work_units(k: int, t: int, block_size: int) -> list[tuple[int, int, int, int, int]]:
-    """Deterministic global decomposition: (index, matrix, size, start_rank, count)."""
+    """Deterministic global decomposition: (index, matrix, size, start_rank, count).
+
+    For each matrix and each size <= t the C(k, size) ranks are cut into
+    consecutive shards of block_size ranks, the last one shorter; indices
+    run from 1 in that order.
+    """
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1")
     units = []
-    index = 1
     for matrix in (1, 2):
         for size in range(t + 1):
-            for _, start, count in plan_shards(k, size, block_size).shards:
-                units.append((index, matrix, size, start, count))
-                index += 1
+            total = comb(k, size)
+            for start in range(0, total, block_size):
+                units.append((len(units) + 1, matrix, size, start, min(block_size, total - start)))
     return units
 
 
@@ -234,8 +198,11 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
     are systematic on one half, so that half adds exactly ``size`` to every
     pattern's weight and only the k parity bits go through the kernel: a
     codeword of parity weight q is kept when size + q <= max_weight and q >=
-    size (matrix 1, ties kept) or q > size (matrix 2). No pattern of a census
-    to max_weight is larger than max_weight // 2, so neither are the tables.
+    size (matrix 1, ties kept) or q > size (matrix 2). A dead unit (see
+    ``is_live``) cannot meet both, so after the rank and row checks it
+    returns empty tallies without tables or kernel calls. The largest live
+    size, max_weight // 2 for matrix 1 and (max_weight - 1) // 2 for matrix 2,
+    caps the depth of that matrix's tables.
     """
     index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
     if not 0 <= start_rank < start_rank + count <= comb(k, size):
@@ -245,8 +212,10 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
     for i, (row, q) in enumerate(zip(rows, parity)):
         if row != (1 << i << unit_shift) | (q << parity_shift):
             raise InvariantViolation(f"matrix {matrix} row {i} is not systematic on its half")
-    tables = _parity_tables(parity, max_weight // 2)
-    min_parity = size if matrix == 1 else size + 1
+    if not is_live(matrix, size, max_weight):
+        return index, matrix, size, start_rank, count, ()
+    min_parity = size + (matrix == 2)
+    tables = _parity_tables(parity, (max_weight - (matrix == 2)) // 2)
     counts: dict[int, int] = {}
     for base, d, lo, hi in _rank_blocks(start_rank, start_rank + count, size, len(tables) - 1, 0, parity):
         for q, c in weight_histogram(tables[d], base, lo, hi, max_weight - size).items():
@@ -271,6 +240,10 @@ def count_units(
     unit order. Over the full plan to t = max_weight // 2 every codeword of
     weight <= max_weight is counted exactly once, odd weights included: its
     lighter half weighs at most t and is reached by one of the two matrices.
+    A dead unit (``is_live``) comes back with empty tallies, unwalked: a
+    word found through matrix 2 has a strictly lighter right half, so a
+    pattern of size s there needs weight >= 2s + 1, and none of size t fits
+    under an even bound W = 2t. Odd bounds have no dead units.
     """
     k = g1.nrows
     left_mask = (1 << k) - 1
@@ -301,7 +274,8 @@ def run_census(
     """Count extended-code codewords of every weight <= 2t.
 
     A thin wrapper over ``count_units``: it plans the shards, checks the
-    budget, records the provenance and checks that no odd weight occurs.
+    budget against the patterns of the live units it runs, records the
+    provenance and checks that no odd weight occurs.
     With shard_indices the run covers only those work units and returns a
     fragment for later merging; an index outside the plan is a ValueError.
     Results are bit-identical for any worker count and block size: shards own
@@ -320,9 +294,9 @@ def run_census(
         if missing:
             raise ValueError(f"no such shard indices: {sorted(missing)}; the plan has units 1..{total_shards}")
         units = [u for u in units if u[0] in wanted]
-    check_budget(sum(u[4] for u in units), long_run)
-
     max_weight = 2 * t
+    live = sum(count for _, matrix, size, _, count in units if is_live(matrix, size, max_weight))
+    check_budget(live, long_run)
     totals: dict[int, int] = {}
     records = []
     for *unit, weight_counts in count_units(g1, g2, units, max_weight, workers=workers):
@@ -419,8 +393,9 @@ def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
     record equals its unit of the plan recomputed from (k, t, block size);
     and each part's counts are even weights <= complete_upto that sum to at
     most the patterns its records walk. A one-record part's counts are that
-    shard's tallies, so its sha256 is recomputed as well. A one-part merge
-    validates a complete census.
+    shard's tallies, so its sha256 is recomputed as well. A dead unit
+    (``is_live``) has no tallies, so its record must carry the digest of
+    none. A one-part merge validates a complete census.
     """
     if not parts:
         raise ValueError("nothing to merge")
@@ -453,6 +428,8 @@ def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
             raise InvariantViolation(
                 f"shard {rec.index}: (matrix, size, start_rank, count) = {rec.unit[1:]} is not in the plan"
             )
+        if not is_live(rec.matrix, rec.size, first.complete_upto) and rec.sha256 != shard_digest(rec.unit, []):
+            raise InvariantViolation(f"shard {rec.index}: tallies recorded for a unit that can hold no codeword")
     totals = dict.fromkeys(range(0, first.complete_upto + 1, 2), 0)
     for part in parts:
         _check_part_counts(part)

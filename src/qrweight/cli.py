@@ -447,7 +447,7 @@ def cmd_pipeline(args) -> int:
             raise ValueError(f"census t={args.t} too small: need t >= {m - 1}")
 
         stage = "census"
-        census_mod.check_budget(census_mod.pattern_cost(family.k, args.t), args.long_run)
+        census_mod.check_budget(census_mod.pattern_cost(family.k, 2 * args.t), args.long_run)
 
         stage = "congruence"
         weights = list(range(2, 2 * m + 1, 2))

@@ -134,18 +134,28 @@ def _fold(basis: BitMatrix) -> tuple[list[int], int, int]:
     return folded, g, width
 
 
-def _census_counts(rows: list[int], max_weight: int) -> dict[int, int] | None:
-    """Counts of the words of weight <= max_weight of the k x 2k folded rows
-    by a census (``census.count_units``), or None when no pair of disjoint
-    information sets was found."""
+def _census_matrices(rows: list[int]) -> tuple[BitMatrix, BitMatrix] | None:
+    """The k x 2k folded rows with their columns permuted so that two disjoint
+    information sets are the halves, systematized on each half; None when no
+    pair of such sets was found. Column order does not change weights."""
     k = len(rows)
     sets = bitlinalg.disjoint_information_sets(BitMatrix(2 * k, tuple(rows)))
     if sets is None:
         return None
     order = sets[0] + sets[1]  # new coordinate i is old coordinate order[i]
     permuted = tuple(sum((row >> c & 1) << i for i, c in enumerate(order)) for row in rows)
-    g1, g2 = bitlinalg.disjoint_information_systematizations(BitMatrix(2 * k, permuted))
-    units = census.census_work_units(k, max_weight // 2, census.DEFAULT_BLOCK_SIZE)
+    return bitlinalg.disjoint_information_systematizations(BitMatrix(2 * k, permuted))
+
+
+def _census_counts(rows: list[int], max_weight: int) -> dict[int, int] | None:
+    """Counts of the words of weight <= max_weight of the k x 2k folded rows
+    by a census (``census.count_units``), or None when no pair of disjoint
+    information sets was found."""
+    matrices = _census_matrices(rows)
+    if matrices is None:
+        return None
+    g1, g2 = matrices
+    units = census.census_work_units(len(rows), max_weight // 2, census.DEFAULT_BLOCK_SIZE)
     counts: dict[int, int] = {}
     for *_, weight_counts in census.count_units(g1, g2, units, max_weight):
         for w, c in weight_counts:
@@ -177,7 +187,8 @@ def subcode_weight_counts(
 
     When the whole range is asked for and the folded code is half-rate (width
     2k) with two disjoint information sets, a census to W = max_weight // g
-    counts it instead, provided its patterns are fewer than the 2^k words.
+    counts it instead, provided the patterns it walks (``census.pattern_cost``)
+    are fewer than the 2^k words.
     The rows are systematized on each set; a word of weight w <= W has a
     lighter half of weight <= W // 2 = t, so it is one pattern of size <= t
     in one of the two matrices: in the first when its halves tie, else in the
@@ -199,7 +210,7 @@ def subcode_weight_counts(
         raise ValueError("bad enumeration range")
     rows, g, width = _fold(sub.basis)
     folded_max = max_weight // g
-    if (start, stop) == (0, total) and width == 2 * k and census.pattern_cost(k, folded_max // 2) < total:
+    if (start, stop) == (0, total) and width == 2 * k and census.pattern_cost(k, folded_max) < total:
         counts = _census_counts(rows, folded_max)
         if counts is not None:
             return {w * g: c for w, c in counts.items()}

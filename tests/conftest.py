@@ -2,7 +2,8 @@
 
 The oracles walk codewords one at a time: full spans and subcode index
 ranges by a plain binary-reflected Gray walk over generator rows, and census
-shards by the revolving-door walk of Knuth's Algorithm R. They share no code
+shards by the revolving-door walk of Knuth's Algorithm R, started at the
+pattern that ``rd_unrank`` computes from a rank. They share no code
 with the bit-sliced kernel that the census and congruence paths count with.
 The MacWilliams oracle expands every term of the transform on its own, and
 the hull oracle intersects the code with its dual basis.
@@ -10,12 +11,14 @@ the hull oracle intersects the code with its dual basis.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from math import comb
+
 import pytest
 
 from qrweight import build_family
 from qrweight.bitlinalg import dual_basis, intersect_rowspaces
-from qrweight.census import CombPattern, rd_unrank
-from qrweight.errors import BadSum, InvariantViolation, NonIntegerCoefficient
+from qrweight.errors import BadSum, InvariantViolation, NonIntegerCoefficient, RankOutOfRange
 from qrweight.gleason import BigPoly
 
 
@@ -90,6 +93,51 @@ def macwilliams_expansion(dist, n, k) -> list[int]:
             raise NonIntegerCoefficient("transform is not divisible by 2^k")
         out.append(v >> k)
     return out
+
+
+@dataclass(frozen=True)
+class CombPattern:
+    """A t-subset of {0..s-1} stored as a strictly increasing tuple."""
+
+    s: int
+    elements: tuple[int, ...]
+
+    def __post_init__(self):
+        prev = -1
+        for a in self.elements:
+            if a <= prev or a >= self.s:
+                raise ValueError(f"elements not strictly increasing in [0, {self.s})")
+            prev = a
+
+    @property
+    def t(self) -> int:
+        return len(self.elements)
+
+
+def rd_rank(c: CombPattern) -> int:
+    """Position of the pattern in the revolving-door walk, which starts at rank 0:
+    rank(a_t .. a_1) = C(a_t + 1, t) - 1 - rank(a_t-1 .. a_1)."""
+    r = 0
+    sign = 1
+    for i in range(c.t - 1, -1, -1):
+        r += sign * (comb(c.elements[i] + 1, i + 1) - 1)
+        sign = -sign
+    return r
+
+
+def rd_unrank(r: int, s: int, t: int) -> CombPattern:
+    """Pattern of the given rank, by locating a_t in its block and reflecting."""
+    if not 0 <= r < comb(s, t):
+        raise RankOutOfRange(f"rank {r} outside [0, {comb(s, t)}) for C({s},{t})")
+    out = []
+    for tt in range(t, 0, -1):
+        a = tt - 1
+        while comb(a + 1, tt) <= r:
+            a += 1
+        out.append(a)
+        r = comb(a + 1, tt) - 1 - r
+    out.reverse()
+    return CombPattern(s, tuple(out))
 
 
 def rd_step(c: list[int], s: int) -> tuple[int, int] | None:

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 from qrweight import census
-from qrweight.census import plan_shards, rd_rank, rd_unrank, run_census
+from qrweight.census import census_work_units, run_census
 from qrweight.cli import main
 from qrweight.congruence import check_candidate, compute_bundle
 from qrweight.errors import BudgetExceeded
@@ -19,7 +19,7 @@ from qrweight.fixtures import load_p137
 from qrweight.gleason import reconstruct, solve_coefficients, solve_distribution
 from qrweight.psl2 import find_sylow_plan
 
-from conftest import exhaustive_distribution, rd_successor
+from conftest import exhaustive_distribution, rd_rank, rd_successor, rd_unrank
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +149,9 @@ def test_criterion_5_revolving_door_suite():
                 assert rd_rank(rd_unrank(r, s, t)) == r
     for block in (1, 7, 50):
         seen = []
-        for _, start, count in plan_shards(10, 4, block).shards:
+        for _, matrix, size, start, count in census_work_units(10, 4, block):
+            if (matrix, size) != (1, 4):
+                continue
             c = rd_unrank(start, 10, 4)
             for _ in range(count):
                 seen.append(c.elements)

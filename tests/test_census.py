@@ -10,15 +10,11 @@ import qrweight
 from qrweight import bitlinalg, census
 from qrweight.bitlinalg import disjoint_information_systematizations
 from qrweight.census import (
-    CombPattern,
     _count_shard,
     census_from_payload,
     census_payload,
     census_work_units,
     merge_censuses,
-    plan_shards,
-    rd_rank,
-    rd_unrank,
     run_census,
 )
 from qrweight.cli import _digest
@@ -31,7 +27,7 @@ from qrweight.errors import (
     ShardOverlap,
 )
 
-from conftest import rd_successor, scalar_count_shard
+from conftest import CombPattern, rd_rank, rd_successor, rd_unrank, scalar_count_shard
 
 
 def full_walk(s, t):
@@ -92,23 +88,37 @@ def test_unrank_out_of_range():
         rd_unrank(-1, 8, 3)
 
 
+def shards_of(k, size, block_size):
+    """(index, start_rank, count) of the matrix-1 units of one size."""
+    units = census_work_units(k, size, block_size)
+    return [(i, start, count) for i, m, sz, start, count in units if (m, sz) == (1, size)]
+
+
 def test_plan_shards_sizes():
-    plan = plan_shards(8, 3, 10)
-    assert [count for _, _, count in plan.shards] == [10, 10, 10, 10, 10, 6]
-    assert [start for _, start, _ in plan.shards] == [0, 10, 20, 30, 40, 50]
-    assert [index for index, _, _ in plan.shards] == [1, 2, 3, 4, 5, 6]
+    shards = shards_of(8, 3, 10)
+    assert [count for _, _, count in shards] == [10, 10, 10, 10, 10, 6]
+    assert [start for _, start, _ in shards] == [0, 10, 20, 30, 40, 50]
+    # sizes 0, 1 and 2 come first, in 1 + 1 + 3 shards
+    assert [index for index, _, _ in shards] == [6, 7, 8, 9, 10, 11]
 
 
 def test_plan_shards_single_block():
-    plan = plan_shards(8, 3, 10**6)
-    assert len(plan.shards) == 1
-    assert plan.shards[0] == (1, 0, comb(8, 3))
+    assert shards_of(8, 3, 10**6) == [(4, 0, comb(8, 3))]
+    assert census_work_units(8, 3, 10**6) == [
+        (1 + size + 4 * (matrix - 1), matrix, size, 0, comb(8, size)) for matrix in (1, 2) for size in range(4)
+    ]
+
+
+@pytest.mark.parametrize("block_size", [0, -1])
+def test_work_units_reject_block_size_below_one(block_size):
+    with pytest.raises(ValueError, match="block_size must be >= 1"):
+        census_work_units(8, 3, block_size)
 
 
 @pytest.mark.parametrize("block", [1, 7, 50])
 def test_shard_walks_cover_everything_exactly_once(block):
     seen = []
-    for _, start, count in plan_shards(10, 4, block).shards:
+    for _, start, count in shards_of(10, 4, block):
         c = rd_unrank(start, 10, 4)
         for _ in range(count):
             seen.append(c.elements)
@@ -268,11 +278,136 @@ def test_run_census_rejects_negative_t_and_workers_below_one(family17, t, worker
 
 def test_count_shard_rejects_rows_not_systematic_on_their_half(family17):
     jobs = _shard_jobs(family17, 2, 10**8)
-    for job in (jobs[0], jobs[-1]):  # matrix 1 and matrix 2
+    # matrix 1, matrix 2, and matrix 2 at size t = 2: a dead unit is checked too
+    for job in (jobs[0], jobs[-2], jobs[-1]):
         rows = job[5]
         for forged in (rows[1:] + rows[:1], (rows[0] ^ rows[1],) + rows[1:]):
             with pytest.raises(InvariantViolation, match="not systematic"):
                 _count_shard(job[:5] + (forged,) + job[6:])
+
+
+def test_count_shard_rejects_an_out_of_range_dead_unit(family17):
+    job = _shard_jobs(family17, 2, 10**8)[-1]
+    assert job[1:3] == (2, 2) and not census.is_live(2, 2, job[-1])
+    total = comb(family17.k, 2)
+    for start, count in ((total, 1), (0, total + 1), (-1, 2)):
+        with pytest.raises(RankOutOfRange):
+            _count_shard((job[0], 2, 2, start, count) + job[5:])
+
+
+@pytest.fixture
+def kernel_spy(monkeypatch):
+    """Record the table builds and kernel calls of ``_count_shard``, with the
+    subset-table cache emptied before and after."""
+    calls = {"tables": [], "kernel": []}
+    tables, kernel = census._parity_tables, census.weight_histogram
+
+    def tables_spy(parity, max_depth):
+        calls["tables"].append(max_depth)
+        return tables(parity, max_depth)
+
+    def kernel_spy(columns, base, lo, hi, max_weight):
+        calls["kernel"].append((columns, base, lo, hi, max_weight))
+        return kernel(columns, base, lo, hi, max_weight)
+
+    monkeypatch.setattr(census, "_parity_tables", tables_spy)
+    monkeypatch.setattr(census, "weight_histogram", kernel_spy)
+    tables.cache_clear()
+    yield calls
+    tables.cache_clear()
+
+
+@pytest.mark.parametrize("t", [0, 2, 4])
+def test_a_dead_unit_builds_no_tables_and_calls_no_kernel(family17, kernel_spy, t):
+    jobs = [job for job in _shard_jobs(family17, t, 7) if not census.is_live(job[1], job[2], 2 * t)]
+    assert jobs and all(job[1:3] == (2, t) for job in jobs)
+    for job in jobs:
+        assert _count_shard(job) == job[:5] + ((),)
+        assert scalar_count_shard(job)[5] == ()
+    assert kernel_spy == {"tables": [], "kernel": []}
+
+
+@pytest.mark.parametrize(
+    "p, t, block_size, table_bits",
+    [(17, 4, 7, None), (17, 4, 10**8, None), (41, 6, 2000, None), (41, 5, 7, 21 * 22)],
+)
+def test_live_units_make_the_kernel_calls_of_the_uncapped_tables(
+    request, monkeypatch, kernel_spy, p, t, block_size, table_bits
+):
+    # the calls a unit made before dead units were skipped: both matrices'
+    # tables built to depth t, and one call per block of the shard
+    if table_bits is not None:
+        monkeypatch.setattr(bitlinalg, "TABLE_BITS", table_bits)
+    family = request.getfixturevalue(f"family{p}")
+    k = family.k
+    for job in _shard_jobs(family, t, block_size):
+        _, matrix, size, start, count, rows, _, mask, max_weight = job
+        if not census.is_live(matrix, size, max_weight):
+            continue
+        parity = [(row >> k if matrix == 1 else row) & mask for row in rows]
+        tables = bitlinalg.rd_subset_columns(parity, k, t)
+        expected = [
+            (tables[d], base, lo, hi, max_weight - size)
+            for base, d, lo, hi in census._rank_blocks(start, start + count, size, len(tables) - 1, 0, parity)
+        ]
+        kernel_spy["kernel"].clear()
+        assert _count_shard(job) == scalar_count_shard(job)
+        assert kernel_spy["kernel"] == expected, job[:5]
+    # each matrix's tables stop at its largest live size: t, and t - 1 for matrix 2
+    assert set(kernel_spy["tables"]) == {t, t - 1}
+
+
+@pytest.mark.parametrize(
+    "p, t, block_size",
+    [(17, 0, 7), (17, 1, 7), (17, 4, 7), (41, 3, 1000), (41, 6, 1000), (41, 8, 1000), (137, 4, 10**8)],
+)
+def test_pattern_cost_is_the_lanes_the_kernel_is_handed(request, kernel_spy, p, t, block_size):
+    family = request.getfixturevalue(f"family{p}")
+    run_census(family, t, block_size=block_size)
+    lanes = sum(hi - lo for _, _, lo, hi, _ in kernel_spy["kernel"])
+    assert lanes == census.pattern_cost(family.k, 2 * t)
+    assert lanes < census.pattern_cost(family.k, 2 * t + 1) == 2 * sum(comb(family.k, s) for s in range(t + 1))
+
+
+@pytest.mark.parametrize("max_weight", [7, 9, 13])
+def test_pattern_cost_is_the_lanes_of_an_odd_bound(family41, kernel_spy, max_weight):
+    g1, g2 = disjoint_information_systematizations(family41.extended)
+    units = census_work_units(family41.k, max_weight // 2, 500)
+    census.count_units(g1, g2, units, max_weight)
+    assert sum(hi - lo for _, _, lo, hi, _ in kernel_spy["kernel"]) == census.pattern_cost(family41.k, max_weight)
+    assert census.pattern_cost(family41.k, max_weight) == sum(u[4] for u in units)  # no dead unit
+
+
+def test_pattern_cost_at_the_benchmarked_censuses():
+    assert census.pattern_cost(69, 8) == 974_121  # p = 137, t = 4: of 1,838,622 planned
+    assert census.pattern_cost(21, 16) == 600_370  # p = 41, t = 8: of 803,860 planned
+
+
+def test_census_budget_counts_live_patterns(family17, monkeypatch):
+    live = census.pattern_cost(family17.k, 8)
+    assert live == 2 * (1 + 9 + 36 + 84) + 126
+    monkeypatch.setattr(census, "DEFAULT_PATTERN_BUDGET", live)
+    run_census(family17, 4)
+    dead = [u[0] for u in census_work_units(family17.k, 4, 10) if not census.is_live(u[1], u[2], 8)]
+    monkeypatch.setattr(census, "DEFAULT_PATTERN_BUDGET", 0)
+    assert run_census(family17, 4, block_size=10, shard_indices=dead).counts == dict.fromkeys(range(0, 9, 2), 0)
+    monkeypatch.setattr(census, "DEFAULT_PATTERN_BUDGET", live - 1)
+    with pytest.raises(BudgetExceeded):
+        run_census(family17, 4)
+
+
+def test_merge_rejects_tallies_for_a_dead_unit(family17):
+    whole = run_census(family17, 2)
+    dead = whole.provenance.shards[-1]
+    assert dead.unit[1:3] == (2, 2) and dead.sha256 == census.shard_digest(dead.unit, [])
+    rest = run_census(family17, 2, shard_indices=range(1, dead.index))
+    honest = run_census(family17, 2, shard_indices=[dead.index])
+    assert merge_censuses([rest, honest]).counts == whole.counts
+    # counts and sha256 agree, and the counts pass every per-part check
+    record = replace(dead, sha256=census.shard_digest(dead.unit, [(4, 1)]))
+    forged = replace(honest, counts={**honest.counts, 4: 1}, provenance=replace(honest.provenance, shards=(record,)))
+    with pytest.raises(InvariantViolation, match="can hold no codeword"):
+        merge_censuses([rest, forged])
 
 
 def test_importing_the_package_loads_no_process_pool():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qrweight import census, cli
 from qrweight.census import shard_digest
 from qrweight.cli import _digest, main
 from qrweight.fixtures import load_p137
@@ -310,6 +311,17 @@ def test_pipeline_p41_matches_brute_force(tmp_path, capsys, family41, dist41):
 def test_pipeline_budget_gate(capsys):
     rc, _ = run(capsys, "pipeline", "--p", "137", "--t", "16")
     assert rc == 3
+
+
+def test_pipeline_budget_counts_live_patterns(capsys, monkeypatch):
+    live = census.pattern_cost(9, 8)  # p = 17, t = 4: 386 of the 512 planned patterns walked
+    monkeypatch.setattr(census, "DEFAULT_PATTERN_BUDGET", live)
+    assert run(capsys, "pipeline", "--p", "17", "--t", "4")[0] == 0
+    # one pattern short, the pipeline is refused before its congruence stage
+    monkeypatch.setattr(census, "DEFAULT_PATTERN_BUDGET", live - 1)
+    monkeypatch.setattr(cli, "_compute_bundle", lambda *args: pytest.fail("congruence stage reached"))
+    rc, err = run_err(capsys, "pipeline", "--p", "17", "--t", "4")
+    assert rc == 3 and "FAIL at stage census" in err
 
 
 def test_pipeline_rejects_wrong_residue_class(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrweight import bitlinalg, census
+from qrweight import bitlinalg, census, congruence
 from qrweight.bitlinalg import BitMatrix, same_row_space
 from qrweight.congruence import (
     CongruenceConstraint,
@@ -23,7 +23,7 @@ from qrweight.errors import BudgetExceeded, LengthMismatch, NotCoprime, WrongMod
 from qrweight.fixtures import load_p137
 from qrweight.psl2 import CoordPermutation, MoebiusMap, find_sylow_plan, to_permutation
 
-from conftest import gray_walk_counts
+from conftest import gray_walk_counts, scalar_count_shard
 
 
 @pytest.fixture(scope="session")
@@ -173,20 +173,27 @@ def census_route(monkeypatch):
     census._parity_tables.cache_clear()
 
 
+@st.composite
+def half_rate_subcodes(draw):
+    """A code that folds to half rate: 2k coordinates (columns drawn at random,
+    so mostly distinct), each repeated g times, plus all-zero coordinates, in
+    a random order; g odd or even. Returns the subcode and g."""
+    k = draw(st.integers(1, 10))
+    g = draw(st.integers(1, 3))
+    folded = [draw(st.integers(1, (1 << k) - 1)) for _ in range(2 * k)]
+    zeros = draw(st.integers(0, 3))
+    coords = draw(st.permutations([c for c in folded for _ in range(g)] + [0] * zeros))
+    rows = tuple(sum((column >> r & 1) << j for j, column in enumerate(coords)) for r in range(k))
+    return InvariantSubcode(parent="", group_label="", basis=BitMatrix(len(coords), rows)), g
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_census_route_matches_the_gray_walk(data):
-    # a half-rate folded code: 2k coordinates (columns drawn at random, so
-    # mostly distinct), each repeated g times, plus all-zero coordinates, in a
-    # random order; g odd or even, max_weight odd or even
-    k = data.draw(st.integers(1, 10))
-    g = data.draw(st.integers(1, 3))
-    folded = [data.draw(st.integers(1, (1 << k) - 1)) for _ in range(2 * k)]
-    zeros = data.draw(st.integers(0, 3))
-    coords = data.draw(st.permutations([c for c in folded for _ in range(g)] + [0] * zeros))
-    rows = tuple(sum((column >> r & 1) << j for j, column in enumerate(coords)) for r in range(k))
-    sub = InvariantSubcode(parent="", group_label="", basis=BitMatrix(len(coords), rows))
-    # the census route needs 2 * sum(C(k, i), i <= t) < 2^k, t = max_weight // g // 2,
+    # a half-rate folded code, max_weight odd or even
+    sub, g = data.draw(half_rate_subcodes())
+    k, rows = sub.k, sub.basis.rows
+    # the census route needs census.pattern_cost(k, W) < 2^k, W = max_weight // g,
     # which folded bounds up to about k meet
     folded_max = data.draw(st.one_of(st.integers(0, k), st.integers(0, 2 * k)))
     max_weight = g * folded_max + data.draw(st.integers(0, g - 1))
@@ -197,6 +204,27 @@ def test_census_route_matches_the_gray_walk(data):
         counts = subcode_weight_counts(sub, max_weight)
         census._parity_tables.cache_clear()
     assert counts == gray_walk_counts(rows, max_weight, 0, 1 << k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(half_rate_subcodes(), st.data())
+def test_dead_units_are_empty_under_the_scalar_walk(sub_g, data):
+    sub, _ = sub_g
+    rows, _, width = congruence._fold(sub.basis)
+    k = len(rows)
+    matrices = congruence._census_matrices(rows) if width == 2 * k else None
+    if matrices is None:
+        return  # no census for this code
+    max_weight = data.draw(st.integers(0, 2 * k))
+    block_size = data.draw(st.sampled_from([1, 7, 10**8]))
+    units = census.census_work_units(k, max_weight // 2, block_size)
+    dead = [u for u in units if not census.is_live(u[1], u[2], max_weight)]
+    # the matrix-2 units of size t = W // 2 under an even bound, and no others
+    assert {u[1:3] for u in dead} == ({(2, max_weight // 2)} if max_weight % 2 == 0 else set())
+    for index, matrix, size, start, count in dead:
+        job = (index, matrix, size, start, count, matrices[matrix - 1].rows, k, (1 << k) - 1, max_weight)
+        assert scalar_count_shard(job)[5] == ()
+        assert census._count_shard(job) == job[:5] + ((),)
 
 
 def _odd_prime_subcodes(family, p):

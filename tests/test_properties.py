@@ -10,18 +10,15 @@ from hypothesis import strategies as st
 
 from qrweight import bitlinalg
 from qrweight.census import (
-    CombPattern,
     _rank_blocks,
     census_from_payload,
     census_payload,
     census_work_units,
     merge_censuses,
-    rd_rank,
-    rd_unrank,
     run_census,
 )
 
-from conftest import rd_step
+from conftest import CombPattern, rd_rank, rd_step, rd_unrank
 
 
 def lane(columns, x) -> int:
