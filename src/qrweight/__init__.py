@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .bitlinalg import (
     BitMatrix,
-    BitVector,
     disjoint_information_systematizations,
     dual_basis,
     hull_dimension,
@@ -60,7 +59,6 @@ from .qrcodes import (
     QrCodeFamily,
     build_family,
     cyclic_generator_matrix,
-    min_weight_even_floor,
     poly_gcd,
     quadratic_residues,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "__version__",
     "BigPoly",
     "BitMatrix",
-    "BitVector",
     "CongruenceConstraint",
     "CoordPermutation",
     "GaussianInt",
@@ -100,7 +97,6 @@ __all__ = [
     "macwilliams_check",
     "macwilliams_transform",
     "merge_censuses",
-    "min_weight_even_floor",
     "poly_gcd",
     "quadratic_residues",
     "rank",

@@ -21,43 +21,6 @@ from .errors import NotHalfRate, RankDeficient, SingularInformationSet
 
 
 @dataclass(frozen=True)
-class BitVector:
-    """Fixed-length vector over GF(2), coordinates packed into an int."""
-
-    length: int
-    bits: int
-
-    def __post_init__(self):
-        if self.length < 0 or self.bits < 0 or self.bits >> self.length:
-            raise ValueError(f"bits do not fit in length {self.length}")
-
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> BitVector:
-        bits = 0
-        for i in support:
-            bits |= 1 << i
-        return cls(length, bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def dot(self, other: BitVector) -> int:
-        """Scalar product mod 2."""
-        return (self.bits & other.bits).bit_count() & 1
-
-    def __xor__(self, other: BitVector) -> BitVector:
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
-
-
-@dataclass(frozen=True)
 class BitMatrix:
     """Matrix over GF(2); each row is an int with bit i = column i."""
 
@@ -68,10 +31,6 @@ class BitMatrix:
         for r in self.rows:
             if r < 0 or r >> self.cols:
                 raise ValueError(f"row does not fit in {self.cols} columns")
-
-    @classmethod
-    def from_rows(cls, cols: int, rows: Iterable[int]) -> BitMatrix:
-        return cls(cols, tuple(rows))
 
     @classmethod
     def from_lists(cls, lists: Sequence[Sequence[int]]) -> BitMatrix:
@@ -90,13 +49,6 @@ class BitMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def row_data(self) -> tuple[BitVector, ...]:
-        return tuple(BitVector(self.cols, r) for r in self.rows)
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> c) & 1 for c in range(self.cols)] for r in self.rows]
 
 
 def rref_on_columns(m: BitMatrix, col_order: Sequence[int]) -> tuple[BitMatrix, list[int]]:

@@ -24,9 +24,15 @@ census walks.
 The module has a core and a thin wrapper. ``count_units`` is the core: it
 counts a list of work units of any half-rate code, given its two systematic
 row sets and the bound W, and keeps odd weights. ``run_census`` wraps it for
-the extended QR code: it plans the shards, checks the budget, runs the pool,
+the extended QR code: it checks the budget, plans the shards, runs the pool,
 records the provenance and rejects odd weights, which an even code cannot
 have. Folded invariant subcodes call the core directly (``congruence``).
+
+``check_budget`` is the package's one enumeration budget, counted in kernel
+lanes: one lane is one census pattern or one walked subcode word, one slot of
+``weight_histogram``'s bit-sliced tables. Both enumerators run at tens of
+millions of lanes per second on one core, so the default 10^8 lanes is a few
+seconds; ``long_run`` lifts it.
 
 Shards are rank intervals of the revolving-door order for combinations.
 Patterns of a fixed largest element a_t occupy the consecutive rank interval
@@ -90,9 +96,13 @@ def pattern_cost(k: int, max_weight: int) -> int:
     )
 
 
-def check_budget(cost: int, long_run: bool) -> None:
-    if cost > DEFAULT_PATTERN_BUDGET and not long_run:
-        raise BudgetExceeded(f"census needs {cost} patterns, budget {DEFAULT_PATTERN_BUDGET}")
+def check_budget(lanes: int, long_run: bool) -> None:
+    """Refuse a run of more than DEFAULT_PATTERN_BUDGET lanes unless long_run."""
+    if lanes > DEFAULT_PATTERN_BUDGET and not long_run:
+        raise BudgetExceeded(
+            f"needs {lanes} lanes (census patterns or subcode words), budget "
+            f"{DEFAULT_PATTERN_BUDGET}; pass long_run to allow"
+        )
 
 
 def shard_digest(unit: Iterable[int], weight_counts: Iterable[tuple[int, int]]) -> str:
@@ -273,11 +283,14 @@ def run_census(
 ) -> WeightCensus:
     """Count extended-code codewords of every weight <= 2t.
 
-    A thin wrapper over ``count_units``: it plans the shards, checks the
-    budget against the patterns of the live units it runs, records the
-    provenance and checks that no odd weight occurs.
-    With shard_indices the run covers only those work units and returns a
-    fragment for later merging; an index outside the plan is a ValueError.
+    A thin wrapper over ``count_units``: it checks the budget against the
+    patterns of the live units it runs, plans the shards, records the
+    provenance and checks that no odd weight occurs. A whole census is
+    checked against ``pattern_cost(k, 2t)`` before its plan is built, so an
+    over-budget t is refused at once.
+    With shard_indices the run covers only those work units, checked against
+    their own live patterns, and returns a fragment for later merging; an
+    index outside the plan is a ValueError.
     Results are bit-identical for any worker count and block size: shards own
     private counters and merging is plain per-weight addition.
     """
@@ -285,7 +298,9 @@ def run_census(
         raise ValueError(f"t must be >= 0, got {t}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    g1, g2 = disjoint_information_systematizations(family.extended)
+    max_weight = 2 * t
+    if shard_indices is None:
+        check_budget(pattern_cost(family.k, max_weight), long_run)
     units = census_work_units(family.k, t, block_size)
     total_shards = len(units)
     if shard_indices is not None:
@@ -294,9 +309,9 @@ def run_census(
         if missing:
             raise ValueError(f"no such shard indices: {sorted(missing)}; the plan has units 1..{total_shards}")
         units = [u for u in units if u[0] in wanted]
-    max_weight = 2 * t
-    live = sum(count for _, matrix, size, _, count in units if is_live(matrix, size, max_weight))
-    check_budget(live, long_run)
+        live = sum(count for _, matrix, size, _, count in units if is_live(matrix, size, max_weight))
+        check_budget(live, long_run)
+    g1, g2 = disjoint_information_systematizations(family.extended)
     totals: dict[int, int] = {}
     records = []
     for *unit, weight_counts in count_units(g1, g2, units, max_weight, workers=workers):

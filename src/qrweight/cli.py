@@ -167,11 +167,12 @@ def _parse_weights(text: str) -> list[int]:
 
 
 def _compute_bundle(family, weights, long_run: bool, fixture: dict | None = None):
-    """Congruence bundle; at p = 137 without long_run the H2 row comes from
-    ``fixture`` (the packaged one when None), as its 2^35 walk is over budget."""
+    """Congruence bundle. At p = 137 the published H2 row, from ``fixture``
+    (the packaged one when None), is offered to ``compute_bundle``, which
+    uses it only when the budget refuses the 2^35-word H2 count."""
     plan = find_sylow_plan(family.p)
     h2_fixture = None
-    if family.p == 137 and not long_run:
+    if family.p == 137:
         h2_fixture = (fixture or fixtures.load_p137())["subgroup_counts"]["H2"]
     return congruence_mod.compute_bundle(
         family, plan, weights, long_run=long_run, h2_counts_fixture=h2_fixture
@@ -447,16 +448,13 @@ def cmd_pipeline(args) -> int:
             raise ValueError(f"census t={args.t} too small: need t >= {m - 1}")
 
         stage = "census"
-        census_mod.check_budget(census_mod.pattern_cost(family.k, 2 * args.t), args.long_run)
+        result = census_mod.run_census(
+            family, args.t, workers=args.workers, block_size=args.block_size, long_run=args.long_run
+        )
 
         stage = "congruence"
         weights = list(range(2, 2 * m + 1, 2))
         bundle = _compute_bundle(family, weights, args.long_run)
-
-        stage = "census"
-        result = census_mod.run_census(
-            family, args.t, workers=args.workers, block_size=args.block_size, long_run=args.long_run
-        )
 
         stage = "congruence-check"
         for w in range(2, min(2 * args.t, 2 * m) + 1, 2):
@@ -611,6 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weight distributions of binary quadratic residue codes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    long_run_help = "lift the budget of 10^8 lanes (census patterns or subcode words) per count"
 
     def add(name: str, func, help_: str):
         sp = sub.add_parser(name, help=help_)
@@ -629,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("congruence", cmd_congruence, "per-weight congruence constraints")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--weights", required=True, help="range a..b (even weights used)")
-    sp.add_argument("--long-run", action="store_true")
+    sp.add_argument("--long-run", action="store_true", help=long_run_help)
     sp.add_argument("--out", default=None)
 
     sp = add("shard-plan", cmd_shard_plan, "print the census work units: index matrix size start_rank count")
@@ -642,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=_at_least(0), required=True, help="max information-pattern size")
     sp.add_argument("--workers", type=_at_least(1), default=1)
     sp.add_argument("--block-size", type=int, default=census_mod.DEFAULT_BLOCK_SIZE)
-    sp.add_argument("--long-run", action="store_true")
+    sp.add_argument("--long-run", action="store_true", help=long_run_help)
     sp.add_argument("--shard-index", type=int, default=None, help="compute only this unit of shard-plan")
     sp.add_argument("--out", default=None)
 
@@ -662,17 +661,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--table", required=True)
 
-    sp = add("pipeline", cmd_pipeline, "construct, congruence, census, solve, verify")
+    sp = add("pipeline", cmd_pipeline, "construct, census, congruence, solve, verify")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--t", type=_at_least(0), required=True)
     sp.add_argument("--workers", type=_at_least(1), default=1)
     sp.add_argument("--block-size", type=int, default=census_mod.DEFAULT_BLOCK_SIZE)
-    sp.add_argument("--long-run", action="store_true")
+    sp.add_argument("--long-run", action="store_true", help=long_run_help)
     sp.add_argument("--out", default=None)
 
     sp = add("paper-regression", cmd_paper_regression, "replay the prime-137 derivation")
     sp.add_argument("--fixtures", default=None)
-    sp.add_argument("--long-run", action="store_true")
+    sp.add_argument("--long-run", action="store_true", help=long_run_help)
     sp.add_argument("--out", default=None)
 
     return parser

@@ -22,6 +22,12 @@ patterns than the 2^k words. The census is exact because a word's lighter
 half weighs at most W // 2 on one of the two sets, ties going to the first.
 At p = 137, S_3 folds to a [46, 23] code: a census to W = 11 walks 89,104
 patterns where the walk visits 2^23 words.
+
+Either way a subcode counts against the one enumeration budget
+(``census.check_budget``) as its 2^k words, checked before the fold, so a
+refusal costs nothing. At p = 137 that refuses only the order-2 subcode H2
+(k = 35); the next largest is S_3 (k = 23). ``compute_bundle`` then takes
+H2's row from a supplied fixture, if any.
 """
 
 from __future__ import annotations
@@ -41,8 +47,6 @@ from .errors import (
 )
 from .psl2 import CoordPermutation, MoebiusMap, SylowPlan, to_permutation
 from .qrcodes import QrCodeFamily
-
-SUBCODE_ENUM_MAX_K = 28
 
 
 @dataclass(frozen=True)
@@ -163,19 +167,12 @@ def _census_counts(rows: list[int], max_weight: int) -> dict[int, int] | None:
     return counts
 
 
-def subcode_weight_counts(
-    sub: InvariantSubcode,
-    max_weight: int,
-    *,
-    long_run: bool = False,
-    start: int = 0,
-    stop: int | None = None,
-) -> dict[int, int]:
+def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: bool = False) -> dict[int, int]:
     """Exact per-weight counts over all 2^k subcode words, weights <= max_weight.
 
+    The 2^k words are checked against the budget (``census.check_budget``)
+    before any work, whichever route then counts them; long_run lifts it.
     Word i is the combination of basis rows selected by the bits of gray(i).
-    A contiguous index range [start, stop) may be counted alone, so long runs
-    can be split across workers and merged by per-weight addition.
 
     The rows are folded first (``_fold``). Coordinates whose basis columns are
     equal carry the same bit in every word, so a class of s such coordinates
@@ -185,51 +182,41 @@ def subcode_weight_counts(
     rows, same Gray order, so the counts of folded weight w are the counts of
     weight w * g, and weight <= max_weight means folded weight <= max_weight // g.
 
-    When the whole range is asked for and the folded code is half-rate (width
-    2k) with two disjoint information sets, a census to W = max_weight // g
-    counts it instead, provided the patterns it walks (``census.pattern_cost``)
-    are fewer than the 2^k words.
+    When the folded code is half-rate (width 2k) with two disjoint
+    information sets, a census to W = max_weight // g counts it instead,
+    provided the patterns it walks (``census.pattern_cost``) are fewer than
+    the 2^k words.
     The rows are systematized on each set; a word of weight w <= W has a
     lighter half of weight <= W // 2 = t, so it is one pattern of size <= t
     in one of the two matrices: in the first when its halves tie, else in the
     matrix of its lighter half. Each word is therefore counted exactly once.
-    A part of the range means Gray-order word indices and is always walked.
 
-    The walk cuts the range into aligned blocks i = j*2^b .. (j+1)*2^b - 1,
-    b <= a: the words of one block are the combination of rows[b:] selected
-    by gray(j), XORed with every combination of rows[:b], the first 2^b lanes
-    of the span table of rows[:a]. Each block is one ``weight_histogram`` call.
+    The walk cuts the words into blocks j = 0 .. 2^(k-a) - 1 of 2^a words,
+    i = j*2^a .. (j+1)*2^a - 1: the words of block j are the combination of
+    rows[a:] selected by gray(j), XORed with every combination of rows[:a],
+    the lanes of the span table of rows[:a]. Each block is one
+    ``weight_histogram`` call.
     """
     k = sub.k
-    if k > SUBCODE_ENUM_MAX_K and not long_run:
-        raise BudgetExceeded(f"subcode enumeration needs 2^{k} words; pass long_run to allow")
-    total = 1 << k
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError("bad enumeration range")
+    census.check_budget(1 << k, long_run)
     rows, g, width = _fold(sub.basis)
     folded_max = max_weight // g
-    if (start, stop) == (0, total) and width == 2 * k and census.pattern_cost(k, folded_max) < total:
+    if width == 2 * k and census.pattern_cost(k, folded_max) < 1 << k:
         counts = _census_counts(rows, folded_max)
         if counts is not None:
             return {w * g: c for w, c in counts.items()}
     a = min(k, max(0, (bitlinalg.TABLE_BITS // max(width, 1)).bit_length() - 1))
     columns = bitlinalg.span_columns(rows[:a], width)
     counts = {}
-    i = start
-    while i < stop:
-        b = min(a, (i & -i).bit_length() - 1 if i else a, (stop - i).bit_length() - 1)
-        j = i >> b
+    for j in range(1 << (k - a)):
         code = j ^ (j >> 1)
         base = 0
         while code:
             low = code & -code
-            base ^= rows[b + low.bit_length() - 1]
+            base ^= rows[a + low.bit_length() - 1]
             code ^= low
-        for w, c in bitlinalg.weight_histogram(columns, base, 0, 1 << b, folded_max).items():
+        for w, c in bitlinalg.weight_histogram(columns, base, 0, 1 << a, folded_max).items():
             counts[w * g] = counts.get(w * g, 0) + c
-        i += 1 << b
     return counts
 
 
@@ -331,9 +318,10 @@ def compute_bundle(
 ) -> CongruenceBundle:
     """Compute invariant subcodes, counts and CRT constraints for even weights.
 
-    Subcode dimensions are always recomputed. The order-2 subgroup count is
-    enumerated when 2^k fits the budget (or long_run is set); otherwise a
-    supplied fixture row is consumed and labeled as such.
+    Subcode dimensions are always recomputed, and every row is counted by
+    ``subcode_weight_counts`` under the one budget. Only when that budget
+    refuses the order-2 subcode H2 is a supplied fixture row consumed in its
+    place, labeled as such; any other refusal propagates.
     """
     p = family.p
     code = family.extended
@@ -362,21 +350,19 @@ def compute_bundle(
     counts: dict[str, dict[int, int]] = {}
     h2_source = "computed"
     for label, sub in subcodes.items():
-        if label == H2 and sub.k > SUBCODE_ENUM_MAX_K and not long_run:
-            if h2_counts_fixture is None:
-                raise BudgetExceeded(
-                    f"H2 subcode has k={sub.k}; supply a fixture row or pass long_run"
-                )
+        try:
+            counts[label] = subcode_weight_counts(sub, max_w, long_run=long_run)
+        except BudgetExceeded as exc:
+            if label != H2 or h2_counts_fixture is None:
+                raise
             uncovered = [w for w in evens if w not in h2_counts_fixture]
             if uncovered:
                 raise BudgetExceeded(
                     f"H2 subcode has k={sub.k} and the fixture row does not cover "
                     f"weights {uncovered}; pass long_run to enumerate"
-                )
+                ) from exc
             counts[label] = {w: int(h2_counts_fixture[w]) for w in evens}
             h2_source = "fixture"
-            continue
-        counts[label] = subcode_weight_counts(sub, max_w, long_run=long_run)
 
     fac = dict(plan.factorization)
     sylow2 = {}

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from . import census as census_mod
 from .bitlinalg import BitMatrix, dual_basis, rank, same_row_space
 from .errors import BothZero, ClassificationFailed, InvariantViolation
 from .psl2 import require_qr_prime
@@ -223,16 +222,3 @@ def _validate_family(f: QrCodeFamily) -> None:
         if not ok:
             raise InvariantViolation(f"family p={p}: check failed: {name}")
 
-
-def min_weight_even_floor(family: QrCodeFamily, upto: int, *, long_run: bool = False) -> int | None:
-    """Smallest nonzero codeword weight of the extended code that is <= upto.
-
-    Runs a partial census covering all weights <= 2*ceil(upto/2); returns None
-    when no nonzero codeword that light exists.
-    """
-    t = (upto + 1) // 2
-    result = census_mod.run_census(family, t, long_run=long_run)
-    for w in range(2, upto + 1, 2):
-        if result.counts.get(w, 0) > 0:
-            return w
-    return None

@@ -176,6 +176,13 @@ def test_census_budget_gate(family137):
         run_census(family137, 11)
 
 
+def test_census_budget_is_checked_before_the_plan(family137, monkeypatch):
+    # the t = 16 plan would hold millions of unit tuples; the refusal comes first
+    monkeypatch.setattr(census, "census_work_units", lambda *args: pytest.fail("shard plan built"))
+    with pytest.raises(BudgetExceeded):
+        run_census(family137, 16)
+
+
 def test_merge_single_fragment_is_identity(family17):
     result = run_census(family17, 3)
     merged = merge_censuses([result])

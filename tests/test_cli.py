@@ -309,8 +309,8 @@ def test_pipeline_p41_matches_brute_force(tmp_path, capsys, family41, dist41):
 
 
 def test_pipeline_budget_gate(capsys):
-    rc, _ = run(capsys, "pipeline", "--p", "137", "--t", "16")
-    assert rc == 3
+    rc, err = run_err(capsys, "pipeline", "--p", "137", "--t", "16")
+    assert rc == 3 and "FAIL at stage census" in err
 
 
 def test_pipeline_budget_counts_live_patterns(capsys, monkeypatch):

@@ -91,25 +91,30 @@ def test_subcode_counts_small_case(family17):
 
 
 def test_subcode_counts_budget():
-    sub = InvariantSubcode(parent="", group_label="", basis=BitMatrix.identity(29))
+    # 2^27 words are over the 10^8-lane budget as well, refused before any walk
+    for k in (27, 29):
+        sub = InvariantSubcode(parent="", group_label="", basis=BitMatrix.identity(k))
+        with pytest.raises(BudgetExceeded):
+            subcode_weight_counts(sub, 4)
+
+
+def test_h2_fixture_is_used_only_when_the_budget_refuses_h2(family41, bundle41, monkeypatch):
+    # at p = 41 H2 has k = 11 and G4_0 k = 7; no other subcode is larger than 7
+    plan = find_sylow_plan(41)
+    evens = list(range(2, 43, 2))
+    fixture = {w: 1000 + w for w in evens}
+    assert compute_bundle(family41, plan, evens, h2_counts_fixture=fixture).h2_source == "computed"
+    monkeypatch.setattr(census, "DEFAULT_PATTERN_BUDGET", (1 << 11) - 1)
+    bundle = compute_bundle(family41, plan, evens, h2_counts_fixture=fixture)
+    assert bundle.h2_source == "fixture" and bundle.counts["H2"] == fixture
     with pytest.raises(BudgetExceeded):
-        subcode_weight_counts(sub, 4)
-
-
-def test_subcode_counts_range_split(family17, bundle17):
-    sub = invariant_subcode(
-        family17.extended, [to_permutation(find_sylow_plan(17).central_involution())]
-    )
-    whole = subcode_weight_counts(sub, 18)
-    half = 1 << (sub.k - 1)
-    merged: dict[int, int] = {}
-    for part in (
-        subcode_weight_counts(sub, 18, start=0, stop=half),
-        subcode_weight_counts(sub, 18, start=half, stop=1 << sub.k),
-    ):
-        for w, c in part.items():
-            merged[w] = merged.get(w, 0) + c
-    assert merged == whole
+        compute_bundle(family41, plan, evens)
+    bundle = compute_bundle(family41, plan, evens, long_run=True, h2_counts_fixture=fixture)
+    assert bundle.h2_source == "computed" and bundle.counts["H2"] == bundle41.counts["H2"]
+    # the fixture stands in for H2 only: G4_0's refusal (2^7 lanes) propagates
+    monkeypatch.setattr(census, "DEFAULT_PATTERN_BUDGET", (1 << 7) - 1)
+    with pytest.raises(BudgetExceeded, match="needs 128 lanes"):
+        compute_bundle(family41, plan, evens, h2_counts_fixture=fixture)
 
 
 @settings(max_examples=80, deadline=None)
@@ -119,16 +124,14 @@ def test_subcode_range_counts_match_the_gray_walk(data):
     n = data.draw(st.integers(1, 60))
     rows = tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in range(k))
     sub = InvariantSubcode(parent="", group_label="", basis=BitMatrix(n, rows))
-    start = data.draw(st.integers(0, 1 << k))
-    stop = data.draw(st.one_of(st.just(start), st.integers(start, 1 << k)))
     max_weight = data.draw(st.integers(0, n))
     # a small table cap leaves fewer rows in the span table than in the basis,
     # so blocks get nonzero base words as well
     table_bits = data.draw(st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8, 1]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
-        counts = subcode_weight_counts(sub, max_weight, start=start, stop=stop)
-    assert counts == gray_walk_counts(rows, max_weight, start, stop)
+        counts = subcode_weight_counts(sub, max_weight)
+    assert counts == gray_walk_counts(rows, max_weight, 0, 1 << k)
 
 
 @settings(max_examples=150, deadline=None)
@@ -146,14 +149,12 @@ def test_folded_counts_match_the_gray_walk(data):
     n = len(coords)
     rows = tuple(sum((column >> r & 1) << j for j, column in enumerate(coords)) for r in range(k))
     sub = InvariantSubcode(parent="", group_label="", basis=BitMatrix(n, rows))
-    start = data.draw(st.integers(0, 1 << k))
-    stop = data.draw(st.one_of(st.just(start), st.integers(start, 1 << k)))
     max_weight = data.draw(st.integers(0, n))
     table_bits = data.draw(st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8, 1]))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
-        counts = subcode_weight_counts(sub, max_weight, start=start, stop=stop)
-    assert counts == gray_walk_counts(rows, max_weight, start, stop)
+        counts = subcode_weight_counts(sub, max_weight)
+    assert counts == gray_walk_counts(rows, max_weight, 0, 1 << k)
 
 
 @pytest.fixture
@@ -251,19 +252,6 @@ def test_p137_s3_is_counted_by_the_census(family137, census_route):
     assert sub.k == 23
     assert subcode_weight_counts(sub, 34) == {0: 1, 24: 46, 30: 943}
     assert census_route == [34 // 3]  # folded weights <= 11: patterns of size <= 5
-
-
-def test_a_subcode_range_is_always_walked(family41, census_route):
-    sub = dict(_odd_prime_subcodes(family41, 41))[3]
-    whole = subcode_weight_counts(sub, 12)
-    assert census_route == [4]
-    half = 1 << (sub.k - 1)
-    merged: dict[int, int] = {}
-    for start, stop in ((0, half), (half, 1 << sub.k)):
-        for w, c in subcode_weight_counts(sub, 12, start=start, stop=stop).items():
-            merged[w] = merged.get(w, 0) + c
-    assert merged == whole
-    assert census_route == [4]
 
 
 @pytest.mark.parametrize("p, digest", [

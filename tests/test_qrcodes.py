@@ -1,12 +1,11 @@
 import pytest
 
 from qrweight.bitlinalg import dual_basis, same_row_space
-from qrweight.errors import BothZero, BudgetExceeded, NotQrPrime
+from qrweight.errors import BothZero, NotQrPrime
 from qrweight.qrcodes import (
     Gf2Poly,
     build_family,
     cyclic_generator_matrix,
-    min_weight_even_floor,
     poly_gcd,
     quadratic_residues,
     x_pow_minus_1,
@@ -113,23 +112,6 @@ def test_duality_relation(p):
     f = build_family(p)
     nbar = cyclic_generator_matrix(f.gen_nbar, p)
     assert same_row_space(dual_basis(f.augmented), nbar)
-
-
-def test_min_weight_p17(family17):
-    assert min_weight_even_floor(family17, 8) == 6
-
-
-def test_min_weight_p41(family41):
-    assert min_weight_even_floor(family41, 12) == 10
-
-
-def test_min_weight_not_found(family17):
-    assert min_weight_even_floor(family17, 4) is None
-
-
-def test_min_weight_budget(family137):
-    with pytest.raises(BudgetExceeded):
-        min_weight_even_floor(family137, 20)
 
 
 def test_build_family_rejects_non_qr_prime():
