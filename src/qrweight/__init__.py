@@ -52,7 +52,6 @@ from .psl2 import (
     find_sylow_plan,
     group_order,
     to_permutation,
-    verify_scaling_word,
 )
 from .qrcodes import (
     Gf2Poly,
@@ -109,5 +108,4 @@ __all__ = [
     "subcode_weight_counts",
     "sylow2_count",
     "to_permutation",
-    "verify_scaling_word",
 ]

@@ -33,16 +33,6 @@ class BitMatrix:
                 raise ValueError(f"row does not fit in {self.cols} columns")
 
     @classmethod
-    def from_lists(cls, lists: Sequence[Sequence[int]]) -> BitMatrix:
-        cols = len(lists[0]) if lists else 0
-        rows = []
-        for line in lists:
-            if len(line) != cols:
-                raise ValueError("ragged rows")
-            rows.append(sum((b & 1) << i for i, b in enumerate(line)))
-        return cls(cols, tuple(rows))
-
-    @classmethod
     def identity(cls, n: int) -> BitMatrix:
         return cls(n, tuple(1 << i for i in range(n)))
 
@@ -86,11 +76,6 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
 
 def rank(m: BitMatrix) -> int:
     return rref(m)[0].nrows
-
-
-def row_space_contains(m: BitMatrix, bits: int) -> bool:
-    """Membership test: reduce ``bits`` against the rref basis of ``m``."""
-    return row_space_contains_all(m, (bits,))
 
 
 def row_space_contains_all(m: BitMatrix, vectors: Iterable[int]) -> bool:
@@ -239,7 +224,7 @@ def disjoint_information_sets(g: BitMatrix) -> tuple[list[int], list[int]] | Non
     return None
 
 
-TABLE_BITS = 1 << 22  # columns x lanes of the tables below, about 512 KB
+TABLE_BITS = 1 << 22  # columns x lanes of a span table, about 512 KB
 
 
 def span_columns(rows: Sequence[int], width: int) -> tuple[int, ...]:
@@ -273,15 +258,11 @@ def rd_subset_columns(
     [C(m, d), C(m + 1, d)) and walk the (d-1)-subsets of [0, m) backwards, so
     T_d(m + 1) = T_d(m) ++ (row_m ^ reversed T_{d-1}(m)). Each level is built from the finished level below it, whose
     columns are bit-reversed once: reversed T_{d-1}(m) is then one shift of
-    that mirror. D is the largest depth at which all the tables together fit
-    in TABLE_BITS, and at most ``max_depth`` when that is given.
+    that mirror. D is ``max_depth``, clamped to [0, len(rows)], or
+    len(rows) when it is not given; the caller sizes the tables.
     """
     k = len(rows)
-    limit = k if max_depth is None else min(k, max_depth)
-    depth, lanes = 0, 1
-    while depth < limit and width * (lanes + comb(k, depth + 1)) <= TABLE_BITS:
-        depth += 1
-        lanes += comb(k, depth)
+    depth = k if max_depth is None else max(0, min(k, max_depth))
     tables = [(0,) * width]  # T_0 is the one empty subset
     for d in range(1, depth + 1):
         nbytes = (comb(k, d - 1) + 7) // 8

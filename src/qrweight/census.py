@@ -48,12 +48,18 @@ lanes [lo, hi), and ``bitlinalg.weight_histogram`` counts the whole block at
 once. A shard therefore costs one kernel call per top prefix. Counting is
 order-free and each shard re-derives everything from its own interval, so
 shards are fully independent.
+
+Deeper tables mean fewer kernel calls but more lanes to build, so each
+matrix's depth is the one that costs least over all its live units
+(``table_depth``). The tables of both matrices stay cached in the process,
+so a second census of the same code builds none.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
@@ -74,6 +80,10 @@ if TYPE_CHECKING:
 
 DEFAULT_BLOCK_SIZE = 10**8
 DEFAULT_PATTERN_BUDGET = 10**8
+SUBSET_TABLE_BITS = 1 << 26  # columns x lanes of one matrix's subset tables, about 8 MB
+# One kernel call's fixed cost in table lanes built: at 69 columns a call
+# takes about 20-60 us on one core, and building a table lane 69 x 2 ns.
+KERNEL_CALL_LANES = 256
 
 
 def is_live(matrix: int, size: int, max_weight: int) -> bool:
@@ -158,7 +168,7 @@ def census_work_units(k: int, t: int, block_size: int) -> list[tuple[int, int, i
 
     For each matrix and each size <= t the C(k, size) ranks are cut into
     consecutive shards of block_size ranks, the last one shorter; indices
-    run from 1 in that order.
+    run from 1 in that order. ``census_unit`` finds one unit without the list.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
@@ -169,6 +179,35 @@ def census_work_units(k: int, t: int, block_size: int) -> list[tuple[int, int, i
             for start in range(0, total, block_size):
                 units.append((len(units) + 1, matrix, size, start, min(block_size, total - start)))
     return units
+
+
+@lru_cache(maxsize=16)
+def _run_starts(k: int, t: int, block_size: int) -> tuple[int, ...]:
+    """Index of the first unit of each (matrix, size) run of the plan, in plan
+    order, followed by the total + 1: a run holds ceil(C(k, size) / block_size)."""
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1")
+    starts = [1]
+    for _matrix in (1, 2):
+        for size in range(t + 1):
+            starts.append(starts[-1] - (-comb(k, size) // block_size))
+    return tuple(starts)
+
+
+def census_shard_total(k: int, t: int, block_size: int) -> int:
+    """len(census_work_units(k, t, block_size)), by arithmetic."""
+    return _run_starts(k, t, block_size)[-1] - 1
+
+
+def census_unit(k: int, t: int, block_size: int, index: int) -> tuple[int, int, int, int, int]:
+    """census_work_units(k, t, block_size)[index - 1], by arithmetic."""
+    starts = _run_starts(k, t, block_size)
+    if not 1 <= index < starts[-1]:
+        raise ValueError(f"no unit {index}; the plan has units 1..{starts[-1] - 1}")
+    run = bisect_right(starts, index) - 1  # the last run starting at or before index; empty runs share it
+    matrix, size = run // (t + 1) + 1, run % (t + 1)
+    start = (index - starts[run]) * block_size
+    return index, matrix, size, start, min(block_size, comb(k, size) - start)
 
 
 def _rank_blocks(lo: int, hi: int, t: int, depth: int, base: int, rows: Sequence[int]):
@@ -195,10 +234,35 @@ def _rank_blocks(lo: int, hi: int, t: int, depth: int, base: int, rows: Sequence
         a += 1
 
 
-@lru_cache(maxsize=1)
-def _parity_tables(parity: tuple[int, ...], max_depth: int) -> tuple[tuple[int, ...], ...]:
-    """Revolving-door subset tables of one matrix's parity rows; shards come ordered by matrix."""
-    return rd_subset_columns(parity, len(parity), max_depth)
+@lru_cache(maxsize=64)
+def table_depth(k: int, top: int, cap: int) -> int:
+    """Depth of the subset tables for a matrix whose live units are the full
+    rank ranges of sizes 0..top over k rows.
+
+    Tables to depth d hold lanes(d) = sum(C(k, i), i <= d) lanes, and a unit
+    of size s > d makes C(k - d, s - d) kernel calls, one per set of top
+    elements, against one for s <= d. The depth is the d <= top, smallest
+    among ties, that minimises KERNEL_CALL_LANES * calls(d) + lanes(d) with
+    k * lanes(d) <= cap; depth 0 is allowed under any cap. The walked lanes
+    are the same at every depth, and so are the counts.
+    """
+    best_cost, best = None, 0
+    lanes = 0
+    for d in range(min(top, k) + 1):
+        lanes += comb(k, d)
+        if d and k * lanes > cap:
+            break
+        calls = d + 1 + sum(comb(k - d, s - d) for s in range(d + 1, top + 1))
+        cost = KERNEL_CALL_LANES * calls + lanes
+        if best_cost is None or cost < best_cost:
+            best_cost, best = cost, d
+    return best
+
+
+@lru_cache(maxsize=2)
+def _parity_tables(parity: tuple[int, ...], depth: int) -> tuple[tuple[int, ...], ...]:
+    """Revolving-door subset tables of one matrix's parity rows, both matrices kept."""
+    return rd_subset_columns(parity, len(parity), depth)
 
 
 def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
@@ -212,7 +276,7 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
     ``is_live``) cannot meet both, so after the rank and row checks it
     returns empty tallies without tables or kernel calls. The largest live
     size, max_weight // 2 for matrix 1 and (max_weight - 1) // 2 for matrix 2,
-    caps the depth of that matrix's tables.
+    sets the depth of that matrix's tables (``table_depth``).
     """
     index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
     if not 0 <= start_rank < start_rank + count <= comb(k, size):
@@ -225,9 +289,10 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
     if not is_live(matrix, size, max_weight):
         return index, matrix, size, start_rank, count, ()
     min_parity = size + (matrix == 2)
-    tables = _parity_tables(parity, (max_weight - (matrix == 2)) // 2)
+    depth = table_depth(k, (max_weight - (matrix == 2)) // 2, SUBSET_TABLE_BITS)
+    tables = _parity_tables(parity, depth)
     counts: dict[int, int] = {}
-    for base, d, lo, hi in _rank_blocks(start_rank, start_rank + count, size, len(tables) - 1, 0, parity):
+    for base, d, lo, hi in _rank_blocks(start_rank, start_rank + count, size, depth, 0, parity):
         for q, c in weight_histogram(tables[d], base, lo, hi, max_weight - size).items():
             if q >= min_parity:
                 counts[size + q] = counts.get(size + q, 0) + c
@@ -288,9 +353,10 @@ def run_census(
     provenance and checks that no odd weight occurs. A whole census is
     checked against ``pattern_cost(k, 2t)`` before its plan is built, so an
     over-budget t is refused at once.
-    With shard_indices the run covers only those work units, checked against
-    their own live patterns, and returns a fragment for later merging; an
-    index outside the plan is a ValueError.
+    With shard_indices the run covers only those work units, found by
+    arithmetic (``census_unit``) without the plan and checked against their
+    own live patterns, and returns a fragment for later merging; an index
+    outside the plan is a ValueError.
     Results are bit-identical for any worker count and block size: shards own
     private counters and merging is plain per-weight addition.
     """
@@ -301,14 +367,15 @@ def run_census(
     max_weight = 2 * t
     if shard_indices is None:
         check_budget(pattern_cost(family.k, max_weight), long_run)
-    units = census_work_units(family.k, t, block_size)
-    total_shards = len(units)
-    if shard_indices is not None:
-        wanted = set(shard_indices)
-        missing = wanted - {u[0] for u in units}
+        units = census_work_units(family.k, t, block_size)
+        total_shards = len(units)
+    else:
+        wanted = sorted(set(shard_indices))
+        total_shards = census_shard_total(family.k, t, block_size)
+        missing = [i for i in wanted if not 1 <= i <= total_shards]
         if missing:
-            raise ValueError(f"no such shard indices: {sorted(missing)}; the plan has units 1..{total_shards}")
-        units = [u for u in units if u[0] in wanted]
+            raise ValueError(f"no such shard indices: {missing}; the plan has units 1..{total_shards}")
+        units = [census_unit(family.k, t, block_size, i) for i in wanted]
         live = sum(count for _, matrix, size, _, count in units if is_live(matrix, size, max_weight))
         check_budget(live, long_run)
     g1, g2 = disjoint_information_systematizations(family.extended)
@@ -405,7 +472,8 @@ def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
 
     Parts may have been read from disk, so nothing in them is trusted: all
     share one code and plan identity; their records cover the plan once; each
-    record equals its unit of the plan recomputed from (k, t, block size);
+    record equals its unit of the plan recomputed from (k, t, block size)
+    by ``census_unit``, so the plan itself is never built;
     and each part's counts are even weights <= complete_upto that sum to at
     most the patterns its records walk. A one-record part's counts are that
     shard's tallies, so its sha256 is recomputed as well. A dead unit
@@ -431,15 +499,15 @@ def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
     missing = set(range(1, prov.total_shards + 1)) - set(seen)
     if missing:
         raise ShardGap(f"missing shards: {sorted(missing)}")
-    plan = census_work_units(first.k, prov.max_info_weight, prov.block_size)
-    if len(plan) != prov.total_shards or first.complete_upto != 2 * prov.max_info_weight:
+    k, t, block_size = first.k, prov.max_info_weight, prov.block_size
+    total = census_shard_total(k, t, block_size)
+    if total != prov.total_shards or first.complete_upto != 2 * t:
         raise InvariantViolation(
             f"plan claims {prov.total_shards} shards up to weight {first.complete_upto}, but t = "
-            f"{prov.max_info_weight} and block size {prov.block_size} give {len(plan)} up to weight "
-            f"{2 * prov.max_info_weight}"
+            f"{t} and block size {block_size} give {total} up to weight {2 * t}"
         )
     for rec in seen.values():
-        if not 1 <= rec.index <= len(plan) or plan[rec.index - 1] != rec.unit:
+        if not 1 <= rec.index <= total or census_unit(k, t, block_size, rec.index) != rec.unit:
             raise InvariantViolation(
                 f"shard {rec.index}: (matrix, size, start_rank, count) = {rec.unit[1:]} is not in the plan"
             )

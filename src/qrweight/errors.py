@@ -52,10 +52,6 @@ class SearchExhausted(QrWeightError):
     """No group element of the required order was found."""
 
 
-class NotPrimitiveRoot(QrWeightError):
-    """Given residue does not generate the multiplicative group mod p."""
-
-
 # congruence assembly
 class LengthMismatch(QrWeightError):
     """Permutation degree differs from the code length."""

@@ -100,10 +100,6 @@ class BigPoly:
     def zero(cls) -> BigPoly:
         return cls(())
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[int]) -> BigPoly:
-        return cls(tuple(coeffs))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -150,12 +146,6 @@ class BigPoly:
         acc = GaussianInt(0, 0)
         for c in reversed(self.coeffs):
             acc = acc * x + GaussianInt(c, 0)
-        return acc
-
-    def eval_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
         return acc
 
 
@@ -394,6 +384,19 @@ class GleasonSolution:
     sign_certificate: SignCertificate | None
 
 
+def pair_design_remainder(count: int, weight: int, n: int) -> int:
+    """A_w w (w - 1) mod n (n - 1), which is 0 at every weight w of a code whose
+    automorphism group is 2-transitive on its n coordinates.
+
+    The supports of the weight-w words then form a 2-design: every pair of
+    coordinates lies in the same number lambda_w of them, and counting the
+    pairs inside supports both ways gives A_w w (w - 1) = lambda_w n (n - 1).
+    PSL2(p) acts so on the p + 1 coordinates of the extended QR code
+    (MacWilliams & Sloane, ch. 16).
+    """
+    return count * weight * (weight - 1) % (n * (n - 1))
+
+
 def validate_solution(sol: GleasonSolution) -> None:
     """Re-run every structural invariant; raises InvariantViolation on failure."""
     p = sol.p
@@ -409,6 +412,7 @@ def validate_solution(sol: GleasonSolution) -> None:
         ("A_0 = 1", ext[0] == 1),
         ("odd extended weights vanish", all(ext[j] == 0 for j in range(1, n + 1, 2))),
         ("extended symmetry", all(ext[j] == ext[n - j] for j in range(n + 1))),
+        ("2-design divisibility", all(pair_design_remainder(ext[j], j, n) == 0 for j in range(n + 1))),
         ("extended sum", sum(ext) == 1 << k),
         ("augmented sum", sum(aug) == 1 << k),
         ("augmented symmetry", all(aug[j] == aug[p - j] for j in range(p + 1))),

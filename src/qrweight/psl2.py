@@ -6,8 +6,8 @@ Only the subgroup structure the congruence method needs is provided: one
 element of each required order, the dihedral generator pair (P, T), and the
 order-2 and order-4 subgroups built from them.
 
-The integer arithmetic behind it (primality, the factorization of the group
-order, the primitive-root test) is one trial-division helper,
+The integer arithmetic behind it (primality and the factorization of the
+group order) is one trial-division helper,
 ``prime_factors``; every number it factors is at most p + 1. ``require_qr_prime``
 is the one check of which primes are supported.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import BadDeterminant, NotPrimitiveRoot, NotQrPrime, SearchExhausted
+from .errors import BadDeterminant, NotQrPrime, SearchExhausted
 
 
 @dataclass(frozen=True)
@@ -285,21 +285,3 @@ def find_sylow_plan(p: int, *, include_p: bool = False) -> SylowPlan:
         raise SearchExhausted("dihedral pair has wrong orders")
     return plan
 
-
-def verify_scaling_word(p: int, rho: int) -> bool:
-    """Check that y -> rho^2 * y equals the word T S^rho T S^mu T S^rho.
-
-    rho must generate the multiplicative group mod p, i.e. rho^((p-1)/q) != 1
-    for every prime q dividing p - 1; mu = rho^-1 mod p. The word is applied
-    left to right (T first), so the squared-scaling generator is redundant
-    given the translation S and the inversion T.
-    """
-    if rho % p == 0 or any(pow(rho, (p - 1) // q, p) == 1 for q in prime_factors(p - 1)):
-        raise NotPrimitiveRoot(f"{rho} does not generate the multiplicative group mod {p}")
-    mu = pow(rho, -1, p)
-    t = to_permutation(MoebiusMap.inversion(p))
-    s_rho = to_permutation(MoebiusMap.translation(p, rho))
-    s_mu = to_permutation(MoebiusMap.translation(p, mu))
-    word = t.then(s_rho).then(t).then(s_mu).then(t).then(s_rho)
-    scaling = to_permutation(MoebiusMap(p, rho, 0, 0, pow(rho, -1, p)))
-    return word == scaling

@@ -6,7 +6,9 @@ shards by the revolving-door walk of Knuth's Algorithm R, started at the
 pattern that ``rd_unrank`` computes from a rank. They share no code
 with the bit-sliced kernel that the census and congruence paths count with.
 The MacWilliams oracle expands every term of the transform on its own, and
-the hull oracle intersects the code with its dual basis.
+the hull oracle intersects the code with its dual basis. The small helpers
+below them (matrices from 0/1 lists, row-space membership, polynomial
+evaluation, the scaling-word identity of PSL2(p)) are used by tests only.
 """
 
 from __future__ import annotations
@@ -17,9 +19,48 @@ from math import comb
 import pytest
 
 from qrweight import build_family
-from qrweight.bitlinalg import dual_basis, intersect_rowspaces
+from qrweight.bitlinalg import BitMatrix, dual_basis, intersect_rowspaces, row_space_contains_all
 from qrweight.errors import BadSum, InvariantViolation, NonIntegerCoefficient, RankOutOfRange
 from qrweight.gleason import BigPoly
+from qrweight.psl2 import MoebiusMap, prime_factors, to_permutation
+
+
+def from_lists(lists) -> BitMatrix:
+    """A BitMatrix from rows of 0/1 entries, entry i of a row at bit i."""
+    cols = len(lists[0]) if lists else 0
+    return BitMatrix(cols, tuple(sum((b & 1) << i for i, b in enumerate(line)) for line in lists))
+
+
+def row_space_contains(m: BitMatrix, bits: int) -> bool:
+    return row_space_contains_all(m, (bits,))
+
+
+def eval_int(poly: BigPoly, x: int) -> int:
+    """The polynomial's value at the integer x, by Horner's rule."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def verify_scaling_word(p: int, rho: int) -> bool:
+    """Check that y -> rho^2 * y equals the word T S^rho T S^mu T S^rho.
+
+    rho must generate the multiplicative group mod p, i.e. rho^((p-1)/q) != 1
+    for every prime q dividing p - 1, else this is a ValueError; mu = rho^-1
+    mod p. The word is applied left to right (T first), so the
+    squared-scaling generator is redundant given the translation S and the
+    inversion T.
+    """
+    if rho % p == 0 or any(pow(rho, (p - 1) // q, p) == 1 for q in prime_factors(p - 1)):
+        raise ValueError(f"{rho} does not generate the multiplicative group mod {p}")
+    mu = pow(rho, -1, p)
+    t = to_permutation(MoebiusMap.inversion(p))
+    s_rho = to_permutation(MoebiusMap.translation(p, rho))
+    s_mu = to_permutation(MoebiusMap.translation(p, mu))
+    word = t.then(s_rho).then(t).then(s_mu).then(t).then(s_rho)
+    scaling = to_permutation(MoebiusMap(p, rho, 0, 0, mu))
+    return word == scaling
 
 
 def exhaustive_distribution(rows, n) -> list[int]:

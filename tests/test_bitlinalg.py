@@ -13,7 +13,6 @@ from qrweight.bitlinalg import (
     intersect_rowspaces,
     left_kernel,
     rank,
-    row_space_contains,
     rref,
     same_row_space,
     weight_histogram,
@@ -21,7 +20,7 @@ from qrweight.bitlinalg import (
 from qrweight.errors import NotHalfRate, RankDeficient, SingularInformationSet
 from qrweight.qrcodes import cyclic_generator_matrix
 
-from conftest import hull_dimension_by_intersection, span_words
+from conftest import from_lists, hull_dimension_by_intersection, row_space_contains, span_words
 
 
 def spanned_rank(rows) -> int:
@@ -37,7 +36,7 @@ def test_rref_identity():
 
 
 def test_rref_dependent_row():
-    m = BitMatrix.from_lists([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    m = from_lists([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     reduced, pivots = rref(m)
     assert reduced.nrows == 2
     assert pivots == [0, 1]
@@ -83,7 +82,7 @@ def test_systematizations_extended_qr17(family17):
 
 
 def test_systematizations_singular_half():
-    g = BitMatrix.from_lists([[1, 0, 0, 0], [0, 1, 0, 0]])
+    g = from_lists([[1, 0, 0, 0], [0, 1, 0, 0]])
     with pytest.raises(SingularInformationSet, match="right"):
         disjoint_information_systematizations(g)
 
@@ -95,7 +94,7 @@ def test_systematizations_not_half_rate():
 
 def test_dual_basis_parity_check_form():
     # g = [I | A] with A = [[1,1],[0,1]] -> dual = [A^T | I]
-    g = BitMatrix.from_lists([[1, 0, 1, 1], [0, 1, 0, 1]])
+    g = from_lists([[1, 0, 1, 1], [0, 1, 0, 1]])
     d = dual_basis(g)
     assert d.rows == (0b0101, 0b1011)  # bit i = column i: [1,0,1,0] and [1,1,0,1]
     for row in g.rows:
@@ -125,7 +124,7 @@ def test_extended_qr137_not_self_dual(family137):
 
 
 def test_dual_basis_rank_deficient():
-    m = BitMatrix.from_lists([[1, 1, 0], [1, 1, 0]])
+    m = from_lists([[1, 1, 0], [1, 1, 0]])
     with pytest.raises(RankDeficient):
         dual_basis(m)
 
@@ -149,7 +148,7 @@ def test_hull_expurgated_qr17_with_set_oracle(family17):
 
 
 def test_intersect_same_space():
-    m = BitMatrix.from_lists([[1, 0, 1], [0, 1, 1]])
+    m = from_lists([[1, 0, 1], [0, 1, 1]])
     inter = intersect_rowspaces(m, m)
     assert same_row_space(inter, m)
 
@@ -246,7 +245,7 @@ def test_information_sets_are_disjoint_and_of_full_rank(data):
 
 def test_information_sets_none_for_a_zero_column():
     # columns 1 and 3 are zero: every half holding one of them has rank < 2
-    g = BitMatrix.from_lists([[1, 0, 1, 0], [0, 0, 1, 0]])
+    g = from_lists([[1, 0, 1, 0], [0, 0, 1, 0]])
     assert rank(g) == 2
     assert disjoint_information_sets(g) is None
     assert disjoint_information_sets(BitMatrix(2, (0b01,))) is None  # one zero column

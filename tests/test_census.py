@@ -6,9 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import qrweight
 from qrweight import bitlinalg, census
-from qrweight.bitlinalg import disjoint_information_systematizations
+from qrweight.bitlinalg import BitMatrix, disjoint_information_systematizations
 from qrweight.census import (
     _count_shard,
     census_from_payload,
@@ -183,6 +186,25 @@ def test_census_budget_is_checked_before_the_plan(family137, monkeypatch):
         run_census(family137, 16)
 
 
+def test_a_one_shard_run_builds_no_plan(family137, monkeypatch):
+    # unit 1 of the t = 14 plan is found by arithmetic, not picked from its 4.1 M units
+    monkeypatch.setattr(census, "census_work_units", lambda *args: pytest.fail("shard plan built"))
+    fragment = run_census(family137, 14, shard_indices=[1])
+    assert fragment.provenance.shards[0].unit == (1, 1, 0, 0, 1)
+    assert fragment.provenance.total_shards == 2 * sum(-(-comb(69, s) // 10**8) for s in range(15)) == 4_086_000
+    assert fragment.counts[0] == 1
+    with pytest.raises(ValueError, match="no such shard indices"):
+        run_census(family137, 14, shard_indices=[fragment.provenance.total_shards + 1])
+
+
+def test_merge_builds_no_plan(family17, monkeypatch):
+    whole = run_census(family17, 4, block_size=40)
+    monkeypatch.setattr(census, "census_work_units", lambda *args: pytest.fail("shard plan built"))
+    total = whole.provenance.total_shards
+    halves = [run_census(family17, 4, block_size=40, shard_indices=range(i, total + 1, 2)) for i in (1, 2)]
+    assert merge_censuses(halves) == whole
+
+
 def test_merge_single_fragment_is_identity(family17):
     result = run_census(family17, 3)
     merged = merge_censuses([result])
@@ -250,6 +272,23 @@ def _shard_jobs(family, t, block_size):
     ]
 
 
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Record the depth of every subset table ``_count_shard`` builds, with
+    the table cache emptied before and after."""
+    depths = []
+    build = census.rd_subset_columns
+
+    def spy(rows, width, depth):
+        depths.append(depth)
+        return build(rows, width, depth)
+
+    monkeypatch.setattr(census, "rd_subset_columns", spy)
+    census._parity_tables.cache_clear()
+    yield depths
+    census._parity_tables.cache_clear()
+
+
 @pytest.mark.parametrize(
     "p, t, block_size, table_bits",
     [
@@ -266,15 +305,13 @@ def _shard_jobs(family, t, block_size):
         (41, 5, 2000, 21 * 22),
     ],
 )
-def test_count_shard_matches_the_scalar_walk(request, monkeypatch, p, t, block_size, table_bits):
+def test_count_shard_matches_the_scalar_walk(request, monkeypatch, table_builds, p, t, block_size, table_bits):
     if table_bits is not None:
-        monkeypatch.setattr(bitlinalg, "TABLE_BITS", table_bits)
-    census._parity_tables.cache_clear()
-    try:
-        for job in _shard_jobs(request.getfixturevalue(f"family{p}"), t, block_size):
-            assert _count_shard(job) == scalar_count_shard(job), job[:5]
-    finally:
-        census._parity_tables.cache_clear()
+        monkeypatch.setattr(census, "SUBSET_TABLE_BITS", table_bits)
+    for job in _shard_jobs(request.getfixturevalue(f"family{p}"), t, block_size):
+        assert _count_shard(job) == scalar_count_shard(job), job[:5]
+    if table_bits is not None:
+        assert table_builds == [1, 1]  # 21 columns x 22 lanes: T_0 and T_1 of each matrix
 
 
 @pytest.mark.parametrize("t, workers", [(-1, 1), (2, 0), (2, -3)])
@@ -309,9 +346,9 @@ def kernel_spy(monkeypatch):
     calls = {"tables": [], "kernel": []}
     tables, kernel = census._parity_tables, census.weight_histogram
 
-    def tables_spy(parity, max_depth):
-        calls["tables"].append(max_depth)
-        return tables(parity, max_depth)
+    def tables_spy(parity, depth):
+        calls["tables"].append(depth)
+        return tables(parity, depth)
 
     def kernel_spy(columns, base, lo, hi, max_weight):
         calls["kernel"].append((columns, base, lo, hi, max_weight))
@@ -334,6 +371,10 @@ def test_a_dead_unit_builds_no_tables_and_calls_no_kernel(family17, kernel_spy, 
     assert kernel_spy == {"tables": [], "kernel": []}
 
 
+# (matrix-1 depth, matrix-2 depth) that ``table_depth`` picks for the cases below
+CHOSEN_DEPTHS = {(17, 4, None): (4, 3), (41, 6, None): (5, 4), (41, 5, 21 * 22): (1, 1)}
+
+
 @pytest.mark.parametrize(
     "p, t, block_size, table_bits",
     [(17, 4, 7, None), (17, 4, 10**8, None), (41, 6, 2000, None), (41, 5, 7, 21 * 22)],
@@ -341,27 +382,105 @@ def test_a_dead_unit_builds_no_tables_and_calls_no_kernel(family17, kernel_spy, 
 def test_live_units_make_the_kernel_calls_of_the_uncapped_tables(
     request, monkeypatch, kernel_spy, p, t, block_size, table_bits
 ):
-    # the calls a unit made before dead units were skipped: both matrices'
-    # tables built to depth t, and one call per block of the shard
+    # one call per block of the shard, on the tables at its matrix's chosen
+    # depth (table_depth), which need not be its largest live size
     if table_bits is not None:
-        monkeypatch.setattr(bitlinalg, "TABLE_BITS", table_bits)
+        monkeypatch.setattr(census, "SUBSET_TABLE_BITS", table_bits)
     family = request.getfixturevalue(f"family{p}")
     k = family.k
+    depths = CHOSEN_DEPTHS[p, t, table_bits]
     for job in _shard_jobs(family, t, block_size):
         _, matrix, size, start, count, rows, _, mask, max_weight = job
         if not census.is_live(matrix, size, max_weight):
             continue
         parity = [(row >> k if matrix == 1 else row) & mask for row in rows]
-        tables = bitlinalg.rd_subset_columns(parity, k, t)
+        depth = depths[matrix - 1]
+        tables = bitlinalg.rd_subset_columns(parity, k, depth)
         expected = [
             (tables[d], base, lo, hi, max_weight - size)
-            for base, d, lo, hi in census._rank_blocks(start, start + count, size, len(tables) - 1, 0, parity)
+            for base, d, lo, hi in census._rank_blocks(start, start + count, size, depth, 0, parity)
         ]
         kernel_spy["kernel"].clear()
         assert _count_shard(job) == scalar_count_shard(job)
         assert kernel_spy["kernel"] == expected, job[:5]
-    # each matrix's tables stop at its largest live size: t, and t - 1 for matrix 2
-    assert set(kernel_spy["tables"]) == {t, t - 1}
+    assert set(kernel_spy["tables"]) == set(depths)
+
+
+@pytest.mark.parametrize(
+    "k, top, depth",
+    [
+        (69, 4, 3),  # p = 137, t = 4: matrix 1
+        (69, 3, 2),  # p = 137, t = 4: matrix 2
+        (69, 5, 3),  # p = 137, t = 6: matrix 2
+        (69, 6, 4),  # p = 137, t = 6: matrix 1; depth 5 would exceed the cap
+        (69, 7, 4),
+        (69, 16, 4),
+        (23, 5, 4),  # S_3 at p = 137
+        (21, 8, 6),  # p = 41, t = 8
+        (21, 7, 5),
+        (35, 8, 5),  # H2 at p = 137 as a census to W = 17
+        (9, 4, 4),
+        (5, 9, 4),  # T_5 of 5 rows is one lane and saves no call
+        (0, 3, 0),
+    ],
+)
+def test_table_depth_minimises_the_walk_cost(k, top, depth):
+    assert census.table_depth(k, top, census.SUBSET_TABLE_BITS) == depth
+
+
+def test_table_depth_keeps_the_tables_under_the_cap():
+    assert census.table_depth(21, 5, 21 * 22) == 1  # T_0 and T_1 fill 21 x 22 bits
+    assert census.table_depth(21, 5, 21 * 22 - 1) == 0
+    assert census.table_depth(21, 5, 1) == 0  # depth 0 is always allowed
+    lanes = sum(comb(69, d) for d in range(5))
+    assert census.table_depth(69, 6, 69 * lanes - 1) == 3
+
+
+@st.composite
+def half_rate_matrices(draw):
+    """(g1, g2) = ([I | A], [A^-1 | I]) for a random invertible A = L U, with L
+    and U unit lower and upper triangular over GF(2)."""
+    k = draw(st.integers(1, 9))
+    lower = [1 << i | draw(st.integers(0, (1 << i) - 1)) for i in range(k)]
+    upper = [draw(st.integers(0, (1 << k) - 1)) >> (i + 1) << (i + 1) | 1 << i for i in range(k)]
+    a = []
+    for row in lower:  # row i of L U is the XOR of the rows of U that row i of L selects
+        word = 0
+        for j in range(k):
+            if row >> j & 1:
+                word ^= upper[j]
+        a.append(word)
+    g = BitMatrix(2 * k, tuple(1 << i | word << k for i, word in enumerate(a)))
+    return disjoint_information_systematizations(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_count_units_tallies_are_the_same_at_every_forced_depth(family17, family41, data):
+    code = data.draw(st.sampled_from([17, 41, None]))
+    if code is None:
+        g1, g2 = data.draw(half_rate_matrices())
+        max_weight = data.draw(st.integers(0, 2 * g1.nrows))
+    else:
+        g1, g2 = disjoint_information_systematizations((family17 if code == 17 else family41).extended)
+        max_weight = data.draw(st.integers(0, 8 if code == 17 else 9))
+    units = census_work_units(g1.nrows, max_weight // 2, data.draw(st.sampled_from([1, 7, 10**8])))
+    census._parity_tables.cache_clear()
+    try:
+        chosen = census.count_units(g1, g2, units, max_weight)
+        for depth in range(max_weight // 2 + 1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(census, "table_depth", lambda k, top, cap: depth)
+                assert census.count_units(g1, g2, units, max_weight) == chosen, depth
+    finally:
+        census._parity_tables.cache_clear()
+
+
+def test_each_matrix_builds_its_tables_once(family41, table_builds):
+    first = run_census(family41, 6, block_size=1000)
+    assert table_builds == [5, 4]  # matrix 1 and matrix 2, each at its chosen depth
+    assert run_census(family41, 6, block_size=1000) == first
+    assert table_builds == [5, 4]  # the second census on the same code builds none
 
 
 @pytest.mark.parametrize(

@@ -198,12 +198,14 @@ def test_census_route_matches_the_gray_walk(data):
     # which folded bounds up to about k meet
     folded_max = data.draw(st.one_of(st.integers(0, k), st.integers(0, 2 * k)))
     max_weight = g * folded_max + data.draw(st.integers(0, g - 1))
-    table_bits = data.draw(st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8, 1]))
+    # small caps leave the census with shallower subset tables, and the walk
+    # with a span table of fewer rows than the basis
+    table_bits = data.draw(st.sampled_from([None, 1 << 8, 1]))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
-        census._parity_tables.cache_clear()
+        if table_bits is not None:
+            mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
+            mp.setattr(census, "SUBSET_TABLE_BITS", table_bits)
         counts = subcode_weight_counts(sub, max_weight)
-        census._parity_tables.cache_clear()
     assert counts == gray_walk_counts(rows, max_weight, 0, 1 << k)
 
 

@@ -11,6 +11,7 @@ from qrweight.errors import (
     BothAccepted,
     BothRejected,
     CheckFailure,
+    InvariantViolation,
     MissingTerm,
     NonIntegerCoefficient,
 )
@@ -18,6 +19,7 @@ from qrweight.fixtures import load_p137
 from qrweight.gleason import (
     BigPoly,
     GaussianInt,
+    GleasonSolution,
     I_UNIT,
     augmented_enumerator,
     derivative_at_i,
@@ -25,6 +27,7 @@ from qrweight.gleason import (
     hull_sign_candidates,
     macwilliams_check,
     macwilliams_transform,
+    pair_design_remainder,
     reconstruct,
     resolve_top_coefficient,
     solve_coefficients,
@@ -33,7 +36,7 @@ from qrweight.gleason import (
 )
 from qrweight.psl2 import find_sylow_plan
 
-from conftest import exhaustive_distribution, macwilliams_expansion
+from conftest import eval_int, exhaustive_distribution, macwilliams_expansion
 
 
 @pytest.fixture(scope="session")
@@ -75,7 +78,7 @@ def test_bigpoly_basics():
     assert (p * q).coeffs == (0, 1, 2, 3)
     assert (p + q).coeffs == (1, 3, 3)
     assert p.derivative().coeffs == (2, 6)
-    assert p.eval_int(2) == 17
+    assert eval_int(p, 2) == 17
     assert p.eval_gaussian(I_UNIT) == GaussianInt(-2, 2)
     assert BigPoly((1, 0, 0)).coeffs == (1,)  # trailing zeros trimmed
 
@@ -255,7 +258,7 @@ def test_augmented_enumerator_p137(fx137, census137):
 
 def test_augmented_enumerator_degenerate():
     p = 137
-    ext = BigPoly.from_coeffs([1] + [0] * (p) + [1])  # 1 + z^(p+1)
+    ext = BigPoly((1,) + (0,) * p + (1,))  # 1 + z^(p+1)
     aug = augmented_enumerator(ext, p)
     assert aug.coeff(0) == 1 and aug.coeff(p) == 1
     assert sum(abs(c) for c in aug.coeffs) == 2
@@ -346,3 +349,39 @@ def test_solve_distribution_resolves_missing_top(fx137, census137, constraint34,
         assert solution.extended[j] == v
     for j, v in fx137["distribution_augmented"].items():
         assert solution.augmented[j] == v
+
+
+def test_the_p137_fixture_distribution_is_a_2_design_at_every_weight(fx137):
+    for w, count in fx137["distribution_extended"].items():
+        assert pair_design_remainder(count, w, 138) == 0, w
+    assert fx137["distribution_extended"][34] == fx137["accepted_a34"]
+
+
+def test_the_2_design_check_rejects_the_rejected_top_candidate(fx137):
+    n = 138
+    assert pair_design_remainder(fx137["accepted_a34"], 34, n) == 0
+    assert pair_design_remainder(fx137["rejected_a34"], 34, n) == 15318
+    # the fixture lists the weights up to half the length; the rest mirror them
+    ext = [fx137["distribution_extended"].get(min(w, n - w), 0) for w in range(n + 1)]
+    aug = tuple(fx137["distribution_augmented"].get(min(w, n - 1 - w), 0) for w in range(n))
+    solution = GleasonSolution(137, 17, (), tuple(ext), aug, None)
+    validate_solution(solution)
+    # the rejected candidate at 34 and 104, with the difference moved to 36 and
+    # 102: the sum, the symmetry and the vanishing at i still hold
+    delta = fx137["accepted_a34"] - fx137["rejected_a34"]
+    assert delta == 138
+    for w, change in ((34, -delta), (104, -delta), (36, delta), (102, delta)):
+        ext[w] += change
+    with pytest.raises(InvariantViolation, match="2-design divisibility"):
+        validate_solution(GleasonSolution(137, 17, (), tuple(ext), aug, None))
+
+
+@pytest.mark.parametrize("p", [17, 41])
+def test_small_distributions_are_2_designs_at_every_weight(request, p):
+    dist = request.getfixturevalue(f"dist{p}")
+    assert len(dist) == p + 2
+    for w, count in enumerate(dist):
+        assert pair_design_remainder(count, w, p + 1) == 0, w
+    # one word fewer at the first nonzero weight breaks it
+    d = next(w for w in range(1, p + 2) if dist[w])
+    assert pair_design_remainder(dist[d] - 1, d, p + 1) != 0

@@ -13,6 +13,8 @@ from qrweight.census import (
     _rank_blocks,
     census_from_payload,
     census_payload,
+    census_shard_total,
+    census_unit,
     census_work_units,
     merge_censuses,
     run_census,
@@ -86,6 +88,21 @@ def test_work_units_tile_every_rank_range(k, t, block_size):
             assert end == comb(k, size)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(0, 24),
+    t=st.integers(0, 6),
+    block_size=st.one_of(st.integers(1, 60), st.integers(61, 10**9)),
+)
+def test_census_unit_is_the_unit_of_the_plan(k, t, block_size):
+    units = census_work_units(k, t, block_size)
+    assert census_shard_total(k, t, block_size) == len(units)
+    assert [census_unit(k, t, block_size, i) for i in range(1, len(units) + 1)] == units
+    for index in (0, len(units) + 1):
+        with pytest.raises(ValueError, match="no unit"):
+            census_unit(k, t, block_size, index)
+
+
 P17_T, P17_BLOCK = 4, 40
 
 
@@ -127,17 +144,13 @@ def random_rows(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(random_rows(), st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8, 1]))
-def test_subset_tables_follow_the_revolving_door_ranks(rows_width, table_bits):
+@given(random_rows(), st.data())
+def test_subset_tables_follow_the_revolving_door_ranks(rows_width, data):
     rows, width = rows_width
     k = len(rows)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
-        tables = bitlinalg.rd_subset_columns(rows, width)
-    depth = len(tables) - 1
-    used = width * sum(comb(k, d) for d in range(depth + 1))
-    assert used <= table_bits or depth == 0
-    assert depth == k or used + width * comb(k, depth + 1) > table_bits
+    depth = data.draw(st.one_of(st.none(), st.integers(0, k)))
+    tables = bitlinalg.rd_subset_columns(rows, width, depth)
+    assert len(tables) - 1 == (k if depth is None else depth)
     for d, table in enumerate(tables):
         assert len(table) == width
         assert all(col >> comb(k, d) == 0 for col in table)
@@ -146,13 +159,11 @@ def test_subset_tables_follow_the_revolving_door_ranks(rows_width, table_bits):
 
 
 @settings(max_examples=100, deadline=None)
-@given(random_rows(), st.integers(-1, 14), st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8]))
-def test_subset_tables_stop_at_the_depth_cap(rows_width, max_depth, table_bits):
+@given(random_rows(), st.integers(-1, 14))
+def test_subset_tables_stop_at_the_depth_cap(rows_width, max_depth):
     rows, width = rows_width
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
-        full = bitlinalg.rd_subset_columns(rows, width)
-        capped = bitlinalg.rd_subset_columns(rows, width, max_depth)
+    full = bitlinalg.rd_subset_columns(rows, width)
+    capped = bitlinalg.rd_subset_columns(rows, width, max_depth)
     assert capped == full[: max(0, max_depth) + 1]
 
 
