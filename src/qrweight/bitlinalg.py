@@ -12,12 +12,11 @@ the weights of a whole table in a few hundred of them.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import NotHalfRate, RankDeficient, SingularInformationSet
+from .errors import NotHalfRate, RankDeficient
 
 
 @dataclass(frozen=True)
@@ -173,55 +172,46 @@ def hull_dimension(g: BitMatrix) -> int:
     return g.nrows - rank(BitMatrix(g.nrows, gram))
 
 
-def disjoint_information_systematizations(g: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
-    """Systematize a half-rate generator on each coordinate half.
+def disjoint_information_systematizations(g: BitMatrix) -> tuple[BitMatrix, BitMatrix] | None:
+    """Systematize a k x 2k generator on two disjoint information sets.
 
-    Returns (g1, g2) with g1 = [I | A] systematic on columns 0..k-1 and
-    g2 = [B | I] systematic on columns k..2k-1, both row-equivalent to g.
-    """
-    k = g.nrows
-    if g.cols != 2 * k:
-        raise NotHalfRate(f"{g.nrows} x {g.cols} is not k x 2k")
-    g1, piv1 = rref(g)
-    if piv1 != list(range(k)):
-        raise SingularInformationSet("left half (columns 0..k-1) is not an information set")
-    g2_raw, piv2 = rref_on_columns(g, list(range(k, 2 * k)) + list(range(k)))
-    if sorted(piv2) != list(range(k, 2 * k)):
-        raise SingularInformationSet("right half (columns k..2k-1) is not an information set")
-    order = sorted(range(k), key=lambda i: piv2[i])
-    g2 = BitMatrix(g.cols, tuple(g2_raw.rows[i] for i in order))
-    return g1, g2
-
-
-INFORMATION_SET_TRIES = 32
-
-
-def disjoint_information_sets(g: BitMatrix) -> tuple[list[int], list[int]] | None:
-    """Two disjoint information sets of a k x 2k generator, or None.
-
-    The first candidate is the set of rref pivots in column order; it works
-    when the remaining k columns have rank k too. Otherwise the pivots are
-    taken along a fixed number of column orders drawn from
-    ``random.Random(0)``. Both sets come back sorted. None means the rows are
-    dependent or no tried order left a complementary information set, so the
-    search is deterministic and any pair it returns is as good as any other.
+    Returns (g1, g2) = ([I | A], [B | I]), both row-equivalent to g with its
+    columns permuted so that the first set comes first, in ascending order,
+    and then the second; or None when no pair was found. The first set is
+    the rref pivots along a column order, starting from the identity order,
+    so a code whose halves are information sets keeps its columns. While the
+    other k columns have rank < k, the next order is their dependent columns,
+    then their pivots, then the old pivots, which exchanges dependent columns
+    into the first set. The search stops after 2k + 1 orders, or at once if
+    the rows are dependent, so it is deterministic.
     """
     k, n = g.nrows, g.cols
     if n != 2 * k:
         raise NotHalfRate(f"{k} x {n} is not k x 2k")
-    rng = random.Random(0)
     order = list(range(n))
-    for attempt in range(INFORMATION_SET_TRIES + 1):
-        if attempt:
-            rng.shuffle(order)
-        pivots = rref_on_columns(g, order)[1]
-        if len(pivots) < k:
+    for _ in range(n + 1):
+        g1, first = rref_on_columns(g, order)
+        if len(first) < k:
             return None  # dependent rows have no information set at all
-        chosen = set(pivots)
-        rest = [c for c in range(n) if c not in chosen]
-        if len(rref_on_columns(g, rest)[1]) == k:
-            return sorted(pivots), rest
-    return None
+        chosen = set(first)
+        rest = [c for c in order if c not in chosen]
+        g2, second = rref_on_columns(g, rest)
+        if len(second) == k:
+            break
+        independent = set(second)
+        order = [c for c in rest if c not in independent] + second + first
+    else:
+        return None
+    perm = sorted(first) + sorted(second)  # new column i is old column perm[i]
+    moved = perm != list(range(n))
+
+    def systematic(reduced: BitMatrix, pivots: list[int]) -> BitMatrix:
+        rows = [row for _, row in sorted(zip(pivots, reduced.rows))]
+        if moved:
+            rows = [sum((row >> c & 1) << i for i, c in enumerate(perm)) for row in rows]
+        return BitMatrix(n, tuple(rows))
+
+    return systematic(g1, first), systematic(g2, second)
 
 
 TABLE_BITS = 1 << 22  # columns x lanes of a span table, about 512 KB

@@ -163,28 +163,16 @@ class WeightCensus:
     provenance: CensusProvenance
 
 
-def census_work_units(k: int, t: int, block_size: int) -> list[tuple[int, int, int, int, int]]:
-    """Deterministic global decomposition: (index, matrix, size, start_rank, count).
-
-    For each matrix and each size <= t the C(k, size) ranks are cut into
-    consecutive shards of block_size ranks, the last one shorter; indices
-    run from 1 in that order. ``census_unit`` finds one unit without the list.
-    """
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    units = []
-    for matrix in (1, 2):
-        for size in range(t + 1):
-            total = comb(k, size)
-            for start in range(0, total, block_size):
-                units.append((len(units) + 1, matrix, size, start, min(block_size, total - start)))
-    return units
-
-
 @lru_cache(maxsize=16)
 def _run_starts(k: int, t: int, block_size: int) -> tuple[int, ...]:
-    """Index of the first unit of each (matrix, size) run of the plan, in plan
-    order, followed by the total + 1: a run holds ceil(C(k, size) / block_size)."""
+    """The deterministic shard plan, as the index of the first unit of each
+    (matrix, size) run, in plan order, followed by the total + 1.
+
+    For each matrix and each size <= t the C(k, size) ranks are cut into
+    consecutive shards of block_size ranks, the last one shorter, so a run
+    holds ceil(C(k, size) / block_size) units; indices run from 1 in that
+    order.
+    """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     starts = [1]
@@ -195,12 +183,13 @@ def _run_starts(k: int, t: int, block_size: int) -> tuple[int, ...]:
 
 
 def census_shard_total(k: int, t: int, block_size: int) -> int:
-    """len(census_work_units(k, t, block_size)), by arithmetic."""
+    """Number of units in the plan."""
     return _run_starts(k, t, block_size)[-1] - 1
 
 
 def census_unit(k: int, t: int, block_size: int, index: int) -> tuple[int, int, int, int, int]:
-    """census_work_units(k, t, block_size)[index - 1], by arithmetic."""
+    """Unit ``index`` of the plan, (index, matrix, size, start_rank, count),
+    found by arithmetic without the other units."""
     starts = _run_starts(k, t, block_size)
     if not 1 <= index < starts[-1]:
         raise ValueError(f"no unit {index}; the plan has units 1..{starts[-1] - 1}")
@@ -208,6 +197,11 @@ def census_unit(k: int, t: int, block_size: int, index: int) -> tuple[int, int, 
     matrix, size = run // (t + 1) + 1, run % (t + 1)
     start = (index - starts[run]) * block_size
     return index, matrix, size, start, min(block_size, comb(k, size) - start)
+
+
+def census_work_units(k: int, t: int, block_size: int) -> list[tuple[int, int, int, int, int]]:
+    """Every unit of the plan, in index order."""
+    return [census_unit(k, t, block_size, i) for i in range(1, census_shard_total(k, t, block_size) + 1)]
 
 
 def _rank_blocks(lo: int, hi: int, t: int, depth: int, base: int, rows: Sequence[int]):
@@ -378,7 +372,10 @@ def run_census(
         units = [census_unit(family.k, t, block_size, i) for i in wanted]
         live = sum(count for _, matrix, size, _, count in units if is_live(matrix, size, max_weight))
         check_budget(live, long_run)
-    g1, g2 = disjoint_information_systematizations(family.extended)
+    matrices = disjoint_information_systematizations(family.extended)
+    if matrices is None:
+        raise InvariantViolation(f"no two disjoint information sets found in the p={family.p} extended code")
+    g1, g2 = matrices
     totals: dict[int, int] = {}
     records = []
     for *unit, weight_counts in count_units(g1, g2, units, max_weight, workers=workers):

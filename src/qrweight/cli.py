@@ -50,20 +50,31 @@ def _code_identity(family) -> dict:
     }
 
 
-def _write_artifact(path: Path, payload: dict, command: list[str], code: dict, inputs: dict) -> None:
+def _emit(args, family, name: str, payload: dict, inputs: dict | None = None) -> None:
+    """Write the artifact ``name`` into the --out directory, if one was given.
+
+    The manifest records the command line without --out, the code identity,
+    the digests of any input files and the payload digest. A solution also
+    gets its human-readable table.txt next to it.
+    """
+    if not args.out:
+        return
+    out = Path(args.out)
     artifact = {
         "payload": payload,
         "manifest": {
             "tool": f"qrweight {__version__}",
-            "command": command,
-            "code": code,
-            "inputs": inputs,
+            "command": _command_line(args),
+            "code": _code_identity(family),
+            "inputs": inputs or {},
             "payload_sha256": _digest(payload),
         },
     }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_canonical(artifact), encoding="utf-8")
-    log.info("wrote %s", path)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(_canonical(artifact), encoding="utf-8")
+    log.info("wrote %s", out / name)
+    if name == "solution.json":
+        (out / "table.txt").write_text(_solution_table(payload), encoding="utf-8")
 
 
 def _read_artifact(path: Path) -> dict:
@@ -118,10 +129,7 @@ def cmd_construct(args) -> int:
         print(f"  residues: {payload['residues']}")
     else:
         print(_canonical(payload), end="")
-    if args.out:
-        _write_artifact(
-            Path(args.out) / "construct.json", payload, _command_line(args), _code_identity(family), {}
-        )
+    _emit(args, family, "construct.json", payload)
     return 0
 
 
@@ -206,10 +214,7 @@ def cmd_congruence(args) -> int:
     bundle = _compute_bundle(family, weights, args.long_run)
     payload = _bundle_payload(bundle)
     print(_canonical(payload), end="")
-    if args.out:
-        _write_artifact(
-            Path(args.out) / "congruence.json", payload, _command_line(args), _code_identity(family), {}
-        )
+    _emit(args, family, "congruence.json", payload)
     return 0
 
 
@@ -238,10 +243,7 @@ def cmd_census(args) -> int:
     )
     payload = census_mod.census_payload(result)
     print(_canonical(payload), end="")
-    if args.out:
-        _write_artifact(
-            Path(args.out) / "census.json", payload, _command_line(args), _code_identity(family), {}
-        )
+    _emit(args, family, "census.json", payload)
     return 0
 
 
@@ -265,14 +267,7 @@ def cmd_census_merge(args) -> int:
     merged, family = _read_census(args.fragments)
     payload = census_mod.census_payload(merged)
     print(_canonical(payload), end="")
-    if args.out:
-        _write_artifact(
-            Path(args.out) / "census.json",
-            payload,
-            _command_line(args),
-            _code_identity(family),
-            {name: _file_digest(Path(name)) for name in args.fragments},
-        )
+    _emit(args, family, "census.json", payload, {name: _file_digest(Path(name)) for name in args.fragments})
     return 0
 
 
@@ -334,21 +329,15 @@ def _solution_payload(solution) -> dict:
     }
 
 
-def _solution_table(solution) -> str:
+def _solution_table(payload: dict) -> str:
+    """The nonzero rows j <= (p + 1) / 2 of a solution payload, and row 0."""
     lines = [f"{'j':>5s} {'augmented':>24s} {'extended':>24s}"]
-    half = (solution.p + 1) // 2
-    for j in range(half + 1):
-        aug = solution.augmented[j] if j < len(solution.augmented) else 0
-        ext = solution.extended[j]
+    augmented = dict(payload["augmented"])
+    for j, ext in payload["extended"][: (payload["p"] + 1) // 2 + 1]:
+        aug = augmented.get(j, 0)
         if aug or ext or j == 0:
             lines.append(f"{j:5d} {aug:24d} {ext:24d}")
     return "\n".join(lines) + "\n"
-
-
-def _write_solution(out: Path, solution, args, family, inputs: dict) -> None:
-    payload = _solution_payload(solution)
-    _write_artifact(out / "solution.json", payload, _command_line(args), _code_identity(family), inputs)
-    (out / "table.txt").write_text(_solution_table(solution), encoding="utf-8")
 
 
 def cmd_solve(args) -> int:
@@ -369,12 +358,9 @@ def cmd_solve(args) -> int:
         constraint = _constraint_from_artifact(_read_artifact(Path(args.constraint)), family, 2 * m)
         inputs["constraint"] = _file_digest(Path(args.constraint))
     solution = gleason.solve_distribution(args.p, counts, constraint=constraint, family=family)
-    if args.format == "table":
-        print(_solution_table(solution), end="")
-    else:
-        print(_canonical(_solution_payload(solution)), end="")
-    if args.out:
-        _write_solution(Path(args.out), solution, args, family, inputs)
+    payload = _solution_payload(solution)
+    print(_solution_table(payload) if args.format == "table" else _canonical(payload), end="")
+    _emit(args, family, "solution.json", payload, inputs)
     return 0
 
 
@@ -437,7 +423,6 @@ def cmd_pipeline(args) -> int:
     p = args.p
     if p % 8 != 1:
         raise ValueError("pipeline reconstruction requires p = 1 mod 8")
-    out = Path(args.out) if args.out else None
     stage = "construct"
     try:
         t0 = time.perf_counter()
@@ -470,13 +455,10 @@ def cmd_pipeline(args) -> int:
     except QrWeightError as exc:
         print(f"FAIL at stage {stage}: {exc}", file=sys.stderr)
         raise
-    if out:
-        code = _code_identity(family)
-        cmdline = _command_line(args)
-        _write_artifact(out / "construct.json", _construct_payload(family), cmdline, code, {})
-        _write_artifact(out / "congruence.json", _bundle_payload(bundle), cmdline, code, {})
-        _write_artifact(out / "census.json", census_mod.census_payload(result), cmdline, code, {})
-        _write_solution(out, solution, args, family, {})
+    _emit(args, family, "construct.json", _construct_payload(family))
+    _emit(args, family, "congruence.json", _bundle_payload(bundle))
+    _emit(args, family, "census.json", census_mod.census_payload(result))
+    _emit(args, family, "solution.json", _solution_payload(solution))
     print(f"ok: pipeline p={p} t={args.t}: all checks passed")
     return 0
 
@@ -560,8 +542,7 @@ def cmd_paper_regression(args) -> int:
     check("augmented distribution table", not aug_diff, f"{aug_diff}" if aug_diff else "")
     check("sum 2^69, symmetry and MacWilliams self-transform", True, "validated by solve")
 
-    if args.out:
-        _write_solution(Path(args.out), solution, args, family, {})
+    _emit(args, family, "solution.json", _solution_payload(solution))
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)
         return 1

@@ -15,8 +15,9 @@ the same order, so the folded counts, with weights multiplied by g, are the
 exact counts.
 
 A folded code is counted one of two ways. The default walks all 2^k words in
-Gray order. When the folded code is half-rate, [2k, k], and has two disjoint
-information sets, a census over them (``census.count_units``) counts its
+Gray order. When the folded code is half-rate, [2k, k], and
+``bitlinalg.disjoint_information_systematizations`` finds two disjoint
+information sets in it, a census over them (``census.count_units``) counts its
 words of folded weight <= W = max_weight // g instead, once it walks fewer
 patterns than the 2^k words. The census is exact because a word's lighter
 half weighs at most W // 2 on one of the two sets, ties going to the first.
@@ -138,30 +139,18 @@ def _fold(basis: BitMatrix) -> tuple[list[int], int, int]:
     return folded, g, width
 
 
-def _census_matrices(rows: list[int]) -> tuple[BitMatrix, BitMatrix] | None:
-    """The k x 2k folded rows with their columns permuted so that two disjoint
-    information sets are the halves, systematized on each half; None when no
-    pair of such sets was found. Column order does not change weights."""
-    k = len(rows)
-    sets = bitlinalg.disjoint_information_sets(BitMatrix(2 * k, tuple(rows)))
-    if sets is None:
-        return None
-    order = sets[0] + sets[1]  # new coordinate i is old coordinate order[i]
-    permuted = tuple(sum((row >> c & 1) << i for i, c in enumerate(order)) for row in rows)
-    return bitlinalg.disjoint_information_systematizations(BitMatrix(2 * k, permuted))
-
-
 def _census_counts(rows: list[int], max_weight: int) -> dict[int, int] | None:
     """Counts of the words of weight <= max_weight of the k x 2k folded rows
     by a census (``census.count_units``), or None when no pair of disjoint
-    information sets was found."""
-    matrices = _census_matrices(rows)
+    information sets was found. The finder permutes the columns, which
+    changes no weight."""
+    k = len(rows)
+    matrices = bitlinalg.disjoint_information_systematizations(BitMatrix(2 * k, tuple(rows)))
     if matrices is None:
         return None
-    g1, g2 = matrices
-    units = census.census_work_units(len(rows), max_weight // 2, census.DEFAULT_BLOCK_SIZE)
+    units = census.census_work_units(k, max_weight // 2, census.DEFAULT_BLOCK_SIZE)
     counts: dict[int, int] = {}
-    for *_, weight_counts in census.count_units(g1, g2, units, max_weight):
+    for *_, weight_counts in census.count_units(*matrices, units, max_weight):
         for w, c in weight_counts:
             counts[w] = counts.get(w, 0) + c
     return counts

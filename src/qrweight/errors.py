@@ -26,10 +26,6 @@ class NotHalfRate(QrWeightError):
     """Matrix is not k x 2k."""
 
 
-class SingularInformationSet(QrWeightError):
-    """A coordinate half does not have full rank; message says which."""
-
-
 # QR code construction
 class NotQrPrime(QrWeightError):
     """p is not a prime congruent to +-1 mod 8."""

@@ -252,19 +252,20 @@ def _symmetric_element_of_order(p: int, target: int) -> MoebiusMap:
     raise SearchExhausted(f"no symmetric element of order {target} mod {p}")
 
 
-def find_sylow_plan(p: int, *, include_p: bool = False) -> SylowPlan:
-    """Find order-q generators for odd q, plus the dihedral pair (P, T).
+def find_sylow_plan(p: int) -> SylowPlan:
+    """Find order-q generators for odd q != p, plus the dihedral pair (P, T).
 
-    The Sylow-p generator is only searched when include_p is set; the subcode
-    it fixes is just {0, all-ones} and is handled directly downstream.
+    The Sylow-p subgroup is left out: it is generated by the translation
+    y -> y + 1, and the subcode it fixes is just {0, all-ones}, so it is
+    handled directly downstream.
     """
     order, fac = group_order(p)
     s = dict(fac)[2]
     odd = {}
     for q, _ in fac:
-        if q == 2 or (q == p and not include_p):
+        if q == 2 or q == p:
             continue
-        odd[q] = MoebiusMap.translation(p) if q == p else _element_of_order(p, q)
+        odd[q] = _element_of_order(p, q)
     big_t = MoebiusMap.inversion(p)
     big_p = _symmetric_element_of_order(p, 2 ** (s - 1))
     if big_t * big_p * big_t.inverse() != big_p.inverse():

@@ -3,7 +3,8 @@
 The oracles walk codewords one at a time: full spans and subcode index
 ranges by a plain binary-reflected Gray walk over generator rows, and census
 shards by the revolving-door walk of Knuth's Algorithm R, started at the
-pattern that ``rd_unrank`` computes from a rank. They share no code
+pattern that ``rd_unrank`` computes from a rank, and the shard plan by a
+plain loop over its units. They share no code
 with the bit-sliced kernel that the census and congruence paths count with.
 The MacWilliams oracle expands every term of the transform on its own, and
 the hull oracle intersects the code with its dual basis. The small helpers
@@ -222,6 +223,19 @@ def rd_successor(c: CombPattern) -> CombPattern | None:
     if rd_step(elements, c.s) is None:
         return None
     return CombPattern(c.s, tuple(elements))
+
+
+def plan_units(k: int, t: int, block_size: int) -> list[tuple[int, int, int, int, int]]:
+    """The census shard plan by its definition, unit by unit: for each matrix
+    and each size <= t the C(k, size) ranks are cut into consecutive shards
+    of block_size ranks, the last one shorter, indexed from 1 in that order."""
+    units = []
+    for matrix in (1, 2):
+        for size in range(t + 1):
+            total = comb(k, size)
+            for start in range(0, total, block_size):
+                units.append((len(units) + 1, matrix, size, start, min(block_size, total - start)))
+    return units
 
 
 def scalar_count_shard(args: tuple) -> tuple:

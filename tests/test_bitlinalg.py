@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qrweight.bitlinalg import (
     BitMatrix,
-    disjoint_information_sets,
     disjoint_information_systematizations,
     dual_basis,
     hull_dimension,
@@ -17,10 +16,10 @@ from qrweight.bitlinalg import (
     same_row_space,
     weight_histogram,
 )
-from qrweight.errors import NotHalfRate, RankDeficient, SingularInformationSet
+from qrweight.errors import NotHalfRate, RankDeficient
 from qrweight.qrcodes import cyclic_generator_matrix
 
-from conftest import from_lists, hull_dimension_by_intersection, row_space_contains, span_words
+from conftest import exhaustive_distribution, from_lists, hull_dimension_by_intersection, row_space_contains, span_words
 
 
 def spanned_rank(rows) -> int:
@@ -82,9 +81,9 @@ def test_systematizations_extended_qr17(family17):
 
 
 def test_systematizations_singular_half():
+    # columns 2 and 3 are zero, so only {0, 1} has rank 2
     g = from_lists([[1, 0, 0, 0], [0, 1, 0, 0]])
-    with pytest.raises(SingularInformationSet, match="right"):
-        disjoint_information_systematizations(g)
+    assert disjoint_information_systematizations(g) is None
 
 
 def test_systematizations_not_half_rate():
@@ -211,23 +210,25 @@ def test_left_kernel_is_every_vanishing_combination(data):
         assert v == 0
 
 
-def _column_rank(g, columns) -> int:
-    rows = tuple(sum((r >> c & 1) << i for i, c in enumerate(columns)) for r in g.rows)
-    return rank(BitMatrix(len(columns), rows))
-
-
-def _check_information_sets(g, sets):
-    left, right = sets
+def _check_systematizations(g, pair):
+    """g1 = [I | A] and g2 = [B | I] span one code, which has g's weights."""
+    g1, g2 = pair
     k = g.nrows
-    assert sorted(left + right) == list(range(2 * k))
-    assert left == sorted(left) and right == sorted(right) and len(left) == k
-    assert _column_rank(g, left) == k and _column_rank(g, right) == k
+    assert g1.cols == g2.cols == 2 * k
+    assert [r & ((1 << k) - 1) for r in g1.rows] == [1 << i for i in range(k)]
+    assert [r >> k for r in g2.rows] == [1 << i for i in range(k)]
+    assert same_row_space(g1, g2)
+    assert exhaustive_distribution(g1.rows, 2 * k) == exhaustive_distribution(g.rows, 2 * k)
 
 
-@pytest.mark.parametrize("p", [7, 17, 41])
+@pytest.mark.parametrize("p", [7, 17, 41, 137])
 def test_information_sets_of_extended_qr_codes(p, request):
+    # both halves are information sets, so the columns stay where they are
     g = request.getfixturevalue(f"family{p}").extended
-    _check_information_sets(g, disjoint_information_sets(g))
+    g1, g2 = disjoint_information_systematizations(g)
+    assert g1 == rref(g)[0]
+    assert same_row_space(g2, g)
+    assert [r >> g.nrows for r in g2.rows] == [1 << i for i in range(g.nrows)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -235,25 +236,42 @@ def test_information_sets_of_extended_qr_codes(p, request):
 def test_information_sets_are_disjoint_and_of_full_rank(data):
     k = data.draw(st.integers(0, 8))
     g = BitMatrix(2 * k, tuple(data.draw(st.integers(0, (1 << 2 * k) - 1)) for _ in range(k)))
-    sets = disjoint_information_sets(g)
-    if sets is not None:
-        _check_information_sets(g, sets)
-    if _column_rank(g, range(2 * k)) < k:
-        assert sets is None
-    assert disjoint_information_sets(g) == sets  # deterministic
+    pair = disjoint_information_systematizations(g)
+    if pair is not None:
+        _check_systematizations(g, pair)
+    if rank(g) < k:
+        assert pair is None
+    assert disjoint_information_systematizations(g) == pair  # deterministic
+
+
+def test_information_sets_found_by_exchange():
+    # the rref pivots {0, 1, 3} leave {2, 4, 5}, of rank 2 since columns 2
+    # and 5 are equal; the next column order starts with the dependent one
+    g = from_lists([[0, 0, 0, 1, 1, 0], [1, 1, 0, 1, 1, 0], [0, 1, 1, 0, 0, 1]])
+    assert rref(g)[1] == [0, 1, 3]
+    assert [r >> 2 & 1 for r in g.rows] == [r >> 5 & 1 for r in g.rows]
+    pair = disjoint_information_systematizations(g)
+    assert pair is not None
+    _check_systematizations(g, pair)
 
 
 def test_information_sets_none_for_a_zero_column():
     # columns 1 and 3 are zero: every half holding one of them has rank < 2
     g = from_lists([[1, 0, 1, 0], [0, 0, 1, 0]])
     assert rank(g) == 2
-    assert disjoint_information_sets(g) is None
-    assert disjoint_information_sets(BitMatrix(2, (0b01,))) is None  # one zero column
+    assert disjoint_information_systematizations(g) is None
+    assert disjoint_information_systematizations(BitMatrix(2, (0b01,))) is None  # one zero column
+
+
+def test_information_sets_none_for_dependent_columns_or_rows():
+    # columns 0, 1 and 2 are equal, so only one set can hold column 3
+    assert disjoint_information_systematizations(from_lists([[1, 1, 1, 0], [0, 0, 0, 1]])) is None
+    assert disjoint_information_systematizations(from_lists([[1, 0, 1, 0], [1, 0, 1, 0]])) is None
 
 
 def test_information_sets_not_half_rate():
     with pytest.raises(NotHalfRate):
-        disjoint_information_sets(BitMatrix.identity(3))
+        disjoint_information_systematizations(BitMatrix(5, (0b00011, 0b01100)))
 
 
 def test_cyclic_matrix_shape(family17):

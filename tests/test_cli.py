@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -301,11 +303,37 @@ def test_pipeline_p17(tmp_path, capsys):
         assert (tmp_path / name).exists()
 
 
+PIPELINE_P41_SHA256 = {
+    "census.json": "23f339d97bc9913092ffa7c9a299caf02350548308d558dc464c16444a6b82a8",
+    "congruence.json": "83ab63555a8c5a5bcfe9e44d08e273492eaca73306bfa3ebaa0beb2c46c3d571",
+    "construct.json": "fe7ecb37fc66b957749113c829e4362f19521e960e717034efc1dc63ef96d99e",
+    "solution.json": "100acc54c537e948c3553a4b281c9112b645c7495551ba84cc15bba966b4c511",
+    "table.txt": "4dde62ddcb1e2aa2c123dc18d5da50af54b191f91f3a7bc8af1e62718bd35919",
+}
+
+
 def test_pipeline_p41_matches_brute_force(tmp_path, capsys, family41, dist41):
     rc, _ = run(capsys, "pipeline", "--p", "41", "--t", "6", "--out", str(tmp_path))
     assert rc == 0
     solution = json.loads((tmp_path / "solution.json").read_text())["payload"]
     assert [c for _, c in solution["extended"]] == dist41
+    # every file is byte-identical to the recorded run
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert written == PIPELINE_P41_SHA256
+
+
+def test_pipeline_fails_a_census_count_that_breaks_its_congruence(tmp_path, capsys, monkeypatch):
+    honest = census.run_census
+
+    def miscount(*args, **kwargs):
+        result = honest(*args, **kwargs)
+        return replace(result, counts={**result.counts, 4: result.counts[4] + 1})
+
+    monkeypatch.setattr(census, "run_census", miscount)
+    rc, err = run_err(capsys, "pipeline", "--p", "17", "--t", "4", "--out", str(tmp_path))
+    assert rc == 1
+    assert "FAIL at stage congruence-check" in err
+    assert not (tmp_path / "solution.json").exists()
 
 
 def test_pipeline_budget_gate(capsys):

@@ -215,7 +215,9 @@ def test_dead_units_are_empty_under_the_scalar_walk(sub_g, data):
     sub, _ = sub_g
     rows, _, width = congruence._fold(sub.basis)
     k = len(rows)
-    matrices = congruence._census_matrices(rows) if width == 2 * k else None
+    if width != 2 * k:
+        return  # no census for this code
+    matrices = bitlinalg.disjoint_information_systematizations(BitMatrix(width, tuple(rows)))
     if matrices is None:
         return  # no census for this code
     max_weight = data.draw(st.integers(0, 2 * k))
@@ -247,6 +249,16 @@ def test_odd_prime_subcodes_match_the_gray_walk_at_every_max_weight(p, request, 
             assert subcode_weight_counts(sub, max_weight) == expected, (q, max_weight)
     if p == 41:
         assert census_route  # S_3 folds to a [14, 7] code with two information sets
+
+
+@pytest.mark.parametrize("p, q, found", [(17, 3, False), (41, 3, True), (41, 7, False), (137, 3, True), (137, 23, False)])
+def test_information_sets_of_the_half_rate_folds(request, p, q, found):
+    # these folds are [2k, k]; a pair sends the subcode to the census route
+    sub = dict(_odd_prime_subcodes(request.getfixturevalue(f"family{p}"), p))[q]
+    rows, _, width = congruence._fold(sub.basis)
+    assert width == 2 * sub.k
+    pair = bitlinalg.disjoint_information_systematizations(BitMatrix(width, tuple(rows)))
+    assert (pair is not None) == found
 
 
 def test_p137_s3_is_counted_by_the_census(family137, census_route):

@@ -20,7 +20,7 @@ from qrweight.census import (
     run_census,
 )
 
-from conftest import CombPattern, rd_rank, rd_step, rd_unrank
+from conftest import CombPattern, plan_units, rd_rank, rd_step, rd_unrank
 
 
 def lane(columns, x) -> int:
@@ -95,7 +95,8 @@ def test_work_units_tile_every_rank_range(k, t, block_size):
     block_size=st.one_of(st.integers(1, 60), st.integers(61, 10**9)),
 )
 def test_census_unit_is_the_unit_of_the_plan(k, t, block_size):
-    units = census_work_units(k, t, block_size)
+    units = plan_units(k, t, block_size)
+    assert census_work_units(k, t, block_size) == units
     assert census_shard_total(k, t, block_size) == len(units)
     assert [census_unit(k, t, block_size, i) for i in range(1, len(units) + 1)] == units
     for index in (0, len(units) + 1):

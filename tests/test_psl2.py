@@ -101,11 +101,6 @@ def test_sylow_plan_p17_has_order8_element():
     assert to_permutation(plan.P).order() == 8
 
 
-def test_sylow_plan_include_p():
-    plan = find_sylow_plan(17, include_p=True)
-    assert to_permutation(plan.odd_generators[17]).order() == 17
-
-
 def test_sylow_plan_rejects_bad_prime():
     with pytest.raises(NotQrPrime):
         find_sylow_plan(13)
