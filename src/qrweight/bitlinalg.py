@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import NotHalfRate, RankDeficient
-
 
 @dataclass(frozen=True)
 class BitMatrix:
@@ -103,7 +101,7 @@ def dual_basis(g: BitMatrix) -> BitMatrix:
     """
     reduced, pivots = rref(g)
     if reduced.nrows != g.nrows:
-        raise RankDeficient(f"rank {reduced.nrows} < {g.nrows} rows")
+        raise ValueError(f"rank {reduced.nrows} < {g.nrows} rows")
     pivot_set = set(pivots)
     free = [c for c in range(g.cols) if c not in pivot_set]
     out = []
@@ -167,7 +165,7 @@ def hull_dimension(g: BitMatrix) -> int:
     exactly when x G G^T = 0, so the hull is the image of that left kernel.
     """
     if rank(g) != g.nrows:
-        raise RankDeficient("generator rows are dependent")
+        raise ValueError("generator rows are dependent")
     gram = tuple(sum(((a & b).bit_count() & 1) << j for j, b in enumerate(g.rows)) for a in g.rows)
     return g.nrows - rank(BitMatrix(g.nrows, gram))
 
@@ -187,7 +185,7 @@ def disjoint_information_systematizations(g: BitMatrix) -> tuple[BitMatrix, BitM
     """
     k, n = g.nrows, g.cols
     if n != 2 * k:
-        raise NotHalfRate(f"{k} x {n} is not k x 2k")
+        raise ValueError(f"{k} x {n} is not k x 2k")
     order = list(range(n))
     for _ in range(n + 1):
         g1, first = rref_on_columns(g, order)
@@ -236,9 +234,7 @@ def span_columns(rows: Sequence[int], width: int) -> tuple[int, ...]:
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def rd_subset_columns(
-    rows: Sequence[int], width: int, max_depth: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def rd_subset_columns(rows: Sequence[int], width: int, max_depth: int) -> tuple[tuple[int, ...], ...]:
     """Bit-sliced tables T_0..T_D of the XORs of the d-subsets of ``rows``.
 
     Lane x of T_d is the d-subset of revolving-door rank x (the oracle
@@ -248,11 +244,11 @@ def rd_subset_columns(
     [C(m, d), C(m + 1, d)) and walk the (d-1)-subsets of [0, m) backwards, so
     T_d(m + 1) = T_d(m) ++ (row_m ^ reversed T_{d-1}(m)). Each level is built from the finished level below it, whose
     columns are bit-reversed once: reversed T_{d-1}(m) is then one shift of
-    that mirror. D is ``max_depth``, clamped to [0, len(rows)], or
-    len(rows) when it is not given; the caller sizes the tables.
+    that mirror. D is ``max_depth``, clamped to [0, len(rows)]; the caller
+    sizes the tables.
     """
     k = len(rows)
-    depth = k if max_depth is None else max(0, min(k, max_depth))
+    depth = max(0, min(k, max_depth))
     tables = [(0,) * width]  # T_0 is the one empty subset
     for d in range(1, depth + 1):
         nbytes = (comb(k, d - 1) + 7) // 8

@@ -66,14 +66,7 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .bitlinalg import BitMatrix, disjoint_information_systematizations, rd_subset_columns, weight_histogram
-from .errors import (
-    BudgetExceeded,
-    CheckFailure,
-    InvariantViolation,
-    RankOutOfRange,
-    ShardGap,
-    ShardOverlap,
-)
+from .errors import BudgetExceeded, CheckFailure, InvariantViolation
 
 if TYPE_CHECKING:
     from .qrcodes import QrCodeFamily
@@ -274,7 +267,7 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
     """
     index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
     if not 0 <= start_rank < start_rank + count <= comb(k, size):
-        raise RankOutOfRange(f"shard [{start_rank}, {start_rank + count}) outside [0, {comb(k, size)})")
+        raise ValueError(f"shard [{start_rank}, {start_rank + count}) outside [0, {comb(k, size)})")
     unit_shift, parity_shift = (0, k) if matrix == 1 else (k, 0)
     parity = tuple((row >> parity_shift) & left_mask for row in rows)
     for i, (row, q) in enumerate(zip(rows, parity)):
@@ -491,11 +484,11 @@ def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
     for part in parts:
         for rec in part.provenance.shards:
             if rec.index in seen:
-                raise ShardOverlap(f"shard {rec.index} appears more than once")
+                raise CheckFailure(f"shard {rec.index} appears more than once")
             seen[rec.index] = rec
     missing = set(range(1, prov.total_shards + 1)) - set(seen)
     if missing:
-        raise ShardGap(f"missing shards: {sorted(missing)}")
+        raise CheckFailure(f"missing shards: {sorted(missing)}")
     k, t, block_size = first.k, prov.max_info_weight, prov.block_size
     total = census_shard_total(k, t, block_size)
     if total != prov.total_shards or first.complete_upto != 2 * t:

@@ -20,13 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__, census as census_mod, congruence as congruence_mod, fixtures, gleason
-from .errors import (
-    BothAccepted,
-    BothRejected,
-    BudgetExceeded,
-    CheckFailure,
-    QrWeightError,
-)
+from .errors import BudgetExceeded, CheckFailure, QrWeightError, SignUnresolved
 from .psl2 import find_sylow_plan, group_order
 from .qrcodes import build_family
 
@@ -511,7 +505,7 @@ def cmd_paper_regression(args) -> int:
     # A_34 is absent, so the solve takes the sign route and certifies K_17 and A_34
     try:
         solution = gleason.solve_distribution(p, counts, constraint=bundle.constraints[2 * m], family=family)
-    except (BothRejected, BothAccepted) as exc:
+    except SignUnresolved as exc:
         for cand in exc.certificate.candidates:
             print(f"  candidate sign {cand.sign:+d}: K={cand.k_top} A={cand.a_top}: {cand.detail}")
         check("top-coefficient resolution", False, str(exc))

@@ -39,13 +39,7 @@ from typing import Mapping, Sequence
 
 from . import bitlinalg, census
 from .bitlinalg import BitMatrix
-from .errors import (
-    BudgetExceeded,
-    InvariantViolation,
-    LengthMismatch,
-    NotCoprime,
-    WrongModulusProduct,
-)
+from .errors import BudgetExceeded, InvariantViolation
 from .psl2 import CoordPermutation, MoebiusMap, SylowPlan, to_permutation
 from .qrcodes import QrCodeFamily
 
@@ -54,8 +48,6 @@ from .qrcodes import QrCodeFamily
 class InvariantSubcode:
     """Basis of the codewords fixed by every permutation of a subgroup."""
 
-    parent: str
-    group_label: str
     basis: BitMatrix
 
     @property
@@ -90,19 +82,13 @@ def fixed_space(group: Sequence[CoordPermutation], n: int) -> BitMatrix:
     return BitMatrix(n, tuple(orbits.values()))
 
 
-def invariant_subcode(
-    code: BitMatrix,
-    group: Sequence[CoordPermutation],
-    *,
-    parent: str = "",
-    group_label: str = "",
-) -> InvariantSubcode:
+def invariant_subcode(code: BitMatrix, group: Sequence[CoordPermutation]) -> InvariantSubcode:
     """Intersect the code, once, with the space fixed by every element of the group."""
     for perm in group:
         if len(perm.image) != code.cols:
-            raise LengthMismatch(f"permutation degree {len(perm.image)} != code length {code.cols}")
+            raise ValueError(f"permutation degree {len(perm.image)} != code length {code.cols}")
     basis = bitlinalg.intersect_rowspaces(code, fixed_space(group, code.cols))
-    sub = InvariantSubcode(parent=parent, group_label=group_label, basis=basis)
+    sub = InvariantSubcode(basis=basis)
     if not bitlinalg.row_space_contains_all(code, basis.rows):
         raise InvariantViolation("invariant subcode escaped the parent code")
     for row in basis.rows:
@@ -236,25 +222,22 @@ class Reject:
 def assemble_constraint(
     p: int,
     j: int,
-    residues: Sequence[tuple[int, int] | tuple[int, int, str]],
+    residues: Sequence[tuple[int, int, str]],
 ) -> CongruenceConstraint:
-    """CRT-combine per-prime-power residues into a single constraint mod |PSL2(p)|."""
-    parts = []
-    for item in residues:
-        pp, r = item[0], item[1]
-        label = item[2] if len(item) > 2 else ""
-        parts.append((pp, r % pp, label))
+    """CRT-combine per-prime-power residues (prime power, residue, label) into
+    a single constraint mod |PSL2(p)|."""
+    parts = [(pp, r % pp, label) for pp, r, label in residues]
     moduli = [pp for pp, _, _ in parts]
     for i in range(len(moduli)):
         for l in range(i + 1, len(moduli)):
             if gcd(moduli[i], moduli[l]) != 1:
-                raise NotCoprime(f"{moduli[i]} and {moduli[l]} share a factor")
+                raise ValueError(f"{moduli[i]} and {moduli[l]} share a factor")
     product = 1
     for pp in moduli:
         product *= pp
     expected = p * (p * p - 1) // 2
     if product != expected:
-        raise WrongModulusProduct(f"product {product} != group order {expected}")
+        raise ValueError(f"product {product} != group order {expected}")
     x = 0
     for pp, r, _ in parts:
         other = product // pp
@@ -314,13 +297,12 @@ def compute_bundle(
     """
     p = family.p
     code = family.extended
-    parent = family.code_digest()
     max_w = max(weights)
     evens = sorted(w for w in weights if w % 2 == 0)
 
     sylow2_groups = {H2: plan.h2_elements(), G4_0: plan.g4_elements(0), G4_1: plan.g4_elements(1)}
     subcodes = {
-        label: invariant_subcode(code, [to_permutation(g) for g in group], parent=parent, group_label=label)
+        label: invariant_subcode(code, [to_permutation(g) for g in group])
         for label, group in sylow2_groups.items()
     }
     odd_primes = [q for q, _ in plan.factorization if q != 2]
@@ -331,9 +313,7 @@ def compute_bundle(
             gen = MoebiusMap.translation(p)
         if gen is None:
             raise InvariantViolation(f"no generator available for q={q}")
-        subcodes[sylow_label(q)] = invariant_subcode(
-            code, [to_permutation(gen)], parent=parent, group_label=sylow_label(q)
-        )
+        subcodes[sylow_label(q)] = invariant_subcode(code, [to_permutation(gen)])
 
     dims = {label: sub.k for label, sub in subcodes.items()}
     counts: dict[str, dict[int, int]] = {}

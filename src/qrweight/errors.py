@@ -1,4 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception types shared across the package.
+
+A type exists only when some handler tells it apart from the others: the
+CLI maps ``BudgetExceeded`` to exit 3 and every other ``QrWeightError`` to
+exit 1, the pipeline names the stage of any ``QrWeightError``, and
+paper-regression prints the certificate of a ``SignUnresolved``. An
+argument outside a function's domain is a ``ValueError`` (exit 2). Each
+message names the check that fired; add a type only for a new handler.
+"""
 
 
 class QrWeightError(Exception):
@@ -6,7 +14,7 @@ class QrWeightError(Exception):
 
 
 class InvariantViolation(QrWeightError):
-    """A structural self-check failed; the message names the check."""
+    """A computed value broke an identity it must satisfy; the message names it."""
 
 
 class BudgetExceeded(QrWeightError):
@@ -14,94 +22,13 @@ class BudgetExceeded(QrWeightError):
 
 
 class CheckFailure(QrWeightError):
-    """A verification stage found a mismatch between two independent routes."""
+    """Supplied inputs are incomplete, or disagree with each other or with a recomputation."""
 
 
-# bit-packed linear algebra
-class RankDeficient(QrWeightError):
-    """Matrix rows are linearly dependent where full rank is required."""
+class SignUnresolved(QrWeightError):
+    """The congruence accepted both sign candidates for the top count, or neither;
+    carries the certificate."""
 
-
-class NotHalfRate(QrWeightError):
-    """Matrix is not k x 2k."""
-
-
-# QR code construction
-class NotQrPrime(QrWeightError):
-    """p is not a prime congruent to +-1 mod 8."""
-
-
-class BothZero(QrWeightError):
-    """gcd of two zero polynomials is undefined."""
-
-
-class ClassificationFailed(QrWeightError):
-    """Candidate generator degrees did not split two against two."""
-
-
-# Moebius maps and permutations
-class BadDeterminant(QrWeightError):
-    """ad - bc is not 1 mod p."""
-
-
-class SearchExhausted(QrWeightError):
-    """No group element of the required order was found."""
-
-
-# congruence assembly
-class LengthMismatch(QrWeightError):
-    """Permutation degree differs from the code length."""
-
-
-class NotCoprime(QrWeightError):
-    """Residue moduli are not pairwise coprime."""
-
-
-class WrongModulusProduct(QrWeightError):
-    """Product of the prime-power moduli is not the group order."""
-
-
-# combination enumeration
-class RankOutOfRange(QrWeightError):
-    """Rank is outside [0, C(s, t))."""
-
-
-class ShardOverlap(QrWeightError):
-    """Two fragments claim the same shard index."""
-
-
-class ShardGap(QrWeightError):
-    """Merged fragments do not cover every shard of the plan."""
-
-
-# polynomial reconstruction
-class MissingTerm(QrWeightError):
-    """A required weight-distribution entry was not supplied."""
-
-
-class NonIntegerCoefficient(QrWeightError):
-    """An exact integer division failed; the input enumerator is invalid."""
-
-
-class HullNotZero(QrWeightError):
-    """The expurgated code's hull is not zero-dimensional; sign method inapplicable."""
-
-
-class BothRejected(QrWeightError):
-    """Congruence rejected both sign candidates; carries the certificate."""
-
-    def __init__(self, message, certificate=None):
+    def __init__(self, message, certificate):
         super().__init__(message)
         self.certificate = certificate
-
-
-class BothAccepted(QrWeightError):
-    """Congruence accepted both sign candidates; carries the certificate."""
-
-    def __init__(self, message, certificate=None):
-        super().__init__(message)
-        self.certificate = certificate
-
-
-class BadSum(QrWeightError):
-    """Distribution does not sum to 2^k."""

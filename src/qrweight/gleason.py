@@ -22,16 +22,7 @@ from typing import Mapping, Sequence
 from . import qrcodes
 from .bitlinalg import hull_dimension
 from .congruence import CongruenceConstraint, Reject, check_candidate
-from .errors import (
-    BadSum,
-    BothAccepted,
-    BothRejected,
-    CheckFailure,
-    HullNotZero,
-    InvariantViolation,
-    MissingTerm,
-    NonIntegerCoefficient,
-)
+from .errors import CheckFailure, InvariantViolation, SignUnresolved
 
 
 @dataclass(frozen=True)
@@ -57,9 +48,6 @@ class GaussianInt:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> GaussianInt:
-        return GaussianInt(-self.re, -self.im)
-
     def conjugate(self) -> GaussianInt:
         return GaussianInt(self.re, -self.im)
 
@@ -73,7 +61,7 @@ class GaussianInt:
             raise ZeroDivisionError("division by zero Gaussian integer")
         num = self * other.conjugate()
         if num.re % n or num.im % n:
-            raise NonIntegerCoefficient(f"{self} is not divisible by {other}")
+            raise InvariantViolation(f"{self} is not divisible by {other}")
         return GaussianInt(num.re // n, num.im // n)
 
     def __str__(self) -> str:
@@ -168,7 +156,7 @@ def _solve_prefix(basis: Sequence[BigPoly], known: Mapping[int, int], upto_j: in
     ks: list[int] = []
     for j in range(upto_j + 1):
         if j not in known:
-            raise MissingTerm(f"A_{2 * j} (j={j}) is required")
+            raise CheckFailure(f"A_{2 * j} (j={j}) is required")
         acc = known[j]
         for l in range(j):
             acc -= ks[l] * basis[l].coeff(2 * j)
@@ -218,9 +206,7 @@ def derivative_at_i(m: int) -> GaussianInt:
     return closed
 
 
-def hull_sign_candidates(
-    p: int, family: qrcodes.QrCodeFamily | None = None
-) -> tuple[GaussianInt, GaussianInt]:
+def hull_sign_candidates(p: int, family: qrcodes.QrCodeFamily) -> tuple[GaussianInt, GaussianInt]:
     """The two possible values +-2^((p-1)/4) * (1+i) of the augmented enumerator at i.
 
     Requires p = 1 mod 8 and a zero-dimensional hull of the expurgated code;
@@ -229,11 +215,9 @@ def hull_sign_candidates(
     """
     if p % 8 != 1:
         raise ValueError(f"p={p} must be 1 mod 8 for the sign method")
-    if family is None:
-        family = qrcodes.build_family(p)
     hull = hull_dimension(family.expurgated)
     if hull != 0:
-        raise HullNotZero(f"expurgated hull has dimension {hull}")
+        raise InvariantViolation(f"expurgated hull has dimension {hull}")
     mag = 1 << ((p - 1) // 4)
     return GaussianInt(mag, mag), GaussianInt(-mag, -mag)
 
@@ -261,7 +245,7 @@ def resolve_top_coefficient(
     m: int,
     partial: Mapping[int, int],
     constraint: CongruenceConstraint,
-    family: qrcodes.QrCodeFamily | None = None,
+    family: qrcodes.QrCodeFamily,
 ) -> tuple[int, int, SignCertificate]:
     """Determine K_m and A_2m without counting weight-2m codewords.
 
@@ -296,10 +280,10 @@ def resolve_top_coefficient(
     winners = [o for o in outcomes if o.accepted]
     if len(winners) == 2:
         cert = SignCertificate(tuple(outcomes), chosen_sign=0, orbit_quotient=-1)
-        raise BothAccepted("congruence cannot discriminate the sign candidates", cert)
+        raise SignUnresolved("congruence cannot discriminate the sign candidates", cert)
     if not winners:
         cert = SignCertificate(tuple(outcomes), chosen_sign=0, orbit_quotient=-1)
-        raise BothRejected("congruence rejected both sign candidates", cert)
+        raise SignUnresolved("congruence rejected both sign candidates", cert)
     winner = winners[0]
     quotient_n = check_candidate(constraint, winner.a_top)
     assert isinstance(quotient_n, int)
@@ -324,7 +308,7 @@ def augmented_enumerator(ext: BigPoly, p: int) -> BigPoly:
     for idx in range(max(len(ext.coeffs), len(combo.coeffs))):
         value = ext.coeff(idx) * n + combo.coeff(idx)
         if value % n:
-            raise NonIntegerCoefficient(f"coefficient of z^{idx} is not divisible by {n}")
+            raise InvariantViolation(f"coefficient of z^{idx} is not divisible by {n}")
         out.append(value // n)
     aug = BigPoly(tuple(out))
     for j2 in range(0, n + 1, 2):
@@ -349,7 +333,7 @@ def macwilliams_transform(dist: Sequence[int], n: int, k: int) -> list[int]:
     if len(dist) != n + 1:
         raise ValueError(f"distribution must have {n + 1} entries")
     if sum(dist) != 1 << k:
-        raise BadSum(f"distribution sums to {sum(dist)}, expected 2^{k}")
+        raise ValueError(f"distribution sums to {sum(dist)}, expected 2^{k}")
     acc = [0] * (n + 1)  # S_i, degree i
     minus = [1] + [0] * n  # (1-z)^i, degree i
     for i, a in enumerate(dist):
@@ -362,7 +346,7 @@ def macwilliams_transform(dist: Sequence[int], n: int, k: int) -> list[int]:
     out = []
     for v in acc:
         if v % (1 << k):
-            raise NonIntegerCoefficient("transform is not divisible by 2^k")
+            raise InvariantViolation("transform is not divisible by 2^k")
         out.append(v >> k)
     return out
 
@@ -437,7 +421,8 @@ def solve_distribution(
     p: int,
     counts: Mapping[int, int],
     constraint: CongruenceConstraint | None = None,
-    family: qrcodes.QrCodeFamily | None = None,
+    *,
+    family: qrcodes.QrCodeFamily,
 ) -> GleasonSolution:
     """Build the full distribution from censused counts (and a top constraint).
 
@@ -478,9 +463,9 @@ def solve_distribution(
     else:
         missing = [j for j in range(m) if j not in known]
         if missing:
-            raise MissingTerm(f"A_{2 * missing[0]} is required but absent")
+            raise CheckFailure(f"A_{2 * missing[0]} is required but absent")
         if constraint is None:
-            raise MissingTerm(f"A_{2 * m} absent and no congruence constraint supplied")
+            raise CheckFailure(f"A_{2 * m} absent and no congruence constraint supplied")
         k_top, a_top, certificate = resolve_top_coefficient(
             p, m, {j: known[j] for j in range(m)}, constraint, family
         )

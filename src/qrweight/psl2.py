@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import BadDeterminant, NotQrPrime, SearchExhausted
+from .errors import InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class MoebiusMap:
         p = self.p
         a, b, c, d = self.a % p, self.b % p, self.c % p, self.d % p
         if (a * d - b * c) % p != 1 % p:
-            raise BadDeterminant(f"det != 1 for {(self.a, self.b, self.c, self.d)} mod {p}")
+            raise ValueError(f"det != 1 for {(self.a, self.b, self.c, self.d)} mod {p}")
         neg = ((-a) % p, (-b) % p, (-c) % p, (-d) % p)
         rep = min((a, b, c, d), neg)
         object.__setattr__(self, "a", rep[0])
@@ -109,10 +109,6 @@ class CoordPermutation:
         """Composition with the right factor applied first."""
         return CoordPermutation(self.p, tuple(self.image[other.image[i]] for i in range(self.p + 1)))
 
-    def then(self, other: CoordPermutation) -> CoordPermutation:
-        """Composition with self applied first."""
-        return other * self
-
     def inverse(self) -> CoordPermutation:
         inv = [0] * (self.p + 1)
         for i, v in enumerate(self.image):
@@ -150,7 +146,7 @@ def to_permutation(m: MoebiusMap) -> CoordPermutation:
     """Realize the Moebius map on {0..p-1, infinity} with x/0 = infinity."""
     p = m.p
     if (m.a * m.d - m.b * m.c) % p != 1 % p:
-        raise BadDeterminant("determinant not normalized")
+        raise ValueError("determinant not normalized")
     image = [0] * (p + 1)
     for y in range(p):
         den = (m.c * y + m.d) % p
@@ -174,9 +170,9 @@ def prime_factors(n: int) -> dict[int, int]:
 
 
 def require_qr_prime(p: int) -> None:
-    """Raise NotQrPrime unless p is a prime = +-1 mod 8 (so also p >= 7)."""
+    """Raise ValueError unless p is a prime = +-1 mod 8 (so also p >= 7)."""
     if p % 8 not in (1, 7) or prime_factors(p) != {p: 1}:
-        raise NotQrPrime(f"p={p} is not a prime congruent to +-1 mod 8")
+        raise ValueError(f"p={p} is not a prime congruent to +-1 mod 8")
 
 
 def group_order(p: int) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -230,7 +226,7 @@ def _element_of_order(p: int, target: int) -> MoebiusMap:
         m = MoebiusMap(p, 0, 1, -1, t)
         if to_permutation(m).order() == target:
             return m
-    raise SearchExhausted(f"no companion-form element of order {target} mod {p}")
+    raise InvariantViolation(f"no companion-form element of order {target} mod {p}")
 
 
 def _symmetric_element_of_order(p: int, target: int) -> MoebiusMap:
@@ -249,7 +245,7 @@ def _symmetric_element_of_order(p: int, target: int) -> MoebiusMap:
                 m = MoebiusMap(p, a, b, b, d)
                 if to_permutation(m).order() == target:
                     return m
-    raise SearchExhausted(f"no symmetric element of order {target} mod {p}")
+    raise InvariantViolation(f"no symmetric element of order {target} mod {p}")
 
 
 def find_sylow_plan(p: int) -> SylowPlan:
@@ -269,7 +265,7 @@ def find_sylow_plan(p: int) -> SylowPlan:
     big_t = MoebiusMap.inversion(p)
     big_p = _symmetric_element_of_order(p, 2 ** (s - 1))
     if big_t * big_p * big_t.inverse() != big_p.inverse():
-        raise SearchExhausted("found P is not inverted by T")  # symmetric form should preclude this
+        raise InvariantViolation("found P is not inverted by T")  # symmetric form should preclude this
     plan = SylowPlan(
         p=p,
         group_order=order,
@@ -281,8 +277,8 @@ def find_sylow_plan(p: int) -> SylowPlan:
     )
     for q, g in odd.items():
         if to_permutation(g).order() != q:
-            raise SearchExhausted(f"generator for q={q} has wrong order")
+            raise InvariantViolation(f"generator for q={q} has wrong order")
     if to_permutation(big_p).order() != 2 ** (s - 1) or to_permutation(big_t).order() != 2:
-        raise SearchExhausted("dihedral pair has wrong orders")
+        raise InvariantViolation("dihedral pair has wrong orders")
     return plan
 

@@ -19,7 +19,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .bitlinalg import BitMatrix, dual_basis, rank, same_row_space
-from .errors import BothZero, ClassificationFailed, InvariantViolation
+from .errors import InvariantViolation
 from .psl2 import require_qr_prime
 
 
@@ -91,7 +91,7 @@ def x_pow_minus_1(p: int) -> Gf2Poly:
 def poly_gcd(a: Gf2Poly, b: Gf2Poly) -> Gf2Poly:
     """Monic gcd by the Euclidean algorithm (every nonzero GF(2) poly is monic)."""
     if a.is_zero and b.is_zero:
-        raise BothZero("gcd(0, 0) is undefined")
+        raise ValueError("gcd(0, 0) is undefined")
     x, y = a, b
     while not y.is_zero:
         x, y = y, x % y
@@ -165,19 +165,19 @@ def build_family(p: int) -> QrCodeFamily:
     aug = [c for c in candidates if c.degree == (p - 1) // 2]
     exp = [c for c in candidates if c.degree == (p + 1) // 2]
     if len(aug) != 2 or len(exp) != 2:
-        raise ClassificationFailed(
+        raise InvariantViolation(
             f"candidate degrees {sorted(c.degree for c in candidates)} do not split 2/2"
         )
     pairs = []
     for a in aug:
         partners = [e for e in exp if a.divides(e)]
         if len(partners) != 1 or (a * X_PLUS_1) != partners[0]:
-            raise ClassificationFailed("divisibility pairing failed")
+            raise InvariantViolation("divisibility pairing failed")
         pairs.append((a, partners[0]))
     gcd_q = poly_gcd(modulus, e_q)
     q_pairs = [pair for pair in pairs if pair[0].divides(gcd_q)]
     if len(q_pairs) != 1:
-        raise ClassificationFailed("Q-side labeling is ambiguous")
+        raise InvariantViolation("Q-side labeling is ambiguous")
     gen_q, gen_qbar = q_pairs[0]
     gen_n, gen_nbar = next(pair for pair in pairs if pair[0] != gen_q)
 

@@ -9,7 +9,8 @@ with the bit-sliced kernel that the census and congruence paths count with.
 The MacWilliams oracle expands every term of the transform on its own, and
 the hull oracle intersects the code with its dual basis. The small helpers
 below them (matrices from 0/1 lists, row-space membership, polynomial
-evaluation, the scaling-word identity of PSL2(p)) are used by tests only.
+evaluation, left-to-right composition of permutations, the scaling-word
+identity of PSL2(p)) are used by tests only.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import pytest
 
 from qrweight import build_family
 from qrweight.bitlinalg import BitMatrix, dual_basis, intersect_rowspaces, row_space_contains_all
-from qrweight.errors import BadSum, InvariantViolation, NonIntegerCoefficient, RankOutOfRange
+from qrweight.errors import InvariantViolation
 from qrweight.gleason import BigPoly
-from qrweight.psl2 import MoebiusMap, prime_factors, to_permutation
+from qrweight.psl2 import CoordPermutation, MoebiusMap, prime_factors, to_permutation
 
 
 def from_lists(lists) -> BitMatrix:
@@ -44,6 +45,13 @@ def eval_int(poly: BigPoly, x: int) -> int:
     return acc
 
 
+def then(first: CoordPermutation, *rest: CoordPermutation) -> CoordPermutation:
+    """The composition that applies ``first`` and then each of ``rest`` in turn."""
+    for perm in rest:
+        first = perm * first
+    return first
+
+
 def verify_scaling_word(p: int, rho: int) -> bool:
     """Check that y -> rho^2 * y equals the word T S^rho T S^mu T S^rho.
 
@@ -59,7 +67,7 @@ def verify_scaling_word(p: int, rho: int) -> bool:
     t = to_permutation(MoebiusMap.inversion(p))
     s_rho = to_permutation(MoebiusMap.translation(p, rho))
     s_mu = to_permutation(MoebiusMap.translation(p, mu))
-    word = t.then(s_rho).then(t).then(s_mu).then(t).then(s_rho)
+    word = then(t, s_rho, t, s_mu, t, s_rho)
     scaling = to_permutation(MoebiusMap(p, rho, 0, 0, mu))
     return word == scaling
 
@@ -116,7 +124,7 @@ def macwilliams_expansion(dist, n, k) -> list[int]:
     if len(dist) != n + 1:
         raise ValueError(f"distribution must have {n + 1} entries")
     if sum(dist) != 1 << k:
-        raise BadSum(f"distribution sums to {sum(dist)}, expected 2^{k}")
+        raise ValueError(f"distribution sums to {sum(dist)}, expected 2^{k}")
     minus_pows = [BigPoly((1,))]
     plus_pows = [BigPoly((1,))]
     for _ in range(n):
@@ -132,7 +140,7 @@ def macwilliams_expansion(dist, n, k) -> list[int]:
     out = []
     for v in acc:
         if v % (1 << k):
-            raise NonIntegerCoefficient("transform is not divisible by 2^k")
+            raise InvariantViolation("transform is not divisible by 2^k")
         out.append(v >> k)
     return out
 
@@ -170,7 +178,7 @@ def rd_rank(c: CombPattern) -> int:
 def rd_unrank(r: int, s: int, t: int) -> CombPattern:
     """Pattern of the given rank, by locating a_t in its block and reflecting."""
     if not 0 <= r < comb(s, t):
-        raise RankOutOfRange(f"rank {r} outside [0, {comb(s, t)}) for C({s},{t})")
+        raise ValueError(f"rank {r} outside [0, {comb(s, t)}) for C({s},{t})")
     out = []
     for tt in range(t, 0, -1):
         a = tt - 1

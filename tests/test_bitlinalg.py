@@ -16,7 +16,6 @@ from qrweight.bitlinalg import (
     same_row_space,
     weight_histogram,
 )
-from qrweight.errors import NotHalfRate, RankDeficient
 from qrweight.qrcodes import cyclic_generator_matrix
 
 from conftest import exhaustive_distribution, from_lists, hull_dimension_by_intersection, row_space_contains, span_words
@@ -87,7 +86,7 @@ def test_systematizations_singular_half():
 
 
 def test_systematizations_not_half_rate():
-    with pytest.raises(NotHalfRate):
+    with pytest.raises(ValueError, match="is not k x 2k"):
         disjoint_information_systematizations(BitMatrix.identity(3))
 
 
@@ -124,7 +123,7 @@ def test_extended_qr137_not_self_dual(family137):
 
 def test_dual_basis_rank_deficient():
     m = from_lists([[1, 1, 0], [1, 1, 0]])
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ValueError, match=r"rank \d+ < \d+ rows"):
         dual_basis(m)
 
 
@@ -187,7 +186,7 @@ def test_hull_dimension_matches_the_intersection(data):
     rows = [r | (r & ((1 << doubled) - 1)) << n for r in rows]
     g = BitMatrix(n + doubled, tuple(rows))
     if rank(g) < k:
-        with pytest.raises(RankDeficient):
+        with pytest.raises(ValueError, match="generator rows are dependent"):
             hull_dimension(g)
     else:
         assert hull_dimension(g) == hull_dimension_by_intersection(g)
@@ -270,7 +269,7 @@ def test_information_sets_none_for_dependent_columns_or_rows():
 
 
 def test_information_sets_not_half_rate():
-    with pytest.raises(NotHalfRate):
+    with pytest.raises(ValueError, match="is not k x 2k"):
         disjoint_information_systematizations(BitMatrix(5, (0b00011, 0b01100)))
 
 

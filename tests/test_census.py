@@ -21,14 +21,7 @@ from qrweight.census import (
     run_census,
 )
 from qrweight.cli import _digest
-from qrweight.errors import (
-    BudgetExceeded,
-    CheckFailure,
-    InvariantViolation,
-    RankOutOfRange,
-    ShardGap,
-    ShardOverlap,
-)
+from qrweight.errors import BudgetExceeded, CheckFailure, InvariantViolation
 
 from conftest import CombPattern, rd_rank, rd_successor, rd_unrank, scalar_count_shard
 
@@ -85,9 +78,9 @@ def test_unrank_rank_bijection_c125():
 
 
 def test_unrank_out_of_range():
-    with pytest.raises(RankOutOfRange):
+    with pytest.raises(ValueError, match="outside"):
         rd_unrank(comb(8, 3), 8, 3)
-    with pytest.raises(RankOutOfRange):
+    with pytest.raises(ValueError, match="outside"):
         rd_unrank(-1, 8, 3)
 
 
@@ -225,13 +218,13 @@ def test_merge_two_halves(family17):
 
 def test_merge_duplicate_shard(family17):
     first = run_census(family17, 3, shard_indices=[1])
-    with pytest.raises(ShardOverlap):
+    with pytest.raises(CheckFailure, match="appears more than once"):
         merge_censuses([first, first])
 
 
 def test_merge_missing_shard(family17):
     first = run_census(family17, 3, shard_indices=[1])
-    with pytest.raises(ShardGap):
+    with pytest.raises(CheckFailure, match="missing shards"):
         merge_censuses([first])
 
 
@@ -335,7 +328,7 @@ def test_count_shard_rejects_an_out_of_range_dead_unit(family17):
     assert job[1:3] == (2, 2) and not census.is_live(2, 2, job[-1])
     total = comb(family17.k, 2)
     for start, count in ((total, 1), (0, total + 1), (-1, 2)):
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(ValueError, match=r"shard \[.*\) outside \[0, "):
             _count_shard((job[0], 2, 2, start, count) + job[5:])
 
 

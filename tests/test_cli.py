@@ -432,6 +432,27 @@ def test_rejects_negative_t_and_workers_below_one(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("p", ["15", "25"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--out"],
+        ["group"],
+        ["congruence", "--weights", "2..4", "--out"],
+        ["shard-plan", "--t", "1"],
+        ["census", "--t", "1", "--out"],
+        ["pipeline", "--t", "3", "--out"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_unsupported_prime_is_a_usage_error(tmp_path, capsys, argv, p):
+    out_dir = [str(tmp_path)] if argv[-1] == "--out" else []
+    assert main([argv[0], "--p", p, *argv[1:], *out_dir]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage error" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
 def test_solve_from_injections_only(capsys):
     rc, out = run(capsys, "solve", "--p", "17", "--inject-a", "2=0", "--inject-a", "4=0")
     assert rc == 0

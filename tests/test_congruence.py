@@ -19,7 +19,7 @@ from qrweight.congruence import (
     subcode_weight_counts,
     sylow2_count,
 )
-from qrweight.errors import BudgetExceeded, LengthMismatch, NotCoprime, WrongModulusProduct
+from qrweight.errors import BudgetExceeded
 from qrweight.fixtures import load_p137
 from qrweight.psl2 import CoordPermutation, MoebiusMap, find_sylow_plan, to_permutation
 
@@ -61,7 +61,7 @@ def test_invariant_subcode_identity_group(family17):
 
 
 def test_invariant_subcode_length_mismatch(family17):
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="permutation degree 42 != code length 18"):
         invariant_subcode(family17.extended, [CoordPermutation.identity(41)])
 
 
@@ -93,7 +93,7 @@ def test_subcode_counts_small_case(family17):
 def test_subcode_counts_budget():
     # 2^27 words are over the 10^8-lane budget as well, refused before any walk
     for k in (27, 29):
-        sub = InvariantSubcode(parent="", group_label="", basis=BitMatrix.identity(k))
+        sub = InvariantSubcode(basis=BitMatrix.identity(k))
         with pytest.raises(BudgetExceeded):
             subcode_weight_counts(sub, 4)
 
@@ -123,7 +123,7 @@ def test_subcode_range_counts_match_the_gray_walk(data):
     k = data.draw(st.integers(0, 12))
     n = data.draw(st.integers(1, 60))
     rows = tuple(data.draw(st.integers(0, (1 << n) - 1)) for _ in range(k))
-    sub = InvariantSubcode(parent="", group_label="", basis=BitMatrix(n, rows))
+    sub = InvariantSubcode(basis=BitMatrix(n, rows))
     max_weight = data.draw(st.integers(0, n))
     # a small table cap leaves fewer rows in the span table than in the basis,
     # so blocks get nonzero base words as well
@@ -148,7 +148,7 @@ def test_folded_counts_match_the_gray_walk(data):
     coords = data.draw(st.permutations(coords))
     n = len(coords)
     rows = tuple(sum((column >> r & 1) << j for j, column in enumerate(coords)) for r in range(k))
-    sub = InvariantSubcode(parent="", group_label="", basis=BitMatrix(n, rows))
+    sub = InvariantSubcode(basis=BitMatrix(n, rows))
     max_weight = data.draw(st.integers(0, n))
     table_bits = data.draw(st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8, 1]))
     with pytest.MonkeyPatch.context() as mp:
@@ -185,7 +185,7 @@ def half_rate_subcodes(draw):
     zeros = draw(st.integers(0, 3))
     coords = draw(st.permutations([c for c in folded for _ in range(g)] + [0] * zeros))
     rows = tuple(sum((column >> r & 1) << j for j, column in enumerate(coords)) for r in range(k))
-    return InvariantSubcode(parent="", group_label="", basis=BitMatrix(len(coords), rows)), g
+    return InvariantSubcode(basis=BitMatrix(len(coords), rows)), g
 
 
 @settings(max_examples=200, deadline=None)
@@ -311,11 +311,11 @@ def test_assemble_constraint_p137(fx137):
     for w, expected in fx137["crt_residues"].items():
         s2 = sylow2_count(table["H2"][w], table["G4_0"][w], table["G4_1"][w], 3)
         parts = [
-            (8, s2),
-            (3, table["S_3"][w]),
-            (17, table["S_17"][w]),
-            (23, table["S_23"][w]),
-            (137, table["S_137"][w]),
+            (8, s2, "S_2"),
+            (3, table["S_3"][w], "S_3"),
+            (17, table["S_17"][w], "S_17"),
+            (23, table["S_23"][w], "S_23"),
+            (137, table["S_137"][w], "S_137"),
         ]
         constraint = assemble_constraint(137, w, parts)
         assert constraint.residue == expected
@@ -325,18 +325,18 @@ def test_assemble_constraint_p137(fx137):
 
 
 def test_assemble_constraint_zero_residues():
-    parts = [(8, 0), (3, 0), (17, 0), (23, 0), (137, 0)]
+    parts = [(8, 0, ""), (3, 0, ""), (17, 0, ""), (23, 0, ""), (137, 0, "")]
     assert assemble_constraint(137, 2, parts).residue == 0
 
 
 def test_assemble_constraint_not_coprime():
-    with pytest.raises(NotCoprime):
-        assemble_constraint(137, 22, [(8, 1), (6, 1), (17, 0), (23, 0), (137, 0)])
+    with pytest.raises(ValueError, match="8 and 6 share a factor"):
+        assemble_constraint(137, 22, [(8, 1, ""), (6, 1, ""), (17, 0, ""), (23, 0, ""), (137, 0, "")])
 
 
 def test_assemble_constraint_wrong_product():
-    with pytest.raises(WrongModulusProduct):
-        assemble_constraint(137, 22, [(8, 1), (3, 1), (17, 0), (23, 0)])
+    with pytest.raises(ValueError, match="product 9384 != group order 1285608"):
+        assemble_constraint(137, 22, [(8, 1, ""), (3, 1, ""), (17, 0, ""), (23, 0, "")])
 
 
 def test_check_candidate_published_values(bundle137):
@@ -371,8 +371,7 @@ def test_counts_invariant_under_basis_remix(family41):
         i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
         if i != j:
             rows[i] ^= rows[j]
-    remixed = InvariantSubcode(parent=sub.parent, group_label=sub.group_label,
-                               basis=BitMatrix(sub.basis.cols, tuple(rows)))
+    remixed = InvariantSubcode(basis=BitMatrix(sub.basis.cols, tuple(rows)))
     assert subcode_weight_counts(remixed, 42) == reference
 
 

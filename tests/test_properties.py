@@ -149,9 +149,9 @@ def random_rows(draw):
 def test_subset_tables_follow_the_revolving_door_ranks(rows_width, data):
     rows, width = rows_width
     k = len(rows)
-    depth = data.draw(st.one_of(st.none(), st.integers(0, k)))
+    depth = data.draw(st.integers(0, k))
     tables = bitlinalg.rd_subset_columns(rows, width, depth)
-    assert len(tables) - 1 == (k if depth is None else depth)
+    assert len(tables) - 1 == depth
     for d, table in enumerate(tables):
         assert len(table) == width
         assert all(col >> comb(k, d) == 0 for col in table)
@@ -163,7 +163,7 @@ def test_subset_tables_follow_the_revolving_door_ranks(rows_width, data):
 @given(random_rows(), st.integers(-1, 14))
 def test_subset_tables_stop_at_the_depth_cap(rows_width, max_depth):
     rows, width = rows_width
-    full = bitlinalg.rd_subset_columns(rows, width)
+    full = bitlinalg.rd_subset_columns(rows, width, len(rows))
     capped = bitlinalg.rd_subset_columns(rows, width, max_depth)
     assert capped == full[: max(0, max_depth) + 1]
 
@@ -177,7 +177,7 @@ def test_rank_blocks_cover_exactly_the_shard(rows_width, data):
     lo = data.draw(st.integers(0, comb(k, t) - 1))
     hi = data.draw(st.integers(lo + 1, comb(k, t)))
     depth = data.draw(st.integers(0, t))
-    tables = bitlinalg.rd_subset_columns(rows, width)  # all depths at this size
+    tables = bitlinalg.rd_subset_columns(rows, width, k)  # all depths at this size
     blocks = list(_rank_blocks(lo, hi, t, depth, 0, rows))
     found = []
     for base, d, block_lo, block_hi in blocks:
