@@ -24,17 +24,23 @@ half weighs at most W // 2 on one of the two sets, ties going to the first.
 At p = 137, S_3 folds to a [46, 23] code: a census to W = 11 walks 89,104
 patterns where the walk visits 2^23 words.
 
-Either way a subcode counts against the one enumeration budget
-(``census.check_budget``) as its 2^k words, checked before the fold, so a
-refusal costs nothing. At p = 137 that refuses only the order-2 subcode H2
-(k = 35); the next largest is S_3 (k = 23). ``compute_bundle`` then takes
-H2's row from a supplied fixture, if any.
+Either way a subcode is charged to the one enumeration budget
+(``census.check_budget``) the lanes of the route it takes: the census's
+patterns (``census.pattern_cost``), or 2^k words for the walk. The folded
+width is support / g, so when 2k does not divide the support no fold can be
+half-rate, and the 2^k words are charged before the fold. At p = 137 that
+refuses only the order-2 subcode H2 (k = 35, support 138); the next largest
+is S_3 (k = 23). ``compute_bundle`` then takes H2's row from a supplied
+fixture, if any. At p = 127 H2 folds to a [64, 32] code whose census walks
+284,274 patterns where the walk would visit 2^32 words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import or_
 from typing import Mapping, Sequence
 
 from . import bitlinalg, census
@@ -125,15 +131,17 @@ def _fold(basis: BitMatrix) -> tuple[list[int], int, int]:
     return folded, g, width
 
 
-def _census_counts(rows: list[int], max_weight: int) -> dict[int, int] | None:
+def _census_counts(rows: list[int], max_weight: int, long_run: bool) -> dict[int, int] | None:
     """Counts of the words of weight <= max_weight of the k x 2k folded rows
     by a census (``census.count_units``), or None when no pair of disjoint
-    information sets was found. The finder permutes the columns, which
+    information sets was found. The census's patterns are checked against the
+    budget once the pair is found. The finder permutes the columns, which
     changes no weight."""
     k = len(rows)
     matrices = bitlinalg.disjoint_information_systematizations(BitMatrix(2 * k, tuple(rows)))
     if matrices is None:
         return None
+    census.check_budget(census.pattern_cost(k, max_weight), long_run)
     units = census.census_work_units(k, max_weight // 2, census.DEFAULT_BLOCK_SIZE)
     counts: dict[int, int] = {}
     for *_, weight_counts in census.count_units(*matrices, units, max_weight):
@@ -145,8 +153,12 @@ def _census_counts(rows: list[int], max_weight: int) -> dict[int, int] | None:
 def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: bool = False) -> dict[int, int]:
     """Exact per-weight counts over all 2^k subcode words, weights <= max_weight.
 
-    The 2^k words are checked against the budget (``census.check_budget``)
-    before any work, whichever route then counts them; long_run lifts it.
+    The lanes of the route taken are checked against the budget
+    (``census.check_budget``) before that route runs: the census's patterns,
+    or the 2^k words of the walk, also when the census finds no pair of
+    information sets. When 2k does not divide the support, the fold cannot be
+    half-rate, so the 2^k words are checked before the fold. long_run lifts
+    the budget.
     Word i is the combination of basis rows selected by the bits of gray(i).
 
     The rows are folded first (``_fold``). Coordinates whose basis columns are
@@ -173,13 +185,16 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
     ``weight_histogram`` call.
     """
     k = sub.k
-    census.check_budget(1 << k, long_run)
+    support = reduce(or_, sub.basis.rows, 0).bit_count()
+    if support % (2 * k or 1):
+        census.check_budget(1 << k, long_run)
     rows, g, width = _fold(sub.basis)
     folded_max = max_weight // g
     if width == 2 * k and census.pattern_cost(k, folded_max) < 1 << k:
-        counts = _census_counts(rows, folded_max)
+        counts = _census_counts(rows, folded_max, long_run)
         if counts is not None:
             return {w * g: c for w, c in counts.items()}
+    census.check_budget(1 << k, long_run)
     a = min(k, max(0, (bitlinalg.TABLE_BITS // max(width, 1)).bit_length() - 1))
     columns = bitlinalg.span_columns(rows[:a], width)
     counts = {}

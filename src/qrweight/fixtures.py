@@ -15,20 +15,10 @@ def _intkeys(d: dict) -> dict[int, int]:
     return {int(k): int(v) for k, v in d.items()}
 
 
-def load_p137(path: str | None = None) -> dict:
-    """Published reference values for the prime-137 run.
-
-    ``path`` overrides the packaged file (used by regression tests that
-    deliberately perturb entries).
-    """
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    else:
-        raw = json.loads(
-            resources.files("qrweight").joinpath("data/p137.json").read_text(encoding="utf-8")
-        )
-    out = {
+def load_p137() -> dict:
+    """Published reference values for the prime-137 run."""
+    raw = json.loads(resources.files("qrweight").joinpath("data/p137.json").read_text(encoding="utf-8"))
+    return {
         "p": raw["p"],
         "group_order": raw["group_order"],
         "minimum_distance_extended": raw["minimum_distance_extended"],
@@ -47,4 +37,3 @@ def load_p137(path: str | None = None) -> dict:
         "distribution_augmented": _intkeys(raw["distribution"]["augmented"]),
         "distribution_extended": _intkeys(raw["distribution"]["extended"]),
     }
-    return out

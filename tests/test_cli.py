@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qrweight import census, cli
+from qrweight import census, cli, fixtures
 from qrweight.census import shard_digest
 from qrweight.cli import _digest, main
 from qrweight.fixtures import load_p137
@@ -74,6 +74,13 @@ def test_congruence_command(capsys):
     payload = json.loads(out)
     assert payload["constraints"]["4"]["modulus"] == 2448
     assert payload["h2_source"] == "computed"
+
+
+def test_congruence_counts_a_half_rate_fold_by_its_census(capsys):
+    # H2 at p = 127 has k = 32; its census walks 284,274 lanes, under the budget
+    rc, out = run(capsys, "congruence", "--p", "127", "--weights", "2..20")
+    assert rc == 0
+    assert json.loads(out)["dims"]["H2"] == 32
 
 
 def test_shard_plan_output(capsys):
@@ -151,9 +158,13 @@ def test_verify_rejects_tampered_artifact(tmp_path, capsys):
     lambda payload: payload.update(extended=payload["extended"][:-3]),
     lambda payload: payload.pop("m"),
     lambda payload: payload.update(m="2"),
+    lambda payload: payload.update(m=2.0),
     lambda payload: payload.update(m=100),
     lambda payload: payload.update(extended=[[99, c] for _, c in payload["extended"]]),
-], ids=["short-extended", "no-m", "string-m", "m-off-the-family", "wrong-weight-index"])
+    lambda payload: payload["coefficients"].__setitem__(1, payload["coefficients"][1] + 1),
+    lambda payload: payload["augmented"][5].__setitem__(1, payload["augmented"][5][1] + 1),
+], ids=["short-extended", "no-m", "string-m", "float-m", "m-off-the-family", "wrong-weight-index",
+        "edited-coefficient", "edited-augmented"])
 def test_verify_rejects_malformed_solution(tmp_path, capsys, mutate):
     out_dir = str(tmp_path)
     assert run(capsys, "census", "--p", "17", "--t", "2", "--out", out_dir)[0] == 0
@@ -361,47 +372,68 @@ def test_paper_regression_passes(capsys):
     rc, out = run(capsys, "paper-regression")
     assert rc == 0
     assert "regression suite passed" in out
-    assert "K = 69" in out
+    assert "ok: top_coefficient" in out
 
 
-def _write_perturbed_fixture(tmp_path, mutate) -> str:
-    from importlib import resources
-
-    raw = json.loads(resources.files("qrweight").joinpath("data/p137.json").read_text())
-    mutate(raw)
-    path = tmp_path / "fixture.json"
-    path.write_text(json.dumps(raw))
-    return str(path)
+def test_paper_regression_compares_every_fixture_key_once(capsys):
+    rc, out = run(capsys, "paper-regression")
+    assert rc == 0
+    compared = [line[len("ok: "):] for line in out.splitlines() if line.startswith("ok: ")]
+    assert sorted(compared) == sorted(load_p137())
+    assert "FAIL" not in out
 
 
-def test_paper_regression_detects_perturbed_census(tmp_path, capsys):
-    def mutate(raw):
-        raw["partial_census"]["values"]["32"] += 1
+def _perturb_fixture(monkeypatch, mutate) -> None:
+    """Have the CLI load an edited copy of the published fixture."""
+    fx = load_p137()
+    mutate(fx)
+    monkeypatch.setattr(fixtures, "load_p137", lambda: fx)
 
-    path = _write_perturbed_fixture(tmp_path, mutate)
-    rc, out = run(capsys, "paper-regression", "--fixtures", path)
+
+@pytest.mark.parametrize("key, value", [
+    ("p", 139),
+    ("group_order", 1285609),
+    ("minimum_distance_extended", 24),
+    ("crt_modulus", 1285609),
+    ("top_coefficient", 70),
+    ("rejected_a34", 771068968228),
+])
+def test_paper_regression_detects_a_perturbed_scalar(capsys, monkeypatch, key, value):
+    _perturb_fixture(monkeypatch, lambda fx: fx.update({key: value}))
+    rc, out = run(capsys, "paper-regression")
     assert rc == 1
-    assert "FAIL: A_32 congruence quotient" in out
+    assert f"FAIL: {key} " in out
 
 
-def test_paper_regression_detects_perturbed_residue(tmp_path, capsys):
-    def mutate(raw):
-        raw["crt_residues"]["values"]["34"] += 1
+def test_paper_regression_detects_perturbed_census(capsys, monkeypatch):
+    def mutate(fx):
+        fx["partial_census"][32] += 1
 
-    path = _write_perturbed_fixture(tmp_path, mutate)
-    rc, out = run(capsys, "paper-regression", "--fixtures", path)
+    _perturb_fixture(monkeypatch, mutate)
+    rc, out = run(capsys, "paper-regression")
+    assert rc == 1
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL: orbit_quotients")]
+    assert "32: Reject(" in line
+
+
+def test_paper_regression_detects_perturbed_residue(capsys, monkeypatch):
+    def mutate(fx):
+        fx["crt_residues"][34] += 1
+
+    _perturb_fixture(monkeypatch, mutate)
+    rc, out = run(capsys, "paper-regression")
     assert rc == 1
     assert "FAIL" in out
 
 
-def test_paper_regression_both_rejected_certificate(tmp_path, capsys):
+def test_paper_regression_both_rejected_certificate(capsys, monkeypatch):
     # damaging a subgroup count changes the weight-34 congruence so that
     # neither sign candidate survives: the certificate must be printed
-    def mutate(raw):
-        raw["subgroup_table"]["counts"]["H2"]["34"] += 1
+    def mutate(fx):
+        fx["subgroup_counts"]["H2"][34] += 1
 
-    path = _write_perturbed_fixture(tmp_path, mutate)
-    rc, out = run(capsys, "paper-regression", "--fixtures", path)
+    _perturb_fixture(monkeypatch, mutate)
+    rc, out = run(capsys, "paper-regression")
     assert rc == 1
     assert "candidate sign" in out
     assert "top-coefficient resolution" in out

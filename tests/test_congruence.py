@@ -22,6 +22,7 @@ from qrweight.congruence import (
 from qrweight.errors import BudgetExceeded
 from qrweight.fixtures import load_p137
 from qrweight.psl2 import CoordPermutation, MoebiusMap, find_sylow_plan, to_permutation
+from qrweight.qrcodes import build_family
 
 from conftest import gray_walk_counts, scalar_count_shard
 
@@ -98,6 +99,11 @@ def test_subcode_counts_budget():
             subcode_weight_counts(sub, 4)
 
 
+def test_subcode_counts_of_the_zero_subcode():
+    # k = 0: no support to fold, one word of weight 0 and one lane
+    assert subcode_weight_counts(InvariantSubcode(basis=BitMatrix(6, ())), 4) == {0: 1}
+
+
 def test_h2_fixture_is_used_only_when_the_budget_refuses_h2(family41, bundle41, monkeypatch):
     # at p = 41 H2 has k = 11 and G4_0 k = 7; no other subcode is larger than 7
     plan = find_sylow_plan(41)
@@ -115,6 +121,35 @@ def test_h2_fixture_is_used_only_when_the_budget_refuses_h2(family41, bundle41, 
     monkeypatch.setattr(census, "DEFAULT_PATTERN_BUDGET", (1 << 7) - 1)
     with pytest.raises(BudgetExceeded, match="needs 128 lanes"):
         compute_bundle(family41, plan, evens, h2_counts_fixture=fixture)
+
+
+def test_budget_charges_the_lanes_of_the_route_taken(family137, fx137, monkeypatch):
+    charged, folded = [], []
+    check_budget, fold = census.check_budget, congruence._fold
+
+    def charge(lanes, long_run):
+        charged.append(lanes)
+        check_budget(lanes, long_run)
+
+    def record_fold(basis):
+        folded.append(basis.nrows)
+        return fold(basis)
+
+    monkeypatch.setattr(census, "check_budget", charge)
+    monkeypatch.setattr(congruence, "_fold", record_fold)
+    # at p = 127 H2 (k = 32) folds to a [64, 32] code: its census to folded
+    # weight 10 walks 284,274 patterns, not the 2^32 words of the walk
+    plan = find_sylow_plan(127)
+    h2 = invariant_subcode(build_family(127).extended, [to_permutation(g) for g in plan.h2_elements()])
+    assert h2.k == 32
+    subcode_weight_counts(h2, 20)
+    assert charged == [census.pattern_cost(32, 10)] == [284274]
+    # at p = 137 H2 (k = 35) has support 138, no multiple of 70: no fold is
+    # half-rate, so its 2^35 words are refused before the fold
+    bundle = compute_bundle(family137, find_sylow_plan(137), list(range(22, 35, 2)),
+                            h2_counts_fixture=fx137["subgroup_counts"]["H2"])
+    assert 1 << 35 in charged and 35 not in folded
+    assert bundle.h2_source == "fixture"
 
 
 @settings(max_examples=80, deadline=None)
