@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,19 @@ def rref_on_columns(m: BitMatrix, col_order: Sequence[int]) -> tuple[BitMatrix, 
     pivots: list[int] = []
     r = 0
     for c in col_order:
+        bit = 1 << c
         pivot_row = None
         for i in range(r, len(rows)):
-            if (rows[i] >> c) & 1:
+            if rows[i] & bit:
                 pivot_row = i
                 break
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r]
         for i in range(len(rows)):
-            if i != r and ((rows[i] >> c) & 1):
-                rows[i] ^= rows[r]
+            if i != r and rows[i] & bit:
+                rows[i] ^= pivot
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -73,18 +75,6 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
 
 def rank(m: BitMatrix) -> int:
     return rref(m)[0].nrows
-
-
-def row_space_contains_all(m: BitMatrix, vectors: Iterable[int]) -> bool:
-    """Whether every vector lies in the row space of ``m``; ``m`` is reduced once."""
-    reduced, pivots = rref(m)
-    for v in vectors:
-        for row, c in zip(reduced.rows, pivots):
-            if (v >> c) & 1:
-                v ^= row
-        if v:
-            return False
-    return True
 
 
 def same_row_space(a: BitMatrix, b: BitMatrix) -> bool:

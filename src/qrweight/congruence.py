@@ -7,12 +7,16 @@ group order: exhaustive counts inside invariant subcodes for the odd primes,
 and the dihedral inclusion-exclusion combination for the prime 2.
 
 A subcode is the parent code intersected, once, with the vectors constant on
-the orbits of its group. Its words are counted on a folded copy: coordinates
-whose basis columns are equal hold equal bits in every word, so a class of s
-of them weighs s or 0. Keeping s // g coordinates per class, g the gcd of the
-class sizes, divides every word's weight by exactly g and keeps the words in
-the same order, so the folded counts, with weights multiplied by g, are the
-exact counts.
+the orbits of its group. A sum of orbits lies in the code iff the syndromes of
+its orbits, each the XOR of the parity-check columns of its coordinates, sum
+to zero, so the subcode is the left kernel of the #orbits x (n - k) syndrome
+matrix mapped back to sums of orbits. The code's parity-check columns and its
+rref, against which every basis row is checked, are computed once per code.
+Its words are counted on a folded copy: coordinates whose basis columns are
+equal hold equal bits in every word, so a class of s of them weighs s or 0.
+Keeping s // g coordinates per class, g the gcd of the class sizes, divides
+every word's weight by exactly g and keeps the words in the same order, so the
+folded counts, with weights multiplied by g, are the exact counts.
 
 A folded code is counted one of two ways. The default walks all 2^k words in
 Gray order. When the folded code is half-rate, [2k, k], and
@@ -38,9 +42,9 @@ fixture, if any. At p = 127 H2 folds to a [64, 32] code whose census walks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
-from operator import or_
+from operator import or_, xor
 from typing import Mapping, Sequence
 
 from . import bitlinalg, census
@@ -65,43 +69,103 @@ def fixed_space(group: Sequence[CoordPermutation], n: int) -> BitMatrix:
     """Span of the orbit indicator vectors of the group the permutations generate.
 
     These are exactly the vectors that every permutation fixes: the vectors
-    constant on each orbit, an orbit being a class of the union of all the
-    permutations' cycles.
+    constant on each orbit. Each orbit is grown from its least coordinate by
+    applying every permutation to each coordinate reached, and the orbits come
+    in the order of their least coordinates.
     """
-    parent = list(range(n))  # union-find forest over the coordinates
+    images = [perm.image for perm in group]
+    seen = [False] * n
+    orbits = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, orbit = [start], 0
+        while stack:
+            i = stack.pop()
+            orbit |= 1 << i
+            for image in images:
+                j = image[i]
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        orbits.append(orbit)
+    return BitMatrix(n, tuple(orbits))
 
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    for perm in group:
-        for i, v in enumerate(perm.image):
-            a, b = root(i), root(v)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    orbits: dict[int, int] = {}
-    for i in range(n):
-        r = root(i)
-        orbits[r] = orbits.get(r, 0) | 1 << i
-    return BitMatrix(n, tuple(orbits.values()))
+def _set_bits(x: int):
+    """The set bits of x, each as a power of two, lowest first."""
+    while x:
+        low = x & -x
+        yield low
+        x ^= low
+
+
+@lru_cache(maxsize=2)
+def _parity_checks(code: BitMatrix) -> tuple[dict[int, int], dict[int, int]]:
+    """The code's rref rows, and the columns of its parity-check matrix H,
+    both keyed by the power of two of their coordinate and both from one
+    reduction; the last two codes' are kept.
+
+    Bit t of the column at coordinate j is coordinate j of row t of
+    ``bitlinalg.dual_basis(code)``: that row is free coordinate f_t plus the
+    pivots of the rref rows that hold f_t.
+    """
+    reduced, pivots = bitlinalg.rref(code)
+    pivot_rows = {1 << c: row for row, c in zip(reduced.rows, pivots)}
+    free = [1 << c for c in range(code.cols) if 1 << c not in pivot_rows]
+    checks = {f: 1 << t for t, f in enumerate(free)}
+    for pivot, row in pivot_rows.items():
+        checks[pivot] = reduce(or_, (checks[f] for f in _set_bits(row ^ pivot)), 0)
+    return pivot_rows, checks
+
+
+def _basis_columns(basis: BitMatrix) -> list[int]:
+    """The basis transposed: bit r of column j is coordinate j of row r."""
+    if not basis.rows:
+        return [0] * basis.cols
+    # each row as a string of its bits, coordinate 0 last and the last row
+    # first, so that reading the strings down one position spells a column
+    lines = [bin(row | 1 << basis.cols)[3:] for row in reversed(basis.rows)]
+    return [int("".join(bits), 2) for bits in zip(*lines)][::-1]
 
 
 def invariant_subcode(code: BitMatrix, group: Sequence[CoordPermutation]) -> InvariantSubcode:
-    """Intersect the code, once, with the space fixed by every element of the group."""
+    """Intersect the code, once, with the space fixed by every element of the group.
+
+    A fixed vector is x = sum of c_o * 1_o over the group's orbits o, and it
+    lies in the code iff sum of c_o * H 1_o = 0, H the code's parity-check
+    matrix. The syndrome H 1_o is the XOR of the H-columns of the orbit's
+    coordinates, so the subcode is the left kernel of the #orbits x (n - k)
+    syndrome matrix, mapped back to sums of orbits and reduced. At p = 137
+    that is a 70 x 69 elimination for H2 and a 2 x 69 one for S_137.
+
+    Two checks follow that do not use the syndromes. Every basis row must lie
+    in the code: an rref row is zero at every other pivot, so a vector lies in
+    the code iff it equals the XOR of the rows whose pivots it holds. And
+    every permutation must fix every basis row, which it does exactly when it
+    maps each coordinate to one with the same basis column. The code's rref
+    and H-columns are cached (``_parity_checks``), so a code is reduced once
+    for all its subcodes.
+    """
     for perm in group:
         if len(perm.image) != code.cols:
             raise ValueError(f"permutation degree {len(perm.image)} != code length {code.cols}")
-    basis = bitlinalg.intersect_rowspaces(code, fixed_space(group, code.cols))
-    sub = InvariantSubcode(basis=basis)
-    if not bitlinalg.row_space_contains_all(code, basis.rows):
-        raise InvariantViolation("invariant subcode escaped the parent code")
-    for row in basis.rows:
-        for perm in group:
-            if perm.apply_to_bits(row) != row:
-                raise InvariantViolation("basis row not fixed by the defining group")
-    return sub
+    pivot_rows, checks = _parity_checks(code)
+    orbits = fixed_space(group, code.cols).rows
+    syndromes = tuple(reduce(xor, (checks[b] for b in _set_bits(o)), 0) for o in orbits)
+    combos = bitlinalg.left_kernel(BitMatrix(code.cols - len(pivot_rows), syndromes)).rows
+    words = [reduce(or_, (orbits[b.bit_length() - 1] for b in _set_bits(c)), 0) for c in combos]
+    basis = bitlinalg.rref(BitMatrix(code.cols, tuple(words)))[0]
+    pivots = reduce(or_, pivot_rows, 0)
+    for v in basis.rows:
+        if v != reduce(xor, (pivot_rows[b] for b in _set_bits(v & pivots)), 0):
+            raise InvariantViolation("invariant subcode escaped the parent code")
+    columns = _basis_columns(basis)
+    for perm in group:
+        if any(columns[i] != columns[v] for i, v in enumerate(perm.image)):
+            raise InvariantViolation("basis row not fixed by the defining group")
+    return InvariantSubcode(basis=basis)
 
 
 def _fold(basis: BitMatrix) -> tuple[list[int], int, int]:
@@ -113,10 +177,7 @@ def _fold(basis: BitMatrix) -> tuple[list[int], int, int]:
     """
     rows = basis.rows
     classes: dict[int, int] = {}  # column (bit r = row r's bit) -> class size
-    for j in range(basis.cols):
-        column = 0
-        for r, row in enumerate(rows):
-            column |= (row >> j & 1) << r
+    for column in _basis_columns(basis):
         if column:
             classes[column] = classes.get(column, 0) + 1
     g = gcd(*classes.values()) or 1  # no nonzero column: every word weighs 0

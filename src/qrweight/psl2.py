@@ -133,14 +133,6 @@ class CoordPermutation:
     def order(self) -> int:
         return lcm(*(len(c) for c in self.cycles()))
 
-    def apply_to_bits(self, bits: int) -> int:
-        """Move the value at coordinate i to coordinate image[i]."""
-        out = 0
-        for i, v in enumerate(self.image):
-            if (bits >> i) & 1:
-                out |= 1 << v
-        return out
-
 
 def to_permutation(m: MoebiusMap) -> CoordPermutation:
     """Realize the Moebius map on {0..p-1, infinity} with x/0 = infinity."""

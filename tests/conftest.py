@@ -9,8 +9,8 @@ with the bit-sliced kernel that the census and congruence paths count with.
 The MacWilliams oracle expands every term of the transform on its own, and
 the hull oracle intersects the code with its dual basis. The small helpers
 below them (matrices from 0/1 lists, row-space membership, polynomial
-evaluation, left-to-right composition of permutations, the scaling-word
-identity of PSL2(p)) are used by tests only.
+evaluation, left-to-right composition of permutations, a permutation applied
+to a bit vector, the scaling-word identity of PSL2(p)) are used by tests only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import comb
 import pytest
 
 from qrweight import build_family
-from qrweight.bitlinalg import BitMatrix, dual_basis, intersect_rowspaces, row_space_contains_all
+from qrweight.bitlinalg import BitMatrix, dual_basis, intersect_rowspaces, rref
 from qrweight.errors import InvariantViolation
 from qrweight.gleason import BigPoly
 from qrweight.psl2 import CoordPermutation, MoebiusMap, prime_factors, to_permutation
@@ -34,7 +34,11 @@ def from_lists(lists) -> BitMatrix:
 
 
 def row_space_contains(m: BitMatrix, bits: int) -> bool:
-    return row_space_contains_all(m, (bits,))
+    reduced, pivots = rref(m)
+    for row, c in zip(reduced.rows, pivots):
+        if (bits >> c) & 1:
+            bits ^= row
+    return not bits
 
 
 def eval_int(poly: BigPoly, x: int) -> int:
@@ -50,6 +54,15 @@ def then(first: CoordPermutation, *rest: CoordPermutation) -> CoordPermutation:
     for perm in rest:
         first = perm * first
     return first
+
+
+def apply_to_bits(perm: CoordPermutation, bits: int) -> int:
+    """Move the value at coordinate i of ``bits`` to coordinate perm.image[i]."""
+    out = 0
+    for i, v in enumerate(perm.image):
+        if (bits >> i) & 1:
+            out |= 1 << v
+    return out
 
 
 def verify_scaling_word(p: int, rho: int) -> bool:

@@ -19,7 +19,7 @@ from qrweight.congruence import (
     subcode_weight_counts,
     sylow2_count,
 )
-from qrweight.errors import BudgetExceeded
+from qrweight.errors import BudgetExceeded, InvariantViolation
 from qrweight.fixtures import load_p137
 from qrweight.psl2 import CoordPermutation, MoebiusMap, find_sylow_plan, to_permutation
 from qrweight.qrcodes import build_family
@@ -333,6 +333,83 @@ def test_invariant_subcode_intersects_once_with_the_group_orbits(family41):
             expected = bitlinalg.intersect_rowspaces(expected, BitMatrix(42, tuple(
                 sum(1 << i for i in cycle) for cycle in perm.cycles())))
         assert invariant_subcode(family41.extended, perms).basis == expected
+
+
+def test_invariant_subcode_rejects_a_word_outside_the_code(family17, monkeypatch):
+    # all-zero parity-check columns put every sum of orbits in the "kernel"
+    pivot_rows, checks = congruence._parity_checks(family17.extended)
+    monkeypatch.setattr(congruence, "_parity_checks", lambda code: (pivot_rows, dict.fromkeys(checks, 0)))
+    perm = to_permutation(MoebiusMap.translation(17))
+    with pytest.raises(InvariantViolation, match="escaped the parent code"):
+        invariant_subcode(family17.extended, [perm])
+
+
+def test_invariant_subcode_rejects_a_word_the_group_moves(family17, monkeypatch):
+    # singleton orbits make the subcode the whole code, which the translation moves
+    monkeypatch.setattr(congruence, "fixed_space", lambda group, n: BitMatrix.identity(n))
+    perm = to_permutation(MoebiusMap.translation(17))
+    with pytest.raises(InvariantViolation, match="not fixed by the defining group"):
+        invariant_subcode(family17.extended, [perm])
+
+
+@pytest.mark.parametrize("p", [7, 17, 23, 31, 41, 47, 71, 73, 79, 89, 97, 103, 113, 127, 137])
+def test_bundle_subcodes_match_the_intersection_of_row_spaces(p, monkeypatch):
+    # every subcode compute_bundle builds, with the counts stubbed out
+    built = []
+
+    def spy(code, group):
+        sub = invariant_subcode(code, group)
+        built.append((code, group, sub))
+        return sub
+
+    monkeypatch.setattr(congruence, "invariant_subcode", spy)
+    monkeypatch.setattr(congruence, "subcode_weight_counts", lambda sub, max_weight, **kwargs: {})
+    plan = find_sylow_plan(p)
+    compute_bundle(build_family(p), plan, [2])
+    assert len(built) == 3 + len({q for q, _ in plan.factorization} - {2})
+    for code, group, sub in built:
+        assert sub.basis == bitlinalg.intersect_rowspaces(code, congruence.fixed_space(group, code.cols))
+
+
+@st.composite
+def codes_and_groups(draw):
+    """A full-rank code of length n with a list of permutations of its
+    coordinates: none, the identity, one n-cycle (a single orbit) or a few
+    drawn at random."""
+    n = draw(st.integers(1, 24))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))
+    code = bitlinalg.rref(BitMatrix(n, tuple(rows)))[0]
+    kind = draw(st.sampled_from(["none", "identity", "cycle", "random"]))
+    if kind == "none":
+        images = []
+    elif kind == "identity":
+        images = [list(range(n))]
+    elif kind == "cycle":
+        order = draw(st.permutations(range(n)))
+        image = [0] * n
+        for a, b in zip(order, order[1:] + order[:1]):
+            image[a] = b
+        images = [image]
+    else:
+        images = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return code, [CoordPermutation(n - 1, tuple(image)) for image in images]
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes_and_groups())
+def test_invariant_subcode_matches_the_intersection_with_each_cycle_space(code_group):
+    code, group = code_group
+    n = code.cols
+    expected = bitlinalg.rref(code)[0]
+    for perm in group:
+        cycles = BitMatrix(n, tuple(sum(1 << i for i in cycle) for cycle in perm.cycles()))
+        expected = bitlinalg.intersect_rowspaces(expected, cycles)
+    assert invariant_subcode(code, group).basis == expected
+    # the cached parity-check columns are the columns of the dual basis
+    _, checks = congruence._parity_checks(code)
+    dual = bitlinalg.dual_basis(code).rows
+    assert [checks[1 << j] for j in range(n)] == [
+        sum((row >> j & 1) << t for t, row in enumerate(dual)) for j in range(n)]
 
 
 def test_sylow2_count_published_values():
