@@ -13,6 +13,7 @@ the weights of a whole table in a few hundred of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -148,11 +149,14 @@ def intersect_rowspaces(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return rref(BitMatrix(a.cols, tuple(gens)))[0]
 
 
+@lru_cache(maxsize=4)
 def hull_dimension(g: BitMatrix) -> int:
     """dim of rowspace(g) intersected with its orthogonal complement.
 
     Computed as k - rank(G G^T): for G of full rank k, xG lies in the dual
     exactly when x G G^T = 0, so the hull is the image of that left kernel.
+    The last four generators' dimensions are cached, so repeated solves of
+    one code compute it once; a ValueError is raised again on every call.
     """
     if rank(g) != g.nrows:
         raise ValueError("generator rows are dependent")

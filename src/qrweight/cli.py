@@ -373,7 +373,8 @@ def cmd_verify(args) -> int:
         raise CheckFailure("artifact code identity does not match the constructed family")
     payload = artifact["payload"]
     try:
-        counts = {w: c for w, c in payload["extended"] if w <= 2 * family.m}
+        # any other entry is left to the comparison of the whole payload below
+        counts = {w: c for w, c in payload["extended"] if 0 <= w <= 2 * family.m}
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckFailure(f"malformed solution payload: {exc!r}") from exc
     _require_ints("solution payload", [*counts, *counts.values()])

@@ -95,14 +95,6 @@ class BigPoly:
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def __add__(self, other: BigPoly) -> BigPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return BigPoly(tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
-
-    def __sub__(self, other: BigPoly) -> BigPoly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        return BigPoly(tuple(self.coeff(i) - other.coeff(i) for i in range(n)))
-
     def __mul__(self, other: BigPoly | int) -> BigPoly:
         if isinstance(other, int):
             return BigPoly(tuple(c * other for c in self.coeffs))
@@ -179,10 +171,12 @@ def reconstruct(ks: Sequence[int], m: int) -> BigPoly:
     if len(ks) != m + 1:
         raise ValueError(f"need {m + 1} coefficients, got {len(ks)}")
     basis = gleason_basis(m)
-    acc = BigPoly.zero()
+    acc = [0] * max(len(phi.coeffs) for phi in basis)
     for k_j, phi in zip(ks, basis):
-        acc = acc + phi * k_j
-    return acc
+        if k_j:
+            for idx, c in enumerate(phi.coeffs):
+                acc[idx] += k_j * c
+    return BigPoly(tuple(acc))
 
 
 @lru_cache(maxsize=None)
@@ -327,25 +321,38 @@ def macwilliams_transform(dist: Sequence[int], n: int, k: int) -> list[int]:
 
         S_0 = A_0,    S_i = (1+z) S_(i-1) + A_i (1-z)^i,    T = S_n,
 
-    with (1-z)^i updated in place from (1-z)^(i-1), so each step is O(n)
-    integer additions and the transform O(n^2).
+    run on single integers at z = 2^B (Kronecker substitution), so each step
+    is a few shifts and additions of big integers.
+
+    The digits are exact because of the width B, a multiple of 8 with
+    2^(B-2) > sum_i |A_i| * 2^n. The coefficients of (1-z)^i (1+z)^(n-i)
+    have absolute sum at most 2^n, so every coefficient T_j of T has
+    |T_j| < 2^(B-2). Adding 2^(B-1) to each makes it a digit in [0, 2^B), and
+    T(2^B) plus those offsets has exactly these n + 1 base-2^B digits, read
+    back as bytes.
     """
     if len(dist) != n + 1:
         raise ValueError(f"distribution must have {n + 1} entries")
     if sum(dist) != 1 << k:
         raise ValueError(f"distribution sums to {sum(dist)}, expected 2^{k}")
-    acc = [0] * (n + 1)  # S_i, degree i
-    minus = [1] + [0] * n  # (1-z)^i, degree i
+    width = -(-(sum(map(abs, dist)).bit_length() + n + 2) // 8)  # B / 8 bytes
+    shift = 8 * width
+    acc = 0  # S_i(2^B)
+    minus = 1  # (1 - 2^B)^i
     for i, a in enumerate(dist):
-        for idx in range(i, 0, -1):
-            acc[idx] += acc[idx - 1]
-            minus[idx] -= minus[idx - 1]
+        if i:
+            acc += acc << shift
+            minus -= minus << shift
         if a:
-            for idx in range(i + 1):
-                acc[idx] += a * minus[idx]
+            acc += a * minus
+    half = 1 << (shift - 1)
+    offsets = int.from_bytes(half.to_bytes(width, "little") * (n + 1), "little")
+    digits = (acc + offsets).to_bytes(width * (n + 1), "little")
+    low = (1 << k) - 1
     out = []
-    for v in acc:
-        if v % (1 << k):
+    for start in range(0, len(digits), width):
+        v = int.from_bytes(digits[start : start + width], "little") - half
+        if v & low:
             raise InvariantViolation("transform is not divisible by 2^k")
         out.append(v >> k)
     return out
@@ -431,13 +438,16 @@ def solve_distribution(
     solved directly; if a constraint for weight 2m is supplied the
     sign-resolution route runs as well and must agree. When A_2m is absent the
     constraint is required and the sign route determines it. Any supplied
-    count beyond weight 2m must match the reconstruction.
+    count beyond weight 2m must match the reconstruction, which is 0 above
+    weight p + 1; a negative weight is a ValueError.
     """
     if p % 8 != 1:
         raise ValueError(f"p={p} must be 1 mod 8 for this reconstruction")
     m = (p - 1) // 8
     known = {0: 1}
     for w, c in counts.items():
+        if w < 0:
+            raise ValueError(f"weight {w} is negative")
         if w % 2:
             if c:
                 raise InvariantViolation(f"odd weight {w} has nonzero count")
@@ -475,8 +485,9 @@ def solve_distribution(
     n = p + 1
     ext = tuple(poly.coeff(j) for j in range(n + 1))
     for w, c in counts.items():
-        if w <= n and ext[w] != c:
-            raise CheckFailure(f"censused A_{w}={c} but reconstruction gives {ext[w]}")
+        rebuilt = ext[w] if w <= n else 0
+        if rebuilt != c:
+            raise CheckFailure(f"censused A_{w}={c} but reconstruction gives {rebuilt}")
     aug_poly = augmented_enumerator(BigPoly(ext), p)
     aug = tuple(aug_poly.coeff(j) for j in range(n))
     solution = GleasonSolution(

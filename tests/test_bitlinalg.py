@@ -145,6 +145,18 @@ def test_hull_expurgated_qr17_with_set_oracle(family17):
     assert code_words & dual_words == {0}
 
 
+def test_hull_dimension_is_cached_but_dependent_rows_raise_every_time(family17):
+    exp = family17.expurgated
+    first = hull_dimension(exp)
+    hits = hull_dimension.cache_info().hits
+    assert hull_dimension(exp) == first == 0
+    assert hull_dimension.cache_info().hits == hits + 1
+    dependent = from_lists([[1, 1, 0], [1, 1, 0]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="generator rows are dependent"):
+            hull_dimension(dependent)
+
+
 def test_intersect_same_space():
     m = from_lists([[1, 0, 1], [0, 1, 1]])
     inter = intersect_rowspaces(m, m)

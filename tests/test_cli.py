@@ -163,8 +163,9 @@ def test_verify_rejects_tampered_artifact(tmp_path, capsys):
     lambda payload: payload.update(extended=[[99, c] for _, c in payload["extended"]]),
     lambda payload: payload["coefficients"].__setitem__(1, payload["coefficients"][1] + 1),
     lambda payload: payload["augmented"][5].__setitem__(1, payload["augmented"][5][1] + 1),
+    lambda payload: payload["extended"].insert(0, [-2, 0]),
 ], ids=["short-extended", "no-m", "string-m", "float-m", "m-off-the-family", "wrong-weight-index",
-        "edited-coefficient", "edited-augmented"])
+        "edited-coefficient", "edited-augmented", "negative-weight"])
 def test_verify_rejects_malformed_solution(tmp_path, capsys, mutate):
     out_dir = str(tmp_path)
     assert run(capsys, "census", "--p", "17", "--t", "2", "--out", out_dir)[0] == 0
@@ -490,6 +491,21 @@ def test_solve_from_injections_only(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert payload["coefficients"] == [1, -9, -9]
+
+
+def test_solve_rejects_a_nonzero_count_above_the_length(capsys):
+    rc, err = run_err(capsys, "solve", "--p", "17", "--inject-a", "2=0", "--inject-a", "4=0",
+                      "--inject-a", "40=7")
+    assert rc == 1
+    assert "censused A_40=7 but reconstruction gives 0" in err
+
+
+def test_solve_rejects_a_negative_weight(capsys):
+    # "-2=0" alone would be read as an option, so the value is attached with "="
+    rc, err = run_err(capsys, "solve", "--p", "17", "--inject-a", "2=0", "--inject-a", "4=0",
+                      "--inject-a=-2=0")
+    assert rc == 2
+    assert "usage error: weight -2 is negative" in err
 
 
 def test_solve_rejects_a_constraint_of_another_code(tmp_path, capsys):

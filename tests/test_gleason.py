@@ -68,7 +68,6 @@ def test_bigpoly_basics():
     p = BigPoly((1, 2, 3))
     q = BigPoly((0, 1))
     assert (p * q).coeffs == (0, 1, 2, 3)
-    assert (p + q).coeffs == (1, 3, 3)
     assert p.derivative().coeffs == (2, 6)
     assert eval_int(p, 2) == 17
     assert p.eval_gaussian(I_UNIT) == GaussianInt(-2, 2)
@@ -282,13 +281,16 @@ def test_macwilliams_bad_sum():
 def test_macwilliams_transform_matches_the_term_by_term_expansion(data):
     n = data.draw(st.integers(1, 40))
     k = data.draw(st.integers(0, 20))
-    if data.draw(st.booleans()):
+    shape = data.draw(st.sampled_from(("split", "small", "large")))
+    if shape == "split":
         # 2^k split over the n + 1 weights: the division by 2^k mostly fails
         cuts = sorted(data.draw(st.lists(st.integers(0, 1 << k), min_size=n, max_size=n)))
         dist = [b - a for a, b in zip([0, *cuts], [*cuts, 1 << k])]
     else:
-        # 2^k times integers summing to 1: the division is always exact
-        c = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        # 2^k times integers summing to 1: the division is always exact; large
+        # multipliers widen the packed digits of the transform
+        bound = 5 if shape == "small" else 1 << 100
+        c = data.draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
         dist = data.draw(st.permutations([(1 - sum(c)) << k] + [x << k for x in c]))
     try:
         expected = macwilliams_expansion(dist, n, k)
@@ -298,6 +300,37 @@ def test_macwilliams_transform_matches_the_term_by_term_expansion(data):
             macwilliams_transform(dist, n, k)
     else:
         assert macwilliams_transform(dist, n, k) == expected
+
+
+def _p137_extended(fx137) -> list[int]:
+    """The published extended distribution; the fixture lists weights up to 69."""
+    return [fx137["distribution_extended"].get(min(w, 138 - w), 0) for w in range(139)]
+
+
+def test_macwilliams_transform_at_full_size_p137(fx137):
+    ext = _p137_extended(fx137)
+    assert macwilliams_transform(ext, 138, 69) == macwilliams_expansion(ext, 138, 69) == ext
+
+
+def test_macwilliams_transform_at_full_size_with_the_widest_digits():
+    # entries near +-2^200 that sum to 2^69: sum |A_i| * 2^n sets the digit width
+    n, k = 138, 69
+    c = [(-1) ** i * ((1 << 131) - i) for i in range(1, n + 1)]
+    dist = [(1 - sum(c)) << k] + [x << k for x in c]
+    assert sum(dist) == 1 << k
+    assert all(abs(a).bit_length() in (200, 201) for a in dist[1:])
+    assert macwilliams_transform(dist, n, k) == macwilliams_expansion(dist, n, k)
+
+
+def test_macwilliams_transform_at_full_size_rejects_a_word_moved(fx137):
+    # one word moved from weight 22 to weight 24 keeps the sum but changes
+    # T_1 by (138 - 44) - (138 - 48) = 4, which 2^69 does not divide
+    ext = _p137_extended(fx137)
+    ext[22] += 1
+    ext[24] -= 1
+    for transform in (macwilliams_transform, macwilliams_expansion):
+        with pytest.raises(InvariantViolation, match=r"^transform is not divisible by 2\^k$"):
+            transform(ext, 138, 69)
 
 
 @settings(max_examples=80, deadline=None)
@@ -332,6 +365,20 @@ def test_solve_distribution_detects_inconsistent_census(family17, dist17):
     counts[6] += 1  # corrupt a censused value beyond 2m
     with pytest.raises(CheckFailure):
         solve_distribution(17, counts, family=family17)
+
+
+def test_solve_distribution_checks_counts_above_the_length(family17, dist17):
+    # the reconstruction is 0 above n = 18, so a count there must be 0
+    solution = solve_distribution(17, {2: 0, 4: 0, 20: 0, 40: 0}, family=family17)
+    assert list(solution.extended) == dist17
+    with pytest.raises(CheckFailure, match=r"censused A_40=7 but reconstruction gives 0"):
+        solve_distribution(17, {2: 0, 4: 0, 40: 7}, family=family17)
+
+
+@pytest.mark.parametrize("weight", [-2, -1])
+def test_solve_distribution_rejects_a_negative_weight(family17, weight):
+    with pytest.raises(ValueError, match=f"weight {weight} is negative"):
+        solve_distribution(17, {2: 0, 4: 0, weight: 0}, family=family17)
 
 
 def test_solve_distribution_resolves_missing_top(fx137, census137, constraint34, family137):
