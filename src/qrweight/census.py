@@ -24,9 +24,9 @@ census walks.
 The module has a core and a thin wrapper. ``count_units`` is the core: it
 counts a list of work units of any half-rate code, given its two systematic
 row sets and the bound W, and keeps odd weights. ``run_census`` wraps it for
-the extended QR code: it checks the budget, plans the shards, runs the pool,
-records the provenance and rejects odd weights, which an even code cannot
-have. Folded invariant subcodes call the core directly (``congruence``).
+the extended QR code: it checks the budget, plans the shards, records the
+provenance and rejects odd weights, which an even code cannot have. Folded
+invariant subcodes call the core directly (``congruence``).
 
 ``check_budget`` is the package's one enumeration budget, counted in kernel
 lanes: one lane is one census pattern or one walked subcode word, one slot of
@@ -41,13 +41,22 @@ Patterns of a fixed largest element a_t occupy the consecutive rank interval
     rank(a_t .. a_1) = C(a_t + 1, t) - 1 - rank(a_t-1 .. a_1)
 
 which splits a shard's interval into blocks (TAOCP 4A, 7.2.1.3), one per
-fixed set of top elements above the table depth d. Such a block is the XOR of the top elements' rows
-with a lane range of one precomputed table of d-subset XORs in
-revolving-door order, where the ranks [lo, hi) of the d-subsets are the
-lanes [lo, hi), and ``bitlinalg.weight_histogram`` counts the whole block at
-once. A shard therefore costs one kernel call per top prefix. Counting is
-order-free and each shard re-derives everything from its own interval, so
-shards are fully independent.
+fixed set of top elements above the table depth d. Such a block is the XOR
+of the top elements' rows with a lane range of one precomputed table of
+d-subset XORs in revolving-door order, where the ranks [lo, hi) of the
+d-subsets are the lanes [lo, hi), and ``bitlinalg.weight_histograms``
+counts the whole block at once. Counting is order-free and each shard's
+tallies come from its own interval alone, so shards are independent.
+
+The core counts by spans, not by shards: a span is a run of consecutive
+units of one (matrix, size), and a block that shard boundaries cut into
+pieces is counted by one kernel call that builds its bit-planes once and
+reads each unit's histogram from that unit's lanes. So a span costs one
+kernel call per top prefix however many shards it is cut into, and the
+matrices' rows are checked once per census. On more than one worker the
+caller cuts the units into contiguous shares of about equal live lanes,
+counts the first share itself and hands each other share to a child
+process of its own.
 
 Deeper tables mean fewer kernel calls but more lanes to build, so each
 matrix's depth is the one that costs least over all its live units
@@ -62,10 +71,12 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
 from math import comb
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .bitlinalg import BitMatrix, disjoint_information_systematizations, rd_subset_columns, weight_histogram
+from .bitlinalg import BitMatrix, disjoint_information_systematizations, rd_subset_columns, weight_histograms
 from .errors import BudgetExceeded, CheckFailure, InvariantViolation
 
 if TYPE_CHECKING:
@@ -197,6 +208,13 @@ def census_work_units(k: int, t: int, block_size: int) -> list[tuple[int, int, i
     return [census_unit(k, t, block_size, i) for i in range(1, census_shard_total(k, t, block_size) + 1)]
 
 
+@lru_cache(maxsize=256)
+def _binomials(n: int, t: int) -> tuple[int, ...]:
+    """C(a, t) for a = 0..n: patterns with largest element a hold the ranks
+    [C(a, t), C(a + 1, t))."""
+    return tuple(comb(a, t) for a in range(n + 1))
+
+
 def _rank_blocks(lo: int, hi: int, t: int, depth: int, base: int, rows: Sequence[int]):
     """Split the ranks [lo, hi) of the t-subsets of the rows into blocks.
 
@@ -210,11 +228,10 @@ def _rank_blocks(lo: int, hi: int, t: int, depth: int, base: int, rows: Sequence
     if t <= depth:
         yield base, t, lo, hi
         return
-    a = t - 1
-    while comb(a + 1, t) <= lo:
-        a += 1
+    starts = _binomials(len(rows), t)
+    a = bisect_right(starts, lo) - 1
     while lo < hi:
-        end = comb(a + 1, t)
+        end = starts[a + 1]
         top_hi = min(hi, end)
         yield from _rank_blocks(end - top_hi, end - lo, t - 1, depth, base ^ rows[a], rows)
         lo = top_hi
@@ -252,38 +269,115 @@ def _parity_tables(parity: tuple[int, ...], depth: int) -> tuple[tuple[int, ...]
     return rd_subset_columns(parity, len(parity), depth)
 
 
-def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
-    """Count one shard and tally qualifying codeword weights.
-
-    Runs in worker processes; everything needed travels in ``args``. The rows
-    are systematic on one half, so that half adds exactly ``size`` to every
-    pattern's weight and only the k parity bits go through the kernel: a
-    codeword of parity weight q is kept when size + q <= max_weight and q >=
-    size (matrix 1, ties kept) or q > size (matrix 2). A dead unit (see
-    ``is_live``) cannot meet both, so after the rank and row checks it
-    returns empty tallies without tables or kernel calls. The largest live
-    size, max_weight // 2 for matrix 1 and (max_weight - 1) // 2 for matrix 2,
-    sets the depth of that matrix's tables (``table_depth``).
-    """
-    index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
-    if not 0 <= start_rank < start_rank + count <= comb(k, size):
-        raise ValueError(f"shard [{start_rank}, {start_rank + count}) outside [0, {comb(k, size)})")
+def _parity_rows(matrix: int, rows: Sequence[int], k: int, left_mask: int) -> tuple[int, ...]:
+    """The k parity bits of each row, after checking that the rows are the
+    identity on the matrix's systematic half."""
     unit_shift, parity_shift = (0, k) if matrix == 1 else (k, 0)
     parity = tuple((row >> parity_shift) & left_mask for row in rows)
     for i, (row, q) in enumerate(zip(rows, parity)):
         if row != (1 << i << unit_shift) | (q << parity_shift):
             raise InvariantViolation(f"matrix {matrix} row {i} is not systematic on its half")
-    if not is_live(matrix, size, max_weight):
-        return index, matrix, size, start_rank, count, ()
-    min_parity = size + (matrix == 2)
-    depth = table_depth(k, (max_weight - (matrix == 2)) // 2, SUBSET_TABLE_BITS)
-    tables = _parity_tables(parity, depth)
-    counts: dict[int, int] = {}
-    for base, d, lo, hi in _rank_blocks(start_rank, start_rank + count, size, depth, 0, parity):
-        for q, c in weight_histogram(tables[d], base, lo, hi, max_weight - size).items():
-            if q >= min_parity:
-                counts[size + q] = counts.get(size + q, 0) + c
-    return index, matrix, size, start_rank, count, tuple(sorted(counts.items()))
+    return parity
+
+
+def _count_share(
+    parities: dict[int, tuple[int, ...]], units: Sequence[tuple[int, int, int, int, int]], k: int, max_weight: int
+) -> list[tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]]:
+    """Count units whose parity rows are checked, span by span.
+
+    A span is a maximal run of consecutive units of one (matrix, size). A
+    block of ``_rank_blocks`` that holds neither the first nor the last rank
+    of its unit lies inside that unit and is counted at once, and so is
+    every block of a span of one unit. The blocks at the ends of the units
+    of a longer span are held, sorted by block and lane, and each
+    block's lane-adjacent pieces are counted by one ``weight_histograms``
+    call whose cut points are the unit boundaries. A block cut by shards
+    therefore builds its bit-planes once, as in an unsharded census.
+    """
+    results = []
+    for (matrix, size), group in groupby(units, key=itemgetter(1, 2)):
+        span = list(group)
+        for _, _, _, start_rank, count in span:
+            if not 0 <= start_rank < start_rank + count <= comb(k, size):
+                raise ValueError(f"shard [{start_rank}, {start_rank + count}) outside [0, {comb(k, size)})")
+        if not is_live(matrix, size, max_weight):
+            results.extend((*unit, ()) for unit in span)
+            continue
+        parity = parities[matrix]
+        min_parity = size + (matrix == 2)
+        depth = table_depth(k, (max_weight - (matrix == 2)) // 2, SUBSET_TABLE_BITS)
+        tables = _parity_tables(parity, depth)
+        tallies: list[dict[int, int]] = [{} for _ in span]
+        held = []
+        for u, (_, _, _, start, count) in enumerate(span):
+            stop = start + count
+            ends = ()  # (base, d) of the unit's first and last blocks, which a neighbouring unit may share
+            if len(span) > 1:
+                ends = {next(_rank_blocks(r, r + 1, size, depth, 0, parity))[:2] for r in (start, stop - 1)}
+            for base, d, lo, hi in _rank_blocks(start, stop, size, depth, 0, parity):
+                if (base, d) in ends:
+                    held.append((d, base, lo, hi, u))
+                else:
+                    _add(tallies[u], weight_histograms(tables[d], base, (lo, hi), max_weight - size, min_parity)[0])
+        held.sort()
+        first = 0
+        for last, (d, base, _, hi, _) in enumerate(held, 1):
+            if last == len(held) or held[last][:2] != (d, base) or held[last][2] != hi:
+                run = held[first:last]
+                cuts = [lo for _, _, lo, _, _ in run] + [hi]
+                for (*_, u), hist in zip(run, weight_histograms(tables[d], base, cuts, max_weight - size, min_parity)):
+                    _add(tallies[u], hist)
+                first = last
+        for unit, tally in zip(span, tallies):
+            results.append((*unit, tuple(sorted((size + q, c) for q, c in tally.items()))))
+    return results
+
+
+def _add(tally: dict[int, int], hist: dict[int, int]) -> None:
+    for q, c in hist.items():
+        tally[q] = tally.get(q, 0) + c
+
+
+def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
+    """Count one shard and tally qualifying codeword weights: ``count_units``
+    for one unit, with everything it needs in ``args``.
+
+    The rows are systematic on one half, so that half adds exactly ``size``
+    to every pattern's weight and only the k parity bits go through the
+    kernel: a codeword of parity weight q is kept when size + q <= max_weight
+    and q >= size (matrix 1, ties kept) or q > size (matrix 2). A dead unit
+    (see ``is_live``) cannot meet both, so after the row and rank checks it
+    returns empty tallies without tables or kernel calls. The largest live
+    size, max_weight // 2 for matrix 1 and (max_weight - 1) // 2 for matrix 2,
+    sets the depth of that matrix's tables (``table_depth``).
+    """
+    index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
+    parities = {matrix: _parity_rows(matrix, rows, k, left_mask)}
+    return _count_share(parities, [(index, matrix, size, start_rank, count)], k, max_weight)[0]
+
+
+def _send_share(conn, parities, units, k, max_weight) -> None:
+    """Count a share in a child process and send (True, results) or (False,
+    the exception) back to the caller."""
+    try:
+        message = (True, _count_share(parities, units, k, max_weight))
+    except Exception as exc:
+        message = (False, exc)
+    conn.send(message)
+    conn.close()
+
+
+def _shares(units: Sequence[tuple[int, int, int, int, int]], workers: int, max_weight: int) -> list[list]:
+    """Cut the units, in order, into ``workers`` contiguous shares of about
+    equal live lanes; a unit goes to the share that holds its middle lane."""
+    lanes = [count if is_live(matrix, size, max_weight) else 0 for _, matrix, size, _, count in units]
+    total = sum(lanes) or 1
+    shares: list[list] = [[] for _ in range(workers)]
+    done = 0
+    for unit, n in zip(units, lanes):
+        shares[min(workers - 1, (2 * done + n) * workers // (2 * total))].append(unit)
+        done += n
+    return shares
 
 
 def count_units(
@@ -306,22 +400,52 @@ def count_units(
     word found through matrix 2 has a strictly lighter right half, so a
     pattern of size s there needs weight >= 2s + 1, and none of size t fits
     under an even bound W = 2t. Odd bounds have no dead units.
+
+    Both matrices are checked once. The units are counted in spans of one
+    (matrix, size) (``_count_share``), so a block cut by shard boundaries
+    costs what it costs uncut. On more than one worker the units are cut
+    into ``workers`` contiguous shares of about equal live lanes: the caller
+    starts a process for each nonempty share but the first, counts the first
+    itself, then takes each child's results, or its exception, from a
+    one-way pipe. Every child is joined, and terminated if still running,
+    however the census ends.
     """
     k = g1.nrows
     left_mask = (1 << k) - 1
-    jobs = [
-        (index, matrix, size, start, count, (g1 if matrix == 1 else g2).rows, k, left_mask, max_weight)
-        for index, matrix, size, start, count in units
-    ]
+    parities = {matrix: _parity_rows(matrix, g.rows, k, left_mask) for matrix, g in ((1, g1), (2, g2))}
     if workers == 1:
-        return sorted(_count_shard(job) for job in jobs)
+        return sorted(_count_share(parities, units, k, max_weight))
     # imported here so that importing the package does not load multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
 
-    # a few chunks per worker: shards can be tiny, and each chunk is one round trip
-    chunksize = max(1, -(-len(jobs) // (4 * workers)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sorted(pool.map(_count_shard, jobs, chunksize=chunksize))
+    own, *rest = _shares(units, workers, max_weight)
+    children = []
+    try:
+        for share in rest:
+            if share:
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(target=_send_share, args=(sender, parities, share, k, max_weight))
+                child.start()
+                children.append((child, receiver))
+                sender.close()  # the child holds the only sending end, so its exit ends the pipe
+        results = _count_share(parities, own, k, max_weight)
+        for child, receiver in children:
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                child.join()
+                message = f"census worker exited with code {child.exitcode} before sending its tallies"
+                raise RuntimeError(message) from None
+            if not ok:
+                raise value
+            results += value
+    finally:
+        for child, receiver in children:
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            receiver.close()
+    return sorted(results)
 
 
 def run_census(

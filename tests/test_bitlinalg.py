@@ -15,6 +15,7 @@ from qrweight.bitlinalg import (
     rref,
     same_row_space,
     weight_histogram,
+    weight_histograms,
 )
 from qrweight.qrcodes import cyclic_generator_matrix
 
@@ -300,10 +301,27 @@ def test_weight_histogram_matches_direct_popcounts(data):
     columns = [data.draw(st.integers(0, (1 << (lo + lanes + extra)) - 1)) for _ in range(width)]
     flips = data.draw(st.integers(0, (1 << (width + 2)) - 1))
     max_weight = data.draw(st.integers(-1, width + 1))
-    expected: dict[int, int] = {}
-    for x in range(lo, lo + lanes):
-        word = sum(((col >> x) & 1) << j for j, col in enumerate(columns)) ^ flips
-        w = (word & ((1 << width) - 1)).bit_count()
-        if w <= max_weight:
-            expected[w] = expected.get(w, 0) + 1
-    assert weight_histogram(columns, flips, lo, lo + lanes, max_weight) == expected
+    min_weight = data.draw(st.one_of(st.just(0), st.integers(-1, width + 2)))
+    # pieces of the lane range, empty ones allowed
+    inner = data.draw(st.lists(st.integers(lo, lo + lanes), max_size=6))
+    cuts = [lo, *sorted(inner), lo + lanes]
+
+    def expected(start, end, least):
+        counts: dict[int, int] = {}
+        for x in range(start, end):
+            word = sum(((col >> x) & 1) << j for j, col in enumerate(columns)) ^ flips
+            w = (word & ((1 << width) - 1)).bit_count()
+            if least <= w <= max_weight:
+                counts[w] = counts.get(w, 0) + 1
+        return counts
+
+    assert weight_histogram(columns, flips, lo, lo + lanes, max_weight) == expected(lo, lo + lanes, 0)
+    pieces = weight_histograms(columns, flips, cuts, max_weight, min_weight)
+    assert pieces == [expected(a, b, min_weight) for a, b in zip(cuts, cuts[1:])]
+
+
+def test_weight_histograms_of_lanes_that_all_weigh_zero():
+    # no bit-plane at all: every lane weighs 0, which min_weight may exclude
+    for columns, flips in (([], 0), ([0, 0b1100000], 0b100)):  # ones only past lane 4; no column 2 to flip
+        assert weight_histograms(columns, flips, (0, 2, 2, 5), 3) == [{0: 2}, {}, {0: 3}]
+        assert weight_histograms(columns, flips, (0, 2, 5), 3, 1) == [{}, {}]

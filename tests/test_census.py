@@ -1,5 +1,9 @@
+import multiprocessing
+import os
+import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from math import comb
 from pathlib import Path
@@ -159,12 +163,72 @@ def test_census_zero_below_minimum_distance(family17):
     assert result.counts[0] == 1
 
 
-def test_census_deterministic_across_workers_and_blocks(family41):
-    reference = run_census(family41, 6)
-    for workers in (1, 2):
-        for block in (1000, 100000):
-            result = run_census(family41, 6, workers=workers, block_size=block)
-            assert result.counts == reference.counts
+def test_census_deterministic_across_workers_and_blocks(family41, family137):
+    # whole payloads: counts, shard records and their digests
+    for family, t, block_sizes, workers in ((family41, 6, (7, 1000, 10**8), (2, 3)), (family137, 3, (10000,), (2,))):
+        counts = None
+        for block_size in block_sizes:
+            reference = census_payload(run_census(family, t, block_size=block_size))
+            counts = counts or reference["counts"]
+            assert reference["counts"] == counts
+            for n in workers:
+                assert census_payload(run_census(family, t, workers=n, block_size=block_size)) == reference, (t, n)
+
+
+def test_a_failing_child_share_reaches_the_caller(family41):
+    g1, g2 = disjoint_information_systematizations(family41.extended)
+    k = family41.k
+    units = census_work_units(k, 6, 1000)
+    bad = (len(units) + 1, 1, 2, comb(k, 2), 5)  # past the end of its rank range
+    assert census._shares(units + [bad], 2, 12)[1][-1] == bad
+    with pytest.raises(ValueError, match=re.escape("shard [210, 215) outside [0, 210)")):
+        census.count_units(g1, g2, units + [bad], 12, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+# the tests below patch the share counter, which reaches a child only through fork
+FORKS = pytest.mark.skipif(
+    sys.platform != "linux" or sys.version_info >= (3, 14), reason="children are not forked by default"
+)
+
+
+@FORKS
+@pytest.mark.parametrize("error", [InvariantViolation("caller failed"), KeyboardInterrupt()])
+def test_a_failing_caller_share_leaves_no_child_running(family41, monkeypatch, error):
+    g1, g2 = disjoint_information_systematizations(family41.extended)
+    units = census_work_units(family41.k, 6, 1000)
+    count_share = census._count_share
+
+    def fail_in_the_caller(*args):
+        if multiprocessing.parent_process() is None:
+            assert len(multiprocessing.active_children()) == 2  # both children are running
+            raise error
+        time.sleep(60)  # a child still counting when the caller fails
+        return count_share(*args)
+
+    monkeypatch.setattr(census, "_count_share", fail_in_the_caller)
+    start = time.monotonic()
+    with pytest.raises(type(error), match=str(error) or None):
+        census.count_units(g1, g2, units, 12, workers=3)
+    assert time.monotonic() - start < 30  # the children were stopped, not waited for
+    assert multiprocessing.active_children() == []
+
+
+@FORKS
+def test_a_child_that_exits_without_tallies_is_an_error(family41, monkeypatch):
+    g1, g2 = disjoint_information_systematizations(family41.extended)
+    units = census_work_units(family41.k, 6, 1000)
+    count_share = census._count_share
+
+    def exit_in_the_child(*args):
+        if multiprocessing.parent_process() is not None:
+            os._exit(3)
+        return count_share(*args)
+
+    monkeypatch.setattr(census, "_count_share", exit_in_the_child)
+    with pytest.raises(RuntimeError, match="census worker exited with code 3 before sending its tallies"):
+        census.count_units(g1, g2, units, 12, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_census_budget_gate(family137):
@@ -334,24 +398,37 @@ def test_count_shard_rejects_an_out_of_range_dead_unit(family17):
 
 @pytest.fixture
 def kernel_spy(monkeypatch):
-    """Record the table builds and kernel calls of ``_count_shard``, with the
+    """Record the table builds and kernel calls of a census, with the
     subset-table cache emptied before and after."""
     calls = {"tables": [], "kernel": []}
-    tables, kernel = census._parity_tables, census.weight_histogram
+    tables, kernel = census._parity_tables, census.weight_histograms
 
     def tables_spy(parity, depth):
         calls["tables"].append(depth)
         return tables(parity, depth)
 
-    def kernel_spy(columns, base, lo, hi, max_weight):
-        calls["kernel"].append((columns, base, lo, hi, max_weight))
-        return kernel(columns, base, lo, hi, max_weight)
+    def kernel_spy(columns, base, cuts, max_weight, min_weight):
+        calls["kernel"].append((columns, base, tuple(cuts), max_weight, min_weight))
+        return kernel(columns, base, cuts, max_weight, min_weight)
 
     monkeypatch.setattr(census, "_parity_tables", tables_spy)
-    monkeypatch.setattr(census, "weight_histogram", kernel_spy)
+    monkeypatch.setattr(census, "weight_histograms", kernel_spy)
     tables.cache_clear()
     yield calls
     tables.cache_clear()
+
+
+def handed_lanes(calls) -> int:
+    """Lanes of the kernel calls, after checking that no lane of a table and
+    flip mask is handed twice and that every call's cut points increase."""
+    seen: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for columns, base, cuts, _, _ in calls:
+        assert all(a < b for a, b in zip(cuts, cuts[1:])), cuts
+        seen.setdefault((id(columns), base), []).append((cuts[0], cuts[-1]))
+    for ranges in seen.values():
+        ranges.sort()
+        assert all(hi <= lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])), ranges
+    return sum(cuts[-1] - cuts[0] for _, _, cuts, _, _ in calls)
 
 
 @pytest.mark.parametrize("t", [0, 2, 4])
@@ -389,8 +466,9 @@ def test_live_units_make_the_kernel_calls_of_the_uncapped_tables(
         parity = [(row >> k if matrix == 1 else row) & mask for row in rows]
         depth = depths[matrix - 1]
         tables = bitlinalg.rd_subset_columns(parity, k, depth)
+        min_parity = size + (matrix == 2)
         expected = [
-            (tables[d], base, lo, hi, max_weight - size)
+            (tables[d], base, (lo, hi), max_weight - size, min_parity)
             for base, d, lo, hi in census._rank_blocks(start, start + count, size, depth, 0, parity)
         ]
         kernel_spy["kernel"].clear()
@@ -483,7 +561,7 @@ def test_each_matrix_builds_its_tables_once(family41, table_builds):
 def test_pattern_cost_is_the_lanes_the_kernel_is_handed(request, kernel_spy, p, t, block_size):
     family = request.getfixturevalue(f"family{p}")
     run_census(family, t, block_size=block_size)
-    lanes = sum(hi - lo for _, _, lo, hi, _ in kernel_spy["kernel"])
+    lanes = handed_lanes(kernel_spy["kernel"])
     assert lanes == census.pattern_cost(family.k, 2 * t)
     assert lanes < census.pattern_cost(family.k, 2 * t + 1) == 2 * sum(comb(family.k, s) for s in range(t + 1))
 
@@ -493,8 +571,20 @@ def test_pattern_cost_is_the_lanes_of_an_odd_bound(family41, kernel_spy, max_wei
     g1, g2 = disjoint_information_systematizations(family41.extended)
     units = census_work_units(family41.k, max_weight // 2, 500)
     census.count_units(g1, g2, units, max_weight)
-    assert sum(hi - lo for _, _, lo, hi, _ in kernel_spy["kernel"]) == census.pattern_cost(family41.k, max_weight)
+    assert handed_lanes(kernel_spy["kernel"]) == census.pattern_cost(family41.k, max_weight)
     assert census.pattern_cost(family41.k, max_weight) == sum(u[4] for u in units)  # no dead unit
+
+
+def test_a_sharded_census_builds_the_planes_of_each_block_once(family41, kernel_spy):
+    def builds(block_size):
+        kernel_spy["kernel"].clear()
+        run_census(family41, 6, block_size=block_size)
+        # the cached tables are the same objects in both runs, one per (matrix, depth)
+        return sorted((id(columns), base, cuts[0], cuts[-1]) for columns, base, cuts, _, _ in kernel_spy["kernel"])
+
+    whole = builds(10**8)
+    assert builds(1000) == whole
+    assert max(len(cuts) for _, _, cuts, _, _ in kernel_spy["kernel"]) > 2  # blocks cut by shards
 
 
 def test_pattern_cost_at_the_benchmarked_censuses():
@@ -530,7 +620,7 @@ def test_merge_rejects_tallies_for_a_dead_unit(family17):
 
 
 def test_importing_the_package_loads_no_process_pool():
-    # the pool is imported only by a census that runs on more than one worker
+    # multiprocessing is imported only by a census that runs on more than one worker
     src = str(Path(qrweight.__file__).resolve().parent.parent)
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import qrweight; "
