@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -408,7 +409,7 @@ def count_units(
     starts a process for each nonempty share but the first, counts the first
     itself, then takes each child's results, or its exception, from a
     one-way pipe. Every child is joined, and terminated if still running,
-    however the census ends.
+    however the census ends. On Linux children are forked, not re-imported.
     """
     k = g1.nrows
     left_mask = (1 << k) - 1
@@ -418,13 +419,14 @@ def count_units(
     # imported here so that importing the package does not load multiprocessing
     import multiprocessing
 
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
     own, *rest = _shares(units, workers, max_weight)
     children = []
     try:
         for share in rest:
             if share:
-                receiver, sender = multiprocessing.Pipe(duplex=False)
-                child = multiprocessing.Process(target=_send_share, args=(sender, parities, share, k, max_weight))
+                receiver, sender = context.Pipe(duplex=False)
+                child = context.Process(target=_send_share, args=(sender, parities, share, k, max_weight))
                 child.start()
                 children.append((child, receiver))
                 sender.close()  # the child holds the only sending end, so its exit ends the pipe

@@ -5,6 +5,11 @@ carrying the command line, the code identity (prime and generator digest)
 and the payload digest. Identical inputs produce byte-identical files, so
 timing is logged, never serialized.
 
+``pipeline`` and ``paper-regression`` share one stage runner: census to 2t,
+congruences, a check of every count against its congruence, solve, then four
+artifacts; a failing stage prints ``FAIL at stage <name>``. paper-regression
+runs it at p = 137, t = 0 with A_2..A_32 borrowed from the fixture.
+
 Exit codes: 0 success, 1 check failure, 2 usage, 3 budget exceeded.
 """
 
@@ -72,7 +77,10 @@ def _emit(args, family, name: str, payload: dict, inputs: dict | None = None) ->
 
 
 def _read_artifact(path: Path) -> dict:
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8 or not JSON, truncated for one
+        raise CheckFailure(f"{path} is not an artifact: {exc}") from exc
     if not isinstance(data, dict) or "payload" not in data or not isinstance(data.get("manifest"), dict):
         raise CheckFailure(f"{path} is not an artifact (payload/manifest missing)")
     stored = data["manifest"].get("payload_sha256")
@@ -168,14 +176,11 @@ def _parse_weights(text: str) -> list[int]:
     return [w for w in range(lo_i, hi_i + 1) if w % 2 == 0]
 
 
-def _compute_bundle(family, weights, long_run: bool, fixture: dict | None = None):
-    """Congruence bundle. At p = 137 the published H2 row, from ``fixture``
-    (the packaged one when None), is offered to ``compute_bundle``, which
-    uses it only when the budget refuses the 2^35-word H2 count."""
+def _compute_bundle(family, weights, long_run: bool):
+    """Congruence bundle; at p = 137 ``compute_bundle`` is offered the published
+    H2 row, which it uses only when the budget refuses the 2^35-word H2 count."""
     plan = find_sylow_plan(family.p)
-    h2_fixture = None
-    if family.p == 137:
-        h2_fixture = (fixture or fixtures.load_p137())["subgroup_counts"]["H2"]
+    h2_fixture = fixtures.load_p137()["subgroup_counts"]["H2"] if family.p == 137 else None
     return congruence_mod.compute_bundle(
         family, plan, weights, long_run=long_run, h2_counts_fixture=h2_fixture
     )
@@ -389,39 +394,39 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- pipeline
 
 
-def cmd_pipeline(args) -> int:
-    p = args.p
-    if p % 8 != 1:
-        raise ValueError("pipeline reconstruction requires p = 1 mod 8")
-    stage = "construct"
+def _run_stages(args, family, t: int, weights, borrowed: dict[int, int], *, workers: int, block_size: int):
+    """The stages of the module docstring; the census and ``borrowed`` must hold
+    A_2t+2..A_2m-2. Returns the bundle, the checked counts' quotients and the solution."""
+    p, m = family.p, family.m
+    if any(w not in borrowed for w in range(2 * t + 2, 2 * m - 1, 2)):
+        raise ValueError(f"census t={t} too small: need t >= {m - 1}")
+    stage = "census"
     try:
         t0 = time.perf_counter()
-        family = build_family(p)
-        m = family.m
-        assert m is not None
-        if 2 * args.t < 2 * m - 2:
-            raise ValueError(f"census t={args.t} too small: need t >= {m - 1}")
-
-        stage = "census"
-        result = census_mod.run_census(
-            family, args.t, workers=args.workers, block_size=args.block_size, long_run=args.long_run
-        )
-
+        result = census_mod.run_census(family, t, workers=workers, block_size=block_size, long_run=args.long_run)
         stage = "congruence"
-        weights = list(range(2, 2 * m + 1, 2))
         bundle = _compute_bundle(family, weights, args.long_run)
-
+        lent = ["H2 subcode counts"] if bundle.h2_source == "fixture" else []
+        lent += [f"A_{w}" for w in sorted(borrowed)]
+        if lent:
+            print(f"borrowed: {', '.join(lent)}")
         stage = "congruence-check"
-        for w in range(2, min(2 * args.t, 2 * m) + 1, 2):
-            verdict = congruence_mod.check_candidate(bundle.constraints[w], result.counts[w])
+        counts = {**borrowed, **result.counts}
+        quotients = {}
+        for w in sorted(counts.keys() & bundle.constraints.keys()):
+            verdict = congruence_mod.check_candidate(bundle.constraints[w], counts[w])
             if isinstance(verdict, congruence_mod.Reject):
-                raise CheckFailure(f"censused A_{w}={result.counts[w]} fails congruence: {verdict.reason}")
-
+                source = "censused" if w in result.counts else "borrowed"
+                raise CheckFailure(f"{source} A_{w}={counts[w]} fails congruence: {verdict.reason}")
+            quotients[w] = verdict
         stage = "solve"
-        solution = gleason.solve_distribution(
-            p, result.counts, constraint=bundle.constraints[2 * m], family=family
-        )
-        log.info("pipeline p=%d finished in %.2fs", p, time.perf_counter() - t0)
+        try:
+            solution = gleason.solve_distribution(p, counts, constraint=bundle.constraints[2 * m], family=family)
+        except SignUnresolved as exc:
+            for cand in exc.certificate.candidates:
+                print(f"  candidate sign {cand.sign:+d}: K={cand.k_top} A={cand.a_top}: {cand.detail}")
+            raise
+        log.info("stages of p=%d t=%d finished in %.2fs", p, t, time.perf_counter() - t0)
     except QrWeightError as exc:
         print(f"FAIL at stage {stage}: {exc}", file=sys.stderr)
         raise
@@ -429,7 +434,16 @@ def cmd_pipeline(args) -> int:
     _emit(args, family, "congruence.json", _bundle_payload(bundle))
     _emit(args, family, "census.json", census_mod.census_payload(result))
     _emit(args, family, "solution.json", _solution_payload(solution))
-    print(f"ok: pipeline p={p} t={args.t}: all checks passed")
+    return bundle, quotients, solution
+
+
+def cmd_pipeline(args) -> int:
+    if args.p % 8 != 1:
+        raise ValueError("pipeline reconstruction requires p = 1 mod 8")
+    family = build_family(args.p)
+    weights = list(range(2, 2 * family.m + 1, 2))
+    _run_stages(args, family, args.t, weights, {}, workers=args.workers, block_size=args.block_size)
+    print(f"ok: pipeline p={args.p} t={args.t}: all checks passed")
     return 0
 
 
@@ -450,16 +464,17 @@ def _compare(key: str, derived, expected) -> bool:
 
 
 def cmd_paper_regression(args) -> int:
-    """Derive the published p = 137 record again from the H2 row and the
-    partial census, and compare it with the fixture key by key. When the sign
-    route fails, the census's orbit quotients are still compared."""
+    """Derive the published p = 137 record again through the stage runner, A_34
+    by the sign route, and compare it with the fixture key by key."""
     fx = fixtures.load_p137()
     family = build_family(137)
     p, m = family.p, family.m
-    weights = list(range(22, 2 * m + 1, 2))
-    bundle = _compute_bundle(family, weights, args.long_run, fx)
-    if bundle.h2_source == "fixture":
-        print("H2 counts consumed as fixture")
+    weights = list(range(22, 2 * m + 1, 2))  # the published H2 row starts at 22
+    borrowed = {w: fx["partial_census"].get(w, 0) for w in range(2, 2 * m, 2)}
+    bundle, quotients, solution = _run_stages(
+        args, family, 0, weights, borrowed, workers=1, block_size=census_mod.DEFAULT_BLOCK_SIZE
+    )
+    cert = solution.sign_certificate
     derived = {
         "p": p,
         "group_order": group_order(p)[0],
@@ -468,22 +483,6 @@ def cmd_paper_regression(args) -> int:
         "subgroup_counts": {label: {w: row.get(w, 0) for w in weights} for label, row in bundle.counts.items()},
         "sylow2": bundle.sylow2,
         "crt_residues": {w: c.residue for w, c in bundle.constraints.items()},
-    }
-    failures = [key for key, value in derived.items() if not _compare(key, value, fx[key])]
-    counts = {w: fx["partial_census"].get(w, 0) for w in range(2, 2 * m, 2)}
-    quotients = {w: congruence_mod.check_candidate(bundle.constraints[w], counts[w]) for w in weights[:-1]}
-
-    # A_34 is absent, so the solve takes the sign route and certifies K_17 and A_34
-    try:
-        solution = gleason.solve_distribution(p, counts, constraint=bundle.constraints[2 * m], family=family)
-    except SignUnresolved as exc:
-        for cand in exc.certificate.candidates:
-            print(f"  candidate sign {cand.sign:+d}: K={cand.k_top} A={cand.a_top}: {cand.detail}")
-        print(f"FAIL: top-coefficient resolution ({exc})")
-        _compare("orbit_quotients", quotients, fx["orbit_quotients"])
-        return 1
-    cert = solution.sign_certificate
-    derived = {
         "minimum_distance_extended": next(w for w in range(1, p + 2) if solution.extended[w]),
         "partial_census": {w: solution.extended[w] for w in weights[:-1]},
         "orbit_quotients": {**quotients, 2 * m: cert.orbit_quotient},
@@ -493,9 +492,7 @@ def cmd_paper_regression(args) -> int:
         "distribution_extended": {j: solution.extended[j] for j in fx["distribution_extended"]},
         "distribution_augmented": {j: solution.augmented[j] for j in fx["distribution_augmented"]},
     }
-    failures += [key for key, value in derived.items() if not _compare(key, value, fx[key])]
-
-    _emit(args, family, "solution.json", _solution_payload(solution))
+    failures = [key for key, value in derived.items() if not _compare(key, value, fx[key])]
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)
         return 1

@@ -2,8 +2,8 @@
 
 A type exists only when some handler tells it apart from the others: the
 CLI maps ``BudgetExceeded`` to exit 3 and every other ``QrWeightError`` to
-exit 1, the pipeline names the stage of any ``QrWeightError``, and
-paper-regression prints the certificate of a ``SignUnresolved``. An
+exit 1, and its stage runner names the stage of any ``QrWeightError``
+and prints the certificate of a ``SignUnresolved``. An
 argument outside a function's domain is a ``ValueError`` (exit 2). Each
 message names the check that fired; add a type only for a new handler.
 """

@@ -187,9 +187,30 @@ def test_a_failing_child_share_reaches_the_caller(family41):
 
 
 # the tests below patch the share counter, which reaches a child only through fork
-FORKS = pytest.mark.skipif(
-    sys.platform != "linux" or sys.version_info >= (3, 14), reason="children are not forked by default"
-)
+FORKS = pytest.mark.skipif(sys.platform != "linux", reason="children are forked only on Linux")
+
+
+@FORKS
+def test_children_are_forked_whatever_the_default_start_method(family41, monkeypatch):
+    g1, g2 = disjoint_information_systematizations(family41.extended)
+    units = census_work_units(family41.k, 6, 1000)
+    count_share = census._count_share
+
+    def exit_in_the_child(*args):
+        if multiprocessing.parent_process() is not None:
+            os._exit(3)
+        return count_share(*args)
+
+    monkeypatch.setattr(census, "_count_share", exit_in_the_child)
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        # a spawned child would import the unpatched counter and send its tallies
+        with pytest.raises(RuntimeError, match="census worker exited with code 3"):
+            census.count_units(g1, g2, units, 12, workers=2)
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    assert multiprocessing.active_children() == []
 
 
 @FORKS

@@ -244,10 +244,10 @@ def test_merge_rejects_payload_edited_without_digest(tmp_path, capsys):
     assert "payload digest mismatch" in err
 
 
-@pytest.mark.parametrize("text", ['{"payload": {}, "manifest": []}', "[]"])
+@pytest.mark.parametrize("text", [b'{"payload": {}, "manifest": []}', b"[]", b'{"payload": ', b"\xff\xfe{}"])
 def test_merge_rejects_non_artifact(tmp_path, capsys, text):
     fragments = _emit_fragments(tmp_path, capsys)
-    Path(fragments[4]).write_text(text)
+    Path(fragments[4]).write_bytes(text)
     rc, err = run_err(capsys, "census-merge", *fragments)
     assert rc == 1
     assert "is not an artifact" in err
@@ -369,6 +369,33 @@ def test_pipeline_rejects_wrong_residue_class(capsys):
     assert rc == 2
 
 
+def test_pipeline_refuses_a_census_short_of_2m_minus_2_before_counting(capsys, monkeypatch):
+    # p = 41 has m = 5: A_2..A_8 must be counted, so t = 3 leaves A_8 to nobody
+    monkeypatch.setattr(census, "run_census", lambda *args, **kwargs: pytest.fail("census run"))
+    rc, err = run_err(capsys, "pipeline", "--p", "41", "--t", "3")
+    assert rc == 2
+    assert "census t=3 too small: need t >= 4" in err
+
+
+def test_pipeline_prints_both_sign_candidates_when_the_sign_route_fails(tmp_path, capsys, monkeypatch):
+    # at t = m - 1 the sign route fixes A_10; a wrong weight-10 residue rejects both candidates
+    honest = cli._compute_bundle
+
+    def wrong_top_residue(family, weights, long_run):
+        bundle = honest(family, weights, long_run)
+        top = bundle.constraints[10]
+        bad = replace(top, residue=(top.residue + 1) % top.modulus)
+        return replace(bundle, constraints={**bundle.constraints, 10: bad})
+
+    monkeypatch.setattr(cli, "_compute_bundle", wrong_top_residue)
+    rc = main(["pipeline", "--p", "41", "--t", "4", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "candidate sign +1" in out and "candidate sign -1" in out
+    assert "FAIL at stage solve" in err
+    assert not (tmp_path / "solution.json").exists()
+
+
 def test_paper_regression_passes(capsys):
     rc, out = run(capsys, "paper-regression")
     assert rc == 0
@@ -411,10 +438,10 @@ def test_paper_regression_detects_perturbed_census(capsys, monkeypatch):
         fx["partial_census"][32] += 1
 
     _perturb_fixture(monkeypatch, mutate)
-    rc, out = run(capsys, "paper-regression")
+    rc, err = run_err(capsys, "paper-regression")
     assert rc == 1
-    (line,) = [line for line in out.splitlines() if line.startswith("FAIL: orbit_quotients")]
-    assert "32: Reject(" in line
+    assert "FAIL at stage congruence-check" in err
+    assert "borrowed A_32=" in err
 
 
 def test_paper_regression_detects_perturbed_residue(capsys, monkeypatch):
@@ -434,10 +461,25 @@ def test_paper_regression_both_rejected_certificate(capsys, monkeypatch):
         fx["subgroup_counts"]["H2"][34] += 1
 
     _perturb_fixture(monkeypatch, mutate)
-    rc, out = run(capsys, "paper-regression")
+    rc = main(["paper-regression"])
+    out, err = capsys.readouterr()
     assert rc == 1
     assert "candidate sign" in out
-    assert "top-coefficient resolution" in out
+    assert "FAIL at stage solve: congruence rejected both sign candidates" in err
+
+
+def test_paper_regression_writes_the_pipeline_artifacts(tmp_path, capsys):
+    rc, out = run(capsys, "paper-regression", "--out", str(tmp_path))
+    assert rc == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(PIPELINE_P41_SHA256)
+    assert json.loads((tmp_path / "congruence.json").read_text())["payload"]["h2_source"] == "fixture"
+    # the record's bytes, pinned so that the shared stage runner cannot change them
+    assert hashlib.sha256((tmp_path / "solution.json").read_bytes()).hexdigest() == (
+        "f40b158dad8086df88b5615233ca465bbe5af9f76586dc5ad9174ddabf0d7f1c")
+    assert hashlib.sha256((tmp_path / "table.txt").read_bytes()).hexdigest() == (
+        "b1327d11d80a6a3a81630f1d6673d02071735652ddd5a3ffee9a77b5083dcfac")
+    rc, out = run(capsys, "verify", "--p", "137", "--table", str(tmp_path / "solution.json"))
+    assert rc == 0 and "ok: p=137" in out
 
 
 def test_usage_errors(capsys):
