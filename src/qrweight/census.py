@@ -403,13 +403,14 @@ def count_units(
     under an even bound W = 2t. Odd bounds have no dead units.
 
     Both matrices are checked once. The units are counted in spans of one
-    (matrix, size) (``_count_share``), so a block cut by shard boundaries
-    costs what it costs uncut. On more than one worker the units are cut
-    into ``workers`` contiguous shares of about equal live lanes: the caller
-    starts a process for each nonempty share but the first, counts the first
-    itself, then takes each child's results, or its exception, from a
-    one-way pipe. Every child is joined, and terminated if still running,
-    however the census ends. On Linux children are forked, not re-imported.
+    (matrix, size) (``_count_share``), so a block cut by shard boundaries costs
+    what it costs uncut. On more than one worker the units are cut into
+    ``workers`` contiguous shares of about equal live lanes: the caller starts
+    a process for each nonempty share but the first, counts the first itself,
+    then takes each child's results, or its exception, from a one-way pipe.
+    Every child is joined, and terminated if still running, however the census
+    ends. Linux children are forked, not re-imported: safe only while the
+    caller runs no other thread.
     """
     k = g1.nrows
     left_mask = (1 << k) - 1

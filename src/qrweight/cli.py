@@ -474,7 +474,6 @@ def cmd_paper_regression(args) -> int:
     bundle, quotients, solution = _run_stages(
         args, family, 0, weights, borrowed, workers=1, block_size=census_mod.DEFAULT_BLOCK_SIZE
     )
-    cert = solution.sign_certificate
     derived = {
         "p": p,
         "group_order": group_order(p)[0],
@@ -485,10 +484,10 @@ def cmd_paper_regression(args) -> int:
         "crt_residues": {w: c.residue for w, c in bundle.constraints.items()},
         "minimum_distance_extended": next(w for w in range(1, p + 2) if solution.extended[w]),
         "partial_census": {w: solution.extended[w] for w in weights[:-1]},
-        "orbit_quotients": {**quotients, 2 * m: cert.orbit_quotient},
+        "orbit_quotients": {**quotients, 2 * m: solution.sign_certificate.orbit_quotient},
         "top_coefficient": solution.coefficients[m],
         "accepted_a34": solution.extended[2 * m],
-        "rejected_a34": next(c.a_top for c in cert.candidates if not c.accepted),
+        "rejected_a34": next(c.a_top for c in solution.sign_certificate.candidates if not c.accepted),
         "distribution_extended": {j: solution.extended[j] for j in fx["distribution_extended"]},
         "distribution_augmented": {j: solution.augmented[j] for j in fx["distribution_augmented"]},
     }
