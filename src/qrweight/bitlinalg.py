@@ -6,7 +6,7 @@ is a pure function on immutable values and safe to share across workers.
 
 Tables of many words are also stored transposed ("bit-sliced"): column j is
 one int whose bit x is coordinate j of word x, the table's lane x. One big-int
-operation then acts on every lane at once, and ``weight_histogram`` counts
+operation then acts on every lane at once, and ``weight_histograms`` counts
 the weights of a whole table in a few hundred of them.
 """
 
@@ -260,11 +260,6 @@ def rd_subset_columns(rows: Sequence[int], width: int, max_depth: int) -> tuple[
             level.append(column)
         tables.append(tuple(level))
     return tuple(tables)
-
-
-def weight_histogram(columns: Sequence[int], flips: int, lo: int, hi: int, max_weight: int) -> dict[int, int]:
-    """``weight_histograms`` of the one piece [lo, hi)."""
-    return weight_histograms(columns, flips, (lo, hi), max_weight)[0]
 
 
 def weight_histograms(

@@ -30,7 +30,7 @@ invariant subcodes call the core directly (``congruence``).
 
 ``check_budget`` is the package's one enumeration budget, counted in kernel
 lanes: one lane is one census pattern or one walked subcode word, one slot of
-``weight_histogram``'s bit-sliced tables. Both enumerators run at tens of
+``weight_histograms``'s bit-sliced tables. Both enumerators run at tens of
 millions of lanes per second on one core, so the default 10^8 lanes is a few
 seconds; ``long_run`` lifts it.
 
@@ -48,15 +48,18 @@ d-subsets are the lanes [lo, hi), and ``bitlinalg.weight_histograms``
 counts the whole block at once. Counting is order-free and each shard's
 tallies come from its own interval alone, so shards are independent.
 
-The core counts by spans, not by shards: a span is a run of consecutive
-units of one (matrix, size), and a block that shard boundaries cut into
-pieces is counted by one kernel call that builds its bit-planes once and
-reads each unit's histogram from that unit's lanes. So a span costs one
-kernel call per top prefix however many shards it is cut into, and the
-matrices' rows are checked once per census. On more than one worker the
-caller cuts the units into contiguous shares of about equal live lanes,
-counts the first share itself and hands each other share to a child
-process of its own.
+The core counts by runs, not by shards: a run is a sequence of units of
+one (matrix, size), each starting where the one before it stops, and one
+walk of the recursion carries the run's unit boundaries down as cut points.
+Below a top element a rank r becomes lane C(a + 1, t) - 1 - r, so each
+level reflects the cuts inside it and reverses the order of their units. A
+block that shard boundaries cut into pieces thus reaches one kernel call,
+with its cut points, which builds its bit-planes once and reads each unit's
+histogram from that unit's lanes. So a run costs one kernel call per top
+prefix however many shards it is cut into, and the matrices' rows are
+checked once per census. On more than one worker the caller cuts the units
+into contiguous shares of about equal live lanes, counts the first share
+itself and hands each other share to a child process of its own.
 
 Deeper tables mean fewer kernel calls but more lanes to build, so each
 matrix's depth is the one that costs least over all its live units
@@ -69,12 +72,10 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import groupby
 from math import comb
-from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .bitlinalg import BitMatrix, disjoint_information_systematizations, rd_subset_columns, weight_histograms
@@ -216,26 +217,39 @@ def _binomials(n: int, t: int) -> tuple[int, ...]:
     return tuple(comb(a, t) for a in range(n + 1))
 
 
-def _rank_blocks(lo: int, hi: int, t: int, depth: int, base: int, rows: Sequence[int]):
-    """Split the ranks [lo, hi) of the t-subsets of the rows into blocks.
+def _rank_blocks(cuts: Sequence[int], labels: Sequence[int], t: int, depth: int, base: int, rows: Sequence[int]):
+    """Split the ranks [cuts[0], cuts[-1]) of the t-subsets of the rows into blocks.
 
-    Each block (base, d, lo, hi) is ``base`` XOR the d-subsets of ranks
-    [lo, hi), d <= depth: a lane range of the revolving-door table T_d, with
-    the fixed top elements folded into ``base``. Patterns with largest
-    element a hold the ranks [C(a, t), C(a + 1, t)), and below a they walk
-    the (t-1)-subsets of [0, a) backwards, so the recursion stops at the
-    table depth and yields one block per fixed top prefix.
+    The ranks [cuts[i], cuts[i + 1]) form the piece labelled labels[i]. Each
+    block (base, d, lanes, labels) is ``base`` XOR the d-subsets of ranks
+    [lanes[0], lanes[-1]), d <= depth: a lane range of the revolving-door
+    table T_d, with the fixed top elements folded into ``base``, whose lanes
+    [lanes[j], lanes[j + 1]) hold ranks of the piece labelled labels[j].
+    Patterns with largest element a hold the ranks [C(a, t), end = C(a + 1, t)),
+    and below a they walk the (t-1)-subsets of [0, a) backwards, rank r
+    at lane end - 1 - r: a cut point c goes to end - c, so each level
+    reflects its inner cuts and reverses their labels. The recursion stops at
+    the table depth and yields one block per fixed top prefix.
     """
     if t <= depth:
-        yield base, t, lo, hi
+        yield base, t, cuts, labels
         return
     starts = _binomials(len(rows), t)
+    lo, hi = cuts[0], cuts[-1]
     a = bisect_right(starts, lo) - 1
+    i = 0  # the piece that holds rank lo
     while lo < hi:
         end = starts[a + 1]
         top_hi = min(hi, end)
-        yield from _rank_blocks(end - top_hi, end - lo, t - 1, depth, base ^ rows[a], rows)
+        j = i + 1  # pieces i..j-1 meet [lo, top_hi)
+        if cuts[j] < top_hi:
+            j = bisect_left(cuts, top_hi, j)
+            inner = (end - top_hi, *[end - c for c in cuts[j - 1 : i : -1]], end - lo)
+            yield from _rank_blocks(inner, labels[i:j][::-1], t - 1, depth, base ^ rows[a], rows)
+        else:
+            yield from _rank_blocks((end - top_hi, end - lo), (labels[i],), t - 1, depth, base ^ rows[a], rows)
         lo = top_hi
+        i = j if cuts[j] == lo else j - 1  # a piece that runs past end continues under a + 1
         a += 1
 
 
@@ -284,59 +298,43 @@ def _parity_rows(matrix: int, rows: Sequence[int], k: int, left_mask: int) -> tu
 def _count_share(
     parities: dict[int, tuple[int, ...]], units: Sequence[tuple[int, int, int, int, int]], k: int, max_weight: int
 ) -> list[tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]]:
-    """Count units whose parity rows are checked, span by span.
+    """Count units whose parity rows are checked, run by run.
 
-    A span is a maximal run of consecutive units of one (matrix, size). A
-    block of ``_rank_blocks`` that holds neither the first nor the last rank
-    of its unit lies inside that unit and is counted at once, and so is
-    every block of a span of one unit. The blocks at the ends of the units
-    of a longer span are held, sorted by block and lane, and each
-    block's lane-adjacent pieces are counted by one ``weight_histograms``
-    call whose cut points are the unit boundaries. A block cut by shards
-    therefore builds its bit-planes once, as in an unsharded census.
+    A run is a maximal sequence of units of one (matrix, size) in which each
+    unit starts where the one before it stops. Its units' boundaries are the
+    cut points of one ``_rank_blocks`` walk, so every block reaches one
+    ``weight_histograms`` call with the cuts that fall inside it, and each
+    piece's histogram goes to the unit it is labelled with. A block cut by
+    shards therefore builds its bit-planes once, as in an unsharded census.
     """
+    runs: list[list[tuple[int, int, int, int, int]]] = []
+    stop = None
+    for unit in units:
+        _, matrix, size, start, count = unit
+        if not 0 <= start < start + count <= comb(k, size):
+            raise ValueError(f"shard [{start}, {start + count}) outside [0, {comb(k, size)})")
+        if runs and runs[-1][-1][1:3] == (matrix, size) and start == stop:
+            runs[-1].append(unit)
+        else:
+            runs.append([unit])
+        stop = start + count
     results = []
-    for (matrix, size), group in groupby(units, key=itemgetter(1, 2)):
-        span = list(group)
-        for _, _, _, start_rank, count in span:
-            if not 0 <= start_rank < start_rank + count <= comb(k, size):
-                raise ValueError(f"shard [{start_rank}, {start_rank + count}) outside [0, {comb(k, size)})")
-        if not is_live(matrix, size, max_weight):
-            results.extend((*unit, ()) for unit in span)
-            continue
-        parity = parities[matrix]
-        min_parity = size + (matrix == 2)
-        depth = table_depth(k, (max_weight - (matrix == 2)) // 2, SUBSET_TABLE_BITS)
-        tables = _parity_tables(parity, depth)
-        tallies: list[dict[int, int]] = [{} for _ in span]
-        held = []
-        for u, (_, _, _, start, count) in enumerate(span):
-            stop = start + count
-            ends = ()  # (base, d) of the unit's first and last blocks, which a neighbouring unit may share
-            if len(span) > 1:
-                ends = {next(_rank_blocks(r, r + 1, size, depth, 0, parity))[:2] for r in (start, stop - 1)}
-            for base, d, lo, hi in _rank_blocks(start, stop, size, depth, 0, parity):
-                if (base, d) in ends:
-                    held.append((d, base, lo, hi, u))
-                else:
-                    _add(tallies[u], weight_histograms(tables[d], base, (lo, hi), max_weight - size, min_parity)[0])
-        held.sort()
-        first = 0
-        for last, (d, base, _, hi, _) in enumerate(held, 1):
-            if last == len(held) or held[last][:2] != (d, base) or held[last][2] != hi:
-                run = held[first:last]
-                cuts = [lo for _, _, lo, _, _ in run] + [hi]
-                for (*_, u), hist in zip(run, weight_histograms(tables[d], base, cuts, max_weight - size, min_parity)):
-                    _add(tallies[u], hist)
-                first = last
-        for unit, tally in zip(span, tallies):
+    for run in runs:
+        _, matrix, size, _, _ = run[0]
+        tallies: list[dict[int, int]] = [{} for _ in run]
+        if is_live(matrix, size, max_weight):
+            parity = parities[matrix]
+            depth = table_depth(k, (max_weight - (matrix == 2)) // 2, SUBSET_TABLE_BITS)
+            tables = _parity_tables(parity, depth)
+            cuts = [unit[3] for unit in run] + [run[-1][3] + run[-1][4]]
+            for base, d, lanes, labels in _rank_blocks(cuts, range(len(run)), size, depth, 0, parity):
+                hists = weight_histograms(tables[d], base, lanes, max_weight - size, size + (matrix == 2))
+                for u, hist in zip(labels, hists):
+                    for q, c in hist.items():
+                        tallies[u][q] = tallies[u].get(q, 0) + c
+        for unit, tally in zip(run, tallies):
             results.append((*unit, tuple(sorted((size + q, c) for q, c in tally.items()))))
     return results
-
-
-def _add(tally: dict[int, int], hist: dict[int, int]) -> None:
-    for q, c in hist.items():
-        tally[q] = tally.get(q, 0) + c
 
 
 def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
@@ -402,7 +400,7 @@ def count_units(
     pattern of size s there needs weight >= 2s + 1, and none of size t fits
     under an even bound W = 2t. Odd bounds have no dead units.
 
-    Both matrices are checked once. The units are counted in spans of one
+    Both matrices are checked once. The units are counted in runs of one
     (matrix, size) (``_count_share``), so a block cut by shard boundaries costs
     what it costs uncut. On more than one worker the units are cut into
     ``workers`` contiguous shares of about equal live lanes: the caller starts

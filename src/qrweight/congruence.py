@@ -243,7 +243,8 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
     i = j*2^a .. (j+1)*2^a - 1: the words of block j are the combination of
     rows[a:] selected by gray(j), XORed with every combination of rows[:a],
     the lanes of the span table of rows[:a]. Each block is one
-    ``weight_histogram`` call.
+    ``weight_histograms`` call, and its base is the previous block's with the
+    one row of the bit that gray(j) flips.
     """
     k = sub.k
     support = reduce(or_, sub.basis.rows, 0).bit_count()
@@ -259,14 +260,11 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
     a = min(k, max(0, (bitlinalg.TABLE_BITS // max(width, 1)).bit_length() - 1))
     columns = bitlinalg.span_columns(rows[:a], width)
     counts = {}
+    base = 0
     for j in range(1 << (k - a)):
-        code = j ^ (j >> 1)
-        base = 0
-        while code:
-            low = code & -code
-            base ^= rows[a + low.bit_length() - 1]
-            code ^= low
-        for w, c in bitlinalg.weight_histogram(columns, base, 0, 1 << a, folded_max).items():
+        if j:  # gray(j) is gray(j - 1) with the lowest set bit of j flipped
+            base ^= rows[a + (j & -j).bit_length() - 1]
+        for w, c in bitlinalg.weight_histograms(columns, base, (0, 1 << a), folded_max)[0].items():
             counts[w * g] = counts.get(w * g, 0) + c
     return counts
 

@@ -257,7 +257,7 @@ def resolve_top_coefficient(
     base_top = sum(prefix[l] * basis[l].coeff(2 * m) for l in range(m))
     factor = derivative_at_i(m)
     denominator = GaussianInt(1, -1) * factor  # (1-i) * c_m
-    outcomes = []
+    outcomes, winners = [], []
     for sign, hull_value in zip((1, -1), hull_sign_candidates(p, family)):
         quotient = (hull_value * (p + 1)).divide_exact(denominator)
         if quotient.im != 0:
@@ -271,16 +271,15 @@ def resolve_top_coefficient(
         accepted = not isinstance(verdict, Reject)
         detail = f"n={verdict}" if accepted else verdict.reason
         outcomes.append(SignCandidate(sign=sign, k_top=k_top, a_top=a_top, accepted=accepted, detail=detail))
-    winners = [o for o in outcomes if o.accepted]
+        if accepted:
+            winners.append((outcomes[-1], verdict))
     if len(winners) == 2:
         cert = SignCertificate(tuple(outcomes), chosen_sign=0, orbit_quotient=-1)
         raise SignUnresolved("congruence cannot discriminate the sign candidates", cert)
     if not winners:
         cert = SignCertificate(tuple(outcomes), chosen_sign=0, orbit_quotient=-1)
         raise SignUnresolved("congruence rejected both sign candidates", cert)
-    winner = winners[0]
-    quotient_n = check_candidate(constraint, winner.a_top)
-    assert isinstance(quotient_n, int)
+    winner, quotient_n = winners[0]
     certificate = SignCertificate(
         candidates=tuple(outcomes), chosen_sign=winner.sign, orbit_quotient=quotient_n
     )
@@ -457,30 +456,17 @@ def solve_distribution(
                 raise InvariantViolation("count of weight 0 must be 1")
             continue
         known[w // 2] = c
-    have_all = all(j in known for j in range(m + 1))
+    missing = [j for j in range(m) if j not in known]
+    if missing:
+        raise CheckFailure(f"A_{2 * missing[0]} is required but absent")
     certificate = None
-    if have_all:
-        ks = solve_coefficients(m, known)
-        if constraint is not None:
-            k_top, a_top, certificate = resolve_top_coefficient(
-                p, m, {j: known[j] for j in range(m)}, constraint, family
-            )
-            if k_top != ks[m] or a_top != known[m]:
-                raise CheckFailure(
-                    f"sign route K_m={k_top}, A_{2 * m}={a_top} disagrees with "
-                    f"direct K_m={ks[m]}, A_{2 * m}={known[m]}"
-                )
-    else:
-        missing = [j for j in range(m) if j not in known]
-        if missing:
-            raise CheckFailure(f"A_{2 * missing[0]} is required but absent")
-        if constraint is None:
-            raise CheckFailure(f"A_{2 * m} absent and no congruence constraint supplied")
-        k_top, a_top, certificate = resolve_top_coefficient(
-            p, m, {j: known[j] for j in range(m)}, constraint, family
-        )
-        known[m] = a_top
-        ks = solve_coefficients(m, known)
+    if constraint is not None:
+        _, a_top, certificate = resolve_top_coefficient(p, m, {j: known[j] for j in range(m)}, constraint, family)
+        if known.setdefault(m, a_top) != a_top:
+            raise CheckFailure(f"sign route A_{2 * m}={a_top} disagrees with censused A_{2 * m}={known[m]}")
+    elif m not in known:
+        raise CheckFailure(f"A_{2 * m} absent and no congruence constraint supplied")
+    ks = solve_coefficients(m, known)
     poly = reconstruct(ks, m)
     n = p + 1
     ext = tuple(poly.coeff(j) for j in range(n + 1))

@@ -14,7 +14,6 @@ from qrweight.bitlinalg import (
     rank,
     rref,
     same_row_space,
-    weight_histogram,
     weight_histograms,
 )
 from qrweight.qrcodes import cyclic_generator_matrix
@@ -315,7 +314,7 @@ def test_weight_histogram_matches_direct_popcounts(data):
                 counts[w] = counts.get(w, 0) + 1
         return counts
 
-    assert weight_histogram(columns, flips, lo, lo + lanes, max_weight) == expected(lo, lo + lanes, 0)
+    assert weight_histograms(columns, flips, (lo, lo + lanes), max_weight) == [expected(lo, lo + lanes, 0)]
     pieces = weight_histograms(columns, flips, cuts, max_weight, min_weight)
     assert pieces == [expected(a, b, min_weight) for a, b in zip(cuts, cuts[1:])]
 

@@ -489,8 +489,8 @@ def test_live_units_make_the_kernel_calls_of_the_uncapped_tables(
         tables = bitlinalg.rd_subset_columns(parity, k, depth)
         min_parity = size + (matrix == 2)
         expected = [
-            (tables[d], base, (lo, hi), max_weight - size, min_parity)
-            for base, d, lo, hi in census._rank_blocks(start, start + count, size, depth, 0, parity)
+            (tables[d], base, tuple(lanes), max_weight - size, min_parity)
+            for base, d, lanes, _ in census._rank_blocks((start, start + count), (0,), size, depth, 0, parity)
         ]
         kernel_spy["kernel"].clear()
         assert _count_shard(job) == scalar_count_shard(job)

@@ -360,6 +360,16 @@ def test_solve_distribution_p17_with_cross_check(family17, dist17):
     assert solution.sign_certificate is not None
 
 
+def test_solve_distribution_refuses_absent_or_disagreeing_counts(family17):
+    constraint = compute_bundle(family17, find_sylow_plan(17), [2, 4]).constraints[4]
+    with pytest.raises(CheckFailure, match=r"A_2 is required but absent"):
+        solve_distribution(17, {4: 0}, constraint=constraint, family=family17)
+    with pytest.raises(CheckFailure, match=r"A_4 absent and no congruence constraint supplied"):
+        solve_distribution(17, {2: 0}, family=family17)
+    with pytest.raises(CheckFailure, match=r"sign route A_4=0 disagrees with censused A_4=2"):
+        solve_distribution(17, {2: 0, 4: 2}, constraint=constraint, family=family17)
+
+
 def test_solve_distribution_detects_inconsistent_census(family17, dist17):
     counts = {w: dist17[w] for w in range(2, 9, 2)}
     counts[6] += 1  # corrupt a censused value beyond 2m
