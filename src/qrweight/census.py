@@ -21,12 +21,12 @@ tallies, but no table is built and no kernel call is made for them.
 ``pattern_cost`` counts the patterns of the live units, which is what a
 census walks.
 
-The module has a core and a thin wrapper. ``count_units`` is the core: it
-counts a list of work units of any half-rate code, given its two systematic
-row sets and the bound W, and keeps odd weights. ``run_census`` wraps it for
-the extended QR code: it checks the budget, plans the shards, records the
-provenance and rejects odd weights, which an even code cannot have. Folded
-invariant subcodes call the core directly (``congruence``).
+``count_units`` is the core: it counts work units of any half-rate code,
+given its two systematic row sets and the bound W, and keeps odd weights.
+``census_counts`` is its one entry, for the extended QR code (``run_census``)
+and folded invariant subcodes (``congruence``) alike: it takes the code's pair
+of systematic matrices (``census_setup``), checks the budget, plans and counts.
+``run_census`` adds the records, the provenance and the odd-weight check.
 
 ``check_budget`` is the package's one enumeration budget, counted in kernel
 lanes: one lane is one census pattern or one walked subcode word, one slot of
@@ -338,18 +338,10 @@ def _count_share(
 
 
 def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
-    """Count one shard and tally qualifying codeword weights: ``count_units``
-    for one unit, with everything it needs in ``args``.
-
-    The rows are systematic on one half, so that half adds exactly ``size``
-    to every pattern's weight and only the k parity bits go through the
-    kernel: a codeword of parity weight q is kept when size + q <= max_weight
-    and q >= size (matrix 1, ties kept) or q > size (matrix 2). A dead unit
-    (see ``is_live``) cannot meet both, so after the row and rank checks it
-    returns empty tallies without tables or kernel calls. The largest live
-    size, max_weight // 2 for matrix 1 and (max_weight - 1) // 2 for matrix 2,
-    sets the depth of that matrix's tables (``table_depth``).
-    """
+    """``count_units`` for one unit, given the rows of its matrix only: ``args``
+    is (index, matrix, size, start_rank, count, rows, k, left_mask, max_weight).
+    The rows and ranks are checked, and a dead unit (``is_live``) comes back
+    with empty tallies, as in ``count_units``."""
     index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
     parities = {matrix: _parity_rows(matrix, rows, k, left_mask)}
     return _count_share(parities, [(index, matrix, size, start_rank, count)], k, max_weight)[0]
@@ -449,6 +441,42 @@ def count_units(
     return sorted(results)
 
 
+def census_setup(g: BitMatrix) -> tuple[BitMatrix, BitMatrix] | None:
+    """The k x 2k code's matrices systematic on disjoint information sets (in
+    permuted columns), or None: the one place a census finds its pair."""
+    return disjoint_information_systematizations(g)
+
+
+def census_counts(
+    g: BitMatrix,
+    max_weight: int,
+    units: Sequence[tuple[int, int, int, int, int]] | None = None,
+    *,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    workers: int = 1,
+    long_run: bool = False,
+) -> tuple[list, dict[int, int]] | None:
+    """``count_units``'s tallied units, and their sums per weight, for the words
+    of weight <= max_weight of the code ``g`` generates; None when
+    ``census_setup`` finds no pair. The budget is checked after the pair is
+    found, on ``units`` or else on ``pattern_cost``, before the plan is built."""
+    matrices = census_setup(g)
+    if matrices is None:
+        return None
+    if units is None:
+        check_budget(pattern_cost(g.nrows, max_weight), long_run)
+        units = census_work_units(g.nrows, max_weight // 2, block_size)
+    else:
+        live = sum(count for _, matrix, size, _, count in units if is_live(matrix, size, max_weight))
+        check_budget(live, long_run)
+    results = count_units(*matrices, units, max_weight, workers=workers)
+    totals: dict[int, int] = {}
+    for *_, weight_counts in results:
+        for w, c in weight_counts:
+            totals[w] = totals.get(w, 0) + c
+    return results, totals
+
+
 def run_census(
     family: QrCodeFamily,
     t: int,
@@ -460,11 +488,9 @@ def run_census(
 ) -> WeightCensus:
     """Count extended-code codewords of every weight <= 2t.
 
-    A thin wrapper over ``count_units``: it checks the budget against the
-    patterns of the live units it runs, plans the shards, records the
-    provenance and checks that no odd weight occurs. A whole census is
-    checked against ``pattern_cost(k, 2t)`` before its plan is built, so an
-    over-budget t is refused at once.
+    A thin wrapper over ``census_counts`` (which checks the budget after the
+    pair is found, before the plan is built) that picks the shards,
+    records the provenance and checks that no odd weight occurs.
     With shard_indices the run covers only those work units, found by
     arithmetic (``census_unit``) without the plan and checked against their
     own live patterns, and returns a fragment for later merging; an index
@@ -477,29 +503,21 @@ def run_census(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     max_weight = 2 * t
-    if shard_indices is None:
-        check_budget(pattern_cost(family.k, max_weight), long_run)
-        units = census_work_units(family.k, t, block_size)
-        total_shards = len(units)
-    else:
+    total_shards = census_shard_total(family.k, t, block_size)
+    units = None
+    if shard_indices is not None:
         wanted = sorted(set(shard_indices))
-        total_shards = census_shard_total(family.k, t, block_size)
         missing = [i for i in wanted if not 1 <= i <= total_shards]
         if missing:
             raise ValueError(f"no such shard indices: {missing}; the plan has units 1..{total_shards}")
         units = [census_unit(family.k, t, block_size, i) for i in wanted]
-        live = sum(count for _, matrix, size, _, count in units if is_live(matrix, size, max_weight))
-        check_budget(live, long_run)
-    matrices = disjoint_information_systematizations(family.extended)
-    if matrices is None:
+    counted = census_counts(
+        family.extended, max_weight, units, block_size=block_size, workers=workers, long_run=long_run
+    )
+    if counted is None:
         raise InvariantViolation(f"no two disjoint information sets found in the p={family.p} extended code")
-    g1, g2 = matrices
-    totals: dict[int, int] = {}
-    records = []
-    for *unit, weight_counts in count_units(g1, g2, units, max_weight, workers=workers):
-        records.append(ShardRecord(*unit, sha256=shard_digest(unit, weight_counts)))
-        for w, c in weight_counts:
-            totals[w] = totals.get(w, 0) + c
+    results, totals = counted
+    records = tuple(ShardRecord(*unit, sha256=shard_digest(unit, tallies)) for *unit, tallies in results)
     for w, c in totals.items():
         if w % 2 and c:
             raise InvariantViolation(f"odd weight {w} counted in an even code")
@@ -515,7 +533,7 @@ def run_census(
             max_info_weight=t,
             block_size=block_size,
             total_shards=total_shards,
-            shards=tuple(records),
+            shards=records,
         ),
     )
 
@@ -530,9 +548,10 @@ def census_payload(result: WeightCensus) -> dict:
     }
 
 
-def _int(value) -> int:
-    if type(value) is not int:
-        raise CheckFailure(f"census payload: expected an integer, got {value!r}")
+def _typed(value, kind: type):
+    if type(value) is not kind:
+        expected = "an integer" if kind is int else "a string"
+        raise CheckFailure(f"census payload: expected {expected}, got {value!r}")
     return value
 
 
@@ -544,20 +563,20 @@ def census_from_payload(payload: dict) -> WeightCensus:
     """
     try:
         prov = payload["provenance"]
-        counts = {_int(w): _int(c) for w, c in payload["counts"]}
+        counts = {_typed(w, int): _typed(c, int) for w, c in payload["counts"]}
         if len(counts) != len(payload["counts"]):
             raise CheckFailure("census payload lists a weight more than once")
         shards = tuple(
-            ShardRecord(*(_int(rec[f]) for f in ("index", "matrix", "size", "start_rank", "count")),
-                        sha256=str(rec["sha256"]))
+            ShardRecord(*(_typed(rec[f], int) for f in ("index", "matrix", "size", "start_rank", "count")),
+                        sha256=_typed(rec["sha256"], str))
             for rec in prov["shards"]
         )
         return WeightCensus(
-            *(_int(payload[f]) for f in ("p", "n", "k", "complete_upto")),
+            *(_typed(payload[f], int) for f in ("p", "n", "k", "complete_upto")),
             counts=counts,
             provenance=CensusProvenance(
-                str(prov["code_digest"]),
-                *(_int(prov[f]) for f in ("max_info_weight", "block_size", "total_shards")),
+                _typed(prov["code_digest"], str),
+                *(_typed(prov[f], int) for f in ("max_info_weight", "block_size", "total_shards")),
                 shards=shards,
             ),
         )

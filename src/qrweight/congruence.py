@@ -19,24 +19,23 @@ every word's weight by exactly g and keeps the words in the same order, so the
 folded counts, with weights multiplied by g, are the exact counts.
 
 A folded code is counted one of two ways. The default walks all 2^k words in
-Gray order. When the folded code is half-rate, [2k, k], and
-``bitlinalg.disjoint_information_systematizations`` finds two disjoint
-information sets in it, a census over them (``census.count_units``) counts its
-words of folded weight <= W = max_weight // g instead, once it walks fewer
-patterns than the 2^k words. The census is exact because a word's lighter
-half weighs at most W // 2 on one of the two sets, ties going to the first.
+Gray order. When the folded code is half-rate, [2k, k], with two disjoint
+information sets, the census that counts the extended code
+(``census.census_counts``) counts its words of folded weight <= W =
+max_weight // g instead, once it walks fewer patterns than the 2^k words.
 At p = 137, S_3 folds to a [46, 23] code: a census to W = 11 walks 89,104
 patterns where the walk visits 2^23 words.
 
 Either way a subcode is charged to the one enumeration budget
 (``census.check_budget``) the lanes of the route it takes: the census's
-patterns (``census.pattern_cost``), or 2^k words for the walk. The folded
-width is support / g, so when 2k does not divide the support no fold can be
-half-rate, and the 2^k words are charged before the fold. At p = 137 that
-refuses only the order-2 subcode H2 (k = 35, support 138); the next largest
-is S_3 (k = 23). ``compute_bundle`` then takes H2's row from a supplied
-fixture, if any. At p = 127 H2 folds to a [64, 32] code whose census walks
-284,274 patterns where the walk would visit 2^32 words.
+patterns (``census.pattern_cost``), charged once the pair is found, or 2^k
+words for the walk. The folded width is support / g, so when 2k does not
+divide the support no fold can be half-rate, and the 2^k words are charged
+before the fold. At p = 137 that refuses only the order-2 subcode H2
+(k = 35, support 138); the next largest is S_3 (k = 23). ``compute_bundle``
+then takes H2's row from a supplied fixture, if any. At p = 127 H2 folds to
+a [64, 32] code whose census walks 284,274 patterns where the walk would
+visit 2^32 words.
 """
 
 from __future__ import annotations
@@ -192,25 +191,6 @@ def _fold(basis: BitMatrix) -> tuple[list[int], int, int]:
     return folded, g, width
 
 
-def _census_counts(rows: list[int], max_weight: int, long_run: bool) -> dict[int, int] | None:
-    """Counts of the words of weight <= max_weight of the k x 2k folded rows
-    by a census (``census.count_units``), or None when no pair of disjoint
-    information sets was found. The census's patterns are checked against the
-    budget once the pair is found. The finder permutes the columns, which
-    changes no weight."""
-    k = len(rows)
-    matrices = bitlinalg.disjoint_information_systematizations(BitMatrix(2 * k, tuple(rows)))
-    if matrices is None:
-        return None
-    census.check_budget(census.pattern_cost(k, max_weight), long_run)
-    units = census.census_work_units(k, max_weight // 2, census.DEFAULT_BLOCK_SIZE)
-    counts: dict[int, int] = {}
-    for *_, weight_counts in census.count_units(*matrices, units, max_weight):
-        for w, c in weight_counts:
-            counts[w] = counts.get(w, 0) + c
-    return counts
-
-
 def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: bool = False) -> dict[int, int]:
     """Exact per-weight counts over all 2^k subcode words, weights <= max_weight.
 
@@ -231,13 +211,10 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
     weight w * g, and weight <= max_weight means folded weight <= max_weight // g.
 
     When the folded code is half-rate (width 2k) with two disjoint
-    information sets, a census to W = max_weight // g counts it instead,
-    provided the patterns it walks (``census.pattern_cost``) are fewer than
-    the 2^k words.
-    The rows are systematized on each set; a word of weight w <= W has a
-    lighter half of weight <= W // 2 = t, so it is one pattern of size <= t
-    in one of the two matrices: in the first when its halves tie, else in the
-    matrix of its lighter half. Each word is therefore counted exactly once.
+    information sets, the census that counts the extended code counts it
+    instead (``census.census_counts``, to W = max_weight // g), provided the
+    patterns it walks (``census.pattern_cost``) are fewer than the 2^k words.
+    Its pair is found before the budget is charged.
 
     The walk cuts the words into blocks j = 0 .. 2^(k-a) - 1 of 2^a words,
     i = j*2^a .. (j+1)*2^a - 1: the words of block j are the combination of
@@ -253,9 +230,9 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
     rows, g, width = _fold(sub.basis)
     folded_max = max_weight // g
     if width == 2 * k and census.pattern_cost(k, folded_max) < 1 << k:
-        counts = _census_counts(rows, folded_max, long_run)
-        if counts is not None:
-            return {w * g: c for w, c in counts.items()}
+        counted = census.census_counts(BitMatrix(width, tuple(rows)), folded_max, long_run=long_run)
+        if counted is not None:
+            return {w * g: c for w, c in counted[1].items()}
     census.check_budget(1 << k, long_run)
     a = min(k, max(0, (bitlinalg.TABLE_BITS // max(width, 1)).bit_length() - 1))
     columns = bitlinalg.span_columns(rows[:a], width)

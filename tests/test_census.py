@@ -334,6 +334,15 @@ def test_census_from_payload_rejects_malformed(family17):
         census_from_payload(payload)
 
 
+@pytest.mark.parametrize("field", ["sha256", "code_digest"])
+def test_census_from_payload_refuses_a_digest_that_is_not_a_string(family17, field):
+    payload = census_payload(run_census(family17, 2))
+    live = next(rec for rec in payload["provenance"]["shards"] if census.is_live(rec["matrix"], rec["size"], 4))
+    (live if field == "sha256" else payload["provenance"])[field] = 12345
+    with pytest.raises(CheckFailure, match="expected a string, got 12345"):
+        census_from_payload(payload)
+
+
 def test_merge_rejects_plan_not_matching_its_parameters(family17):
     whole = run_census(family17, 2, block_size=10)
     forged = replace(whole, provenance=replace(whole.provenance, block_size=20))
