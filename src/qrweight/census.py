@@ -57,14 +57,14 @@ block that shard boundaries cut into pieces thus reaches one kernel call,
 with its cut points, which builds its bit-planes once and reads each unit's
 histogram from that unit's lanes. So a run costs one kernel call per top
 prefix however many shards it is cut into, and the matrices' rows are
-checked once per census. On more than one worker the caller cuts the units
-into contiguous shares of about equal live lanes, counts the first share
-itself and hands each other share to a child process of its own.
+checked once per census.
 
-Deeper tables mean fewer kernel calls but more lanes to build, so each
-matrix's depth is the one that costs least over all its live units
-(``table_depth``). The tables of both matrices stay cached in the process,
-so a second census of the same code builds none.
+One cost model (``unit_costs``) picks each matrix's table depth
+(``table_depth``) and cuts the units into shares for the workers
+(``share_count``, ``_shares``): ``workers`` is an upper bound, and a census
+too small to repay a child process is counted in the calling one. The
+tables of both matrices stay cached in the process, so a second census of
+the same code builds none.
 """
 
 from __future__ import annotations
@@ -87,9 +87,13 @@ if TYPE_CHECKING:
 DEFAULT_BLOCK_SIZE = 10**8
 DEFAULT_PATTERN_BUDGET = 10**8
 SUBSET_TABLE_BITS = 1 << 26  # columns x lanes of one matrix's subset tables, about 8 MB
-# One kernel call's fixed cost in table lanes built: at 69 columns a call
-# takes about 20-60 us on one core, and building a table lane 69 x 2 ns.
-KERNEL_CALL_LANES = 256
+# Costs are bits of kernel work, k per lane of a k-column table. A kernel
+# call's fixed cost, fitted on a 2-vCPU host by timing censuses at each depth
+# with the tables built: p = 137, t = 5 gets its fastest (4, 3) from 28,000,
+# S_3 at p = 137 keeps 4 (5 is no faster built) below 43,000. On that host
+# 2 workers beat 1 from a census cost of about 5e8.
+KERNEL_CALL_BITS = 36_000
+CHILD_SHARE_BITS = 250_000_000  # the least cost of a share worth a child
 
 
 def is_live(matrix: int, size: int, max_weight: int) -> bool:
@@ -261,9 +265,10 @@ def table_depth(k: int, top: int, cap: int) -> int:
     Tables to depth d hold lanes(d) = sum(C(k, i), i <= d) lanes, and a unit
     of size s > d makes C(k - d, s - d) kernel calls, one per set of top
     elements, against one for s <= d. The depth is the d <= top, smallest
-    among ties, that minimises KERNEL_CALL_LANES * calls(d) + lanes(d) with
-    k * lanes(d) <= cap; depth 0 is allowed under any cap. The walked lanes
-    are the same at every depth, and so are the counts.
+    among ties, that minimises the census cost of the build and the calls,
+    k * lanes(d) + KERNEL_CALL_BITS * calls(d), with k * lanes(d) <= cap;
+    depth 0 is allowed under any cap. The walked lanes are the same at every
+    depth, and so are the counts.
     """
     best_cost, best = None, 0
     lanes = 0
@@ -272,10 +277,56 @@ def table_depth(k: int, top: int, cap: int) -> int:
         if d and k * lanes > cap:
             break
         calls = d + 1 + sum(comb(k - d, s - d) for s in range(d + 1, top + 1))
-        cost = KERNEL_CALL_LANES * calls + lanes
+        cost = KERNEL_CALL_BITS * calls + k * lanes
         if best_cost is None or cost < best_cost:
             best_cost, best = cost, d
     return best
+
+
+def _depth(k: int, matrix: int, max_weight: int) -> int:
+    """The table depth of one matrix of a census to max_weight."""
+    return table_depth(k, (max_weight - (matrix == 2)) // 2, SUBSET_TABLE_BITS)
+
+
+def _blocks_below(rank: int, t: int, depth: int, n: int) -> tuple[int, int]:
+    """(blocks that start below ``rank``, blocks that end at or below it) in
+    the ``_rank_blocks`` walk of the t-subsets of n rows at table depth
+    ``depth``, 0 <= rank <= C(n, t). Under its largest element a, a block
+    starts below the rank iff its reflected inner block ends above
+    C(a + 1, t) - rank, and ends at or below it iff that one starts there."""
+    if rank <= 0:
+        return 0, 0
+    if t <= depth:
+        return 1, int(rank >= comb(n, t))
+    starts = _binomials(n, t)
+    a = bisect_left(starts, rank) - 1  # the largest element of rank - 1
+    # blocks with largest element below a, plus those with a
+    blocks = comb(a - depth, t - depth) + (comb(a - depth, t - 1 - depth) if t - 1 > depth else 1)
+    inner_starts, inner_ends = _blocks_below(starts[a + 1] - rank, t - 1, depth, a)
+    return blocks - inner_ends, blocks - inner_starts
+
+
+def unit_costs(units: Sequence[tuple[int, int, int, int, int]], k: int, max_weight: int) -> list[int]:
+    """Each unit's cost: k per live lane plus KERNEL_CALL_BITS per kernel
+    call at its matrix's depth, counted as the blocks that start in its ranks
+    so that a run's units add up to the run; a dead unit costs 0. Ranks are
+    clamped, so a unit that ``count_units`` refuses gets a cost too."""
+    costs = []
+    run = stop = None
+    for _, matrix, size, start, count in units:
+        if (matrix, size) != run:
+            run, stop = (matrix, size), None
+            live, depth, total = is_live(matrix, size, max_weight), _depth(k, matrix, max_weight), comb(k, size)
+        if not live:
+            costs.append(0)
+            continue
+        if start != stop:  # not where the unit before it stopped
+            below = _blocks_below(min(start, total), size, depth, k)[0]
+        stop = start + count
+        above = _blocks_below(min(stop, total), size, depth, k)[0]
+        costs.append(k * count + KERNEL_CALL_BITS * (above - below))
+        below = above
+    return costs
 
 
 @lru_cache(maxsize=2)
@@ -324,7 +375,7 @@ def _count_share(
         tallies: list[dict[int, int]] = [{} for _ in run]
         if is_live(matrix, size, max_weight):
             parity = parities[matrix]
-            depth = table_depth(k, (max_weight - (matrix == 2)) // 2, SUBSET_TABLE_BITS)
+            depth = _depth(k, matrix, max_weight)
             tables = _parity_tables(parity, depth)
             cuts = [unit[3] for unit in run] + [run[-1][3] + run[-1][4]]
             for base, d, lanes, labels in _rank_blocks(cuts, range(len(run)), size, depth, 0, parity):
@@ -358,17 +409,21 @@ def _send_share(conn, parities, units, k, max_weight) -> None:
     conn.close()
 
 
-def _shares(units: Sequence[tuple[int, int, int, int, int]], workers: int, max_weight: int) -> list[list]:
-    """Cut the units, in order, into ``workers`` contiguous shares of about
-    equal live lanes; a unit goes to the share that holds its middle lane."""
-    lanes = [count if is_live(matrix, size, max_weight) else 0 for _, matrix, size, _, count in units]
-    total = sum(lanes) or 1
-    shares: list[list] = [[] for _ in range(workers)]
+def _shares(units: Sequence[tuple[int, int, int, int, int]], costs: Sequence[int], count: int) -> list[list]:
+    """Cut the units, in order, into ``count`` contiguous shares of about
+    equal cost; a unit goes to the share that holds its middle cost."""
+    total = sum(costs) or 1
+    shares: list[list] = [[] for _ in range(count)]
     done = 0
-    for unit, n in zip(units, lanes):
-        shares[min(workers - 1, (2 * done + n) * workers // (2 * total))].append(unit)
-        done += n
+    for unit, cost in zip(units, costs):
+        shares[min(count - 1, (2 * done + cost) * count // (2 * total))].append(unit)
+        done += cost
     return shares
+
+
+def share_count(cost: int, workers: int) -> int:
+    """As many shares as keep each at CHILD_SHARE_BITS or more, in [1, workers]."""
+    return max(1, min(workers, cost // CHILD_SHARE_BITS))
 
 
 def count_units(
@@ -394,24 +449,28 @@ def count_units(
 
     Both matrices are checked once. The units are counted in runs of one
     (matrix, size) (``_count_share``), so a block cut by shard boundaries costs
-    what it costs uncut. On more than one worker the units are cut into
-    ``workers`` contiguous shares of about equal live lanes: the caller starts
-    a process for each nonempty share but the first, counts the first itself,
-    then takes each child's results, or its exception, from a one-way pipe.
-    Every child is joined, and terminated if still running, however the census
-    ends. Linux children are forked, not re-imported: safe only while the
-    caller runs no other thread.
+    what it costs uncut. ``workers`` is the most processes used: the units are
+    cut into ``share_count`` contiguous shares of about equal cost, and one
+    share, a census too small to repay a child, is counted here without
+    multiprocessing. Otherwise the caller starts a process for each nonempty
+    share but the first, counts the first itself, then takes each child's
+    results, or its exception, from a one-way pipe. Every child is joined, and
+    terminated if still running, however the census ends. Linux children are
+    forked, not re-imported: safe only while the caller runs no other thread.
     """
     k = g1.nrows
     left_mask = (1 << k) - 1
     parities = {matrix: _parity_rows(matrix, g.rows, k, left_mask) for matrix, g in ((1, g1), (2, g2))}
+    if workers > 1:
+        costs = unit_costs(units, k, max_weight)
+        workers = share_count(sum(costs), workers)
     if workers == 1:
         return sorted(_count_share(parities, units, k, max_weight))
-    # imported here so that importing the package does not load multiprocessing
+    # imported here so that a census counted in one process does not load multiprocessing
     import multiprocessing
 
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    own, *rest = _shares(units, workers, max_weight)
+    own, *rest = _shares(units, costs, workers)
     children = []
     try:
         for share in rest:

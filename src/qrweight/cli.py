@@ -540,6 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     long_run_help = "lift the budget of 10^8 lanes (census patterns or subcode words) per count"
+    workers_help = "the most processes the census uses; a census too small to repay a child runs in this one"
 
     def add(name: str, func, help_: str):
         sp = sub.add_parser(name, help=help_)
@@ -569,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("census", cmd_census, "partial weight census by information patterns")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--t", type=_at_least(0), required=True, help="max information-pattern size")
-    sp.add_argument("--workers", type=_at_least(1), default=1)
+    sp.add_argument("--workers", type=_at_least(1), default=1, help=workers_help)
     sp.add_argument("--block-size", type=int, default=census_mod.DEFAULT_BLOCK_SIZE)
     sp.add_argument("--long-run", action="store_true", help=long_run_help)
     sp.add_argument("--shard-index", type=int, default=None, help="compute only this unit of shard-plan")
@@ -594,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("pipeline", cmd_pipeline, "construct, census, congruence, solve, verify")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--t", type=_at_least(0), required=True)
-    sp.add_argument("--workers", type=_at_least(1), default=1)
+    sp.add_argument("--workers", type=_at_least(1), default=1, help=workers_help)
     sp.add_argument("--block-size", type=int, default=census_mod.DEFAULT_BLOCK_SIZE)
     sp.add_argument("--long-run", action="store_true", help=long_run_help)
     sp.add_argument("--out", default=None)

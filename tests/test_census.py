@@ -163,7 +163,14 @@ def test_census_zero_below_minimum_distance(family17):
     assert result.counts[0] == 1
 
 
-def test_census_deterministic_across_workers_and_blocks(family41, family137):
+@pytest.fixture
+def children_start(monkeypatch):
+    """Make every census on more than one worker cut its shares and start
+    children, however small it is."""
+    monkeypatch.setattr(census, "CHILD_SHARE_BITS", 1)
+
+
+def test_census_deterministic_across_workers_and_blocks(family41, family137, children_start):
     # whole payloads: counts, shard records and their digests
     for family, t, block_sizes, workers in ((family41, 6, (7, 1000, 10**8), (2, 3)), (family137, 3, (10000,), (2,))):
         counts = None
@@ -175,12 +182,12 @@ def test_census_deterministic_across_workers_and_blocks(family41, family137):
                 assert census_payload(run_census(family, t, workers=n, block_size=block_size)) == reference, (t, n)
 
 
-def test_a_failing_child_share_reaches_the_caller(family41):
+def test_a_failing_child_share_reaches_the_caller(family41, children_start):
     g1, g2 = disjoint_information_systematizations(family41.extended)
     k = family41.k
     units = census_work_units(k, 6, 1000)
     bad = (len(units) + 1, 1, 2, comb(k, 2), 5)  # past the end of its rank range
-    assert census._shares(units + [bad], 2, 12)[1][-1] == bad
+    assert census._shares(units + [bad], census.unit_costs(units + [bad], k, 12), 2)[1][-1] == bad
     with pytest.raises(ValueError, match=re.escape("shard [210, 215) outside [0, 210)")):
         census.count_units(g1, g2, units + [bad], 12, workers=2)
     assert multiprocessing.active_children() == []
@@ -191,7 +198,7 @@ FORKS = pytest.mark.skipif(sys.platform != "linux", reason="children are forked 
 
 
 @FORKS
-def test_children_are_forked_whatever_the_default_start_method(family41, monkeypatch):
+def test_children_are_forked_whatever_the_default_start_method(family41, monkeypatch, children_start):
     g1, g2 = disjoint_information_systematizations(family41.extended)
     units = census_work_units(family41.k, 6, 1000)
     count_share = census._count_share
@@ -215,7 +222,7 @@ def test_children_are_forked_whatever_the_default_start_method(family41, monkeyp
 
 @FORKS
 @pytest.mark.parametrize("error", [InvariantViolation("caller failed"), KeyboardInterrupt()])
-def test_a_failing_caller_share_leaves_no_child_running(family41, monkeypatch, error):
+def test_a_failing_caller_share_leaves_no_child_running(family41, monkeypatch, children_start, error):
     g1, g2 = disjoint_information_systematizations(family41.extended)
     units = census_work_units(family41.k, 6, 1000)
     count_share = census._count_share
@@ -236,7 +243,7 @@ def test_a_failing_caller_share_leaves_no_child_running(family41, monkeypatch, e
 
 
 @FORKS
-def test_a_child_that_exits_without_tallies_is_an_error(family41, monkeypatch):
+def test_a_child_that_exits_without_tallies_is_an_error(family41, monkeypatch, children_start):
     g1, g2 = disjoint_information_systematizations(family41.extended)
     units = census_work_units(family41.k, 6, 1000)
     count_share = census._count_share
@@ -250,6 +257,66 @@ def test_a_child_that_exits_without_tallies_is_an_error(family41, monkeypatch):
     with pytest.raises(RuntimeError, match="census worker exited with code 3 before sending its tallies"):
         census.count_units(g1, g2, units, 12, workers=2)
     assert multiprocessing.active_children() == []
+
+
+def test_share_count_is_clamped_to_one_and_the_workers():
+    bits = census.CHILD_SHARE_BITS
+    assert census.share_count(0, 4) == 1
+    assert census.share_count(2 * bits - 1, 2) == 1  # two shares would each cost less than a child repays
+    assert census.share_count(2 * bits, 2) == 2
+    assert census.share_count(3 * bits - 1, 7) == 2
+    assert census.share_count(10**6 * bits, 3) == 3
+    assert census.share_count(10**6 * bits, 1) == 1
+
+
+def test_only_a_census_that_repays_a_child_is_cut_into_shares():
+    def shares(k, t, block_size):
+        units = census_work_units(k, t, block_size)
+        return census.share_count(sum(census.unit_costs(units, k, 2 * t)), 2)
+
+    assert shares(21, 6, 1000) == 1  # p = 41, t = 6
+    assert shares(21, 8, 2000) == 1  # p = 41, t = 8
+    assert shares(69, 4, 10**8) == 1  # p = 137, t = 4
+    assert shares(69, 5, 10**8) == 2  # p = 137, t = 5: 13.1 M live lanes of 69 columns
+
+
+@pytest.mark.parametrize("k, t", [(9, 4), (17, 5), (21, 6), (21, 8)])
+def test_unit_costs_count_the_lanes_and_kernel_calls_of_a_unit(k, t):
+    rows = [1 << i for i in range(k)]
+    for max_weight in (2 * t, 2 * t + 1):
+        for unit in census_work_units(k, t, 10**9):
+            _, matrix, size, start, count = unit
+            cost = 0
+            if census.is_live(matrix, size, max_weight):
+                depth = census._depth(k, matrix, max_weight)
+                calls = sum(1 for _ in census._rank_blocks((start, start + count), (0,), size, depth, 0, rows))
+                cost = k * count + census.KERNEL_CALL_BITS * calls
+            assert census.unit_costs([unit], k, max_weight) == [cost], unit
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(0, 14),
+    t=st.integers(0, 7),
+    odd=st.booleans(),
+    block_size=st.integers(1, 400),
+    count=st.integers(1, 6),
+    data=st.data(),
+)
+def test_cost_cut_shares_are_contiguous_and_cover_every_unit_once(k, t, odd, block_size, count, data):
+    max_weight = 2 * t + odd
+    plan = census_work_units(k, t, block_size)
+    # a sharded plan costs what the plan costs with one unit per run
+    whole = census_work_units(k, t, 2**k)
+    assert sum(census.unit_costs(plan, k, max_weight)) == sum(census.unit_costs(whole, k, max_weight))
+    units = sorted(data.draw(st.sets(st.sampled_from(plan)))) if data.draw(st.booleans()) else plan
+    costs = dict(zip(units, census.unit_costs(units, k, max_weight)))
+    shares = census._shares(units, list(costs.values()), count)
+    assert len(shares) == count
+    assert [unit for share in shares for unit in share] == units  # in order, each unit once
+    total, largest = sum(costs.values()), max(costs.values(), default=0)
+    for share in shares:  # each within one unit of an equal cut
+        assert abs(count * sum(costs[unit] for unit in share) - total) <= count * largest
 
 
 def test_census_budget_gate(family137):
@@ -472,7 +539,7 @@ def test_a_dead_unit_builds_no_tables_and_calls_no_kernel(family17, kernel_spy, 
 
 
 # (matrix-1 depth, matrix-2 depth) that ``table_depth`` picks for the cases below
-CHOSEN_DEPTHS = {(17, 4, None): (4, 3), (41, 6, None): (5, 4), (41, 5, 21 * 22): (1, 1)}
+CHOSEN_DEPTHS = {(17, 4, None): (4, 3), (41, 6, None): (5, 5), (41, 5, 21 * 22): (1, 1)}
 
 
 @pytest.mark.parametrize(
@@ -510,15 +577,15 @@ def test_live_units_make_the_kernel_calls_of_the_uncapped_tables(
 @pytest.mark.parametrize(
     "k, top, depth",
     [
-        (69, 4, 3),  # p = 137, t = 4: matrix 1
+        (69, 4, 3),  # p = 137, t = 4: matrix 1; (4, 3) and (3, 3) cost more to build than they save
         (69, 3, 2),  # p = 137, t = 4: matrix 2
-        (69, 5, 3),  # p = 137, t = 6: matrix 2
+        (69, 5, 4),  # p = 137, t = 5: matrix 1, and t = 6: matrix 2
         (69, 6, 4),  # p = 137, t = 6: matrix 1; depth 5 would exceed the cap
         (69, 7, 4),
         (69, 16, 4),
         (23, 5, 4),  # S_3 at p = 137
-        (21, 8, 6),  # p = 41, t = 8
-        (21, 7, 5),
+        (21, 8, 7),  # p = 41, t = 8
+        (21, 7, 6),
         (35, 8, 5),  # H2 at p = 137 as a census to W = 17
         (9, 4, 4),
         (5, 9, 4),  # T_5 of 5 rows is one lane and saves no call
@@ -579,9 +646,9 @@ def test_count_units_tallies_are_the_same_at_every_forced_depth(family17, family
 
 def test_each_matrix_builds_its_tables_once(family41, table_builds):
     first = run_census(family41, 6, block_size=1000)
-    assert table_builds == [5, 4]  # matrix 1 and matrix 2, each at its chosen depth
+    assert table_builds == [5, 5]  # matrix 1 and matrix 2, each at its chosen depth
     assert run_census(family41, 6, block_size=1000) == first
-    assert table_builds == [5, 4]  # the second census on the same code builds none
+    assert table_builds == [5, 5]  # the second census on the same code builds none
 
 
 @pytest.mark.parametrize(

@@ -601,3 +601,36 @@ def test_pipeline_runs_without_sympy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "all checks passed" in proc.stdout
+
+
+def test_a_census_too_small_to_repay_a_child_runs_in_process(tmp_path, capsys):
+    # the benchmarked p = 41, t = 8 pipeline on 2 workers, in a fresh interpreter
+    # whose calls that start a process all fail
+    argv = ["pipeline", "--p", "41", "--t", "8", "--block-size", "2000"]
+    code = (
+        "import os, sys\n"
+        "def start(*args, **kwargs):\n"
+        "    raise AssertionError('a process was started')\n"
+        "os.fork = os.forkpty = os.posix_spawn = os.posix_spawnp = start\n"
+        "from qrweight.cli import main\n"
+        f"rc = main({argv + ['--workers', '2', '--out', str(tmp_path / 'w2')]!r})\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))\n"
+        "sys.exit(rc)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert main(argv + ["--workers", "1", "--out", str(tmp_path / "w1")]) == 0
+    capsys.readouterr()
+
+    def without_command_line(path: Path) -> dict:
+        artifact = json.loads(path.read_text())
+        del artifact["manifest"]["command"]  # it records --workers; every other byte must agree
+        return artifact
+
+    names = sorted(path.name for path in (tmp_path / "w1").iterdir())
+    assert names == sorted(path.name for path in (tmp_path / "w2").iterdir()) == sorted(PIPELINE_P41_SHA256)
+    assert (tmp_path / "w1" / "table.txt").read_bytes() == (tmp_path / "w2" / "table.txt").read_bytes()
+    for name in names[:-1]:
+        assert without_command_line(tmp_path / "w1" / name) == without_command_line(tmp_path / "w2" / name), name
