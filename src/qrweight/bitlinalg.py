@@ -263,23 +263,21 @@ def rd_subset_columns(rows: Sequence[int], width: int, max_depth: int) -> tuple[
 
 
 def weight_histograms(
-    columns: Sequence[int], flips: int, cuts: Sequence[int], max_weight: int, min_weight: int = 0
-) -> list[dict[int, int]]:
+    columns: Sequence[int], flips: int, lo: int, hi: int, max_weight: int, min_weight: int = 0
+) -> dict[int, int]:
     """Nonzero counts of each weight in [min_weight, max_weight] among the
-    lanes of a bit-sliced table, every word XORed with ``flips``, for each
-    piece [cuts[i], cuts[i + 1]) of the lanes [cuts[0], cuts[-1]).
+    lanes [lo, hi) of a bit-sliced table, every word XORed with ``flips``.
 
-    A carry-save adder chain sums the columns of all the pieces at once into
-    bit-planes of every lane's weight (plane i holds bit i). A piece's count
-    of weight w is the bit_count of the AND of its lanes of the planes, or of
-    their complements, that spell w. Those ANDs share their prefixes from
-    the top plane down, and a prefix is dropped once its lowest possible
-    weight exceeds max_weight or its highest, v | (2^i - 1) with i planes
-    left, falls below min_weight.
+    A carry-save adder chain sums the columns into bit-planes of every
+    lane's weight (plane i holds bit i). The count of weight w is the
+    bit_count of the AND of the planes, or of their complements, that spell
+    w. Those ANDs share their prefixes from the top plane down, and a prefix
+    is dropped once its lowest possible weight exceeds max_weight or its
+    highest, v | (2^i - 1) with i planes left, falls below min_weight.
     """
-    lo, hi = cuts[0], cuts[-1]
+    counts: dict[int, int] = {}
     if hi <= lo or max_weight < max(min_weight, 0):
-        return [{} for _ in cuts[1:]]
+        return counts
     mask = (1 << (hi - lo)) - 1
     below = (1 << hi) - 1
     level = []
@@ -309,31 +307,20 @@ def weight_histograms(
             carries.append(a & b)
         planes.append(level[0])
         level = [c for c in carries if c]
-    out = []
-    for start, end in zip(cuts, cuts[1:]):
-        counts: dict[int, int] = {}
-        out.append(counts)
-        if end <= start:
-            continue
-        if not planes:  # every lane has weight 0
-            if min_weight <= 0:
-                counts[0] = end - start
-            continue
-        if end - start == hi - lo:
-            piece, cut = mask, planes
-        else:
-            piece = (1 << (end - start)) - 1
-            cut = [(plane >> (start - lo)) & piece for plane in planes]
-        stack = [(len(cut), 0, piece)]  # (planes left, weight bits so far, lanes that match them)
-        while stack:
-            i, w, match = stack.pop()
-            i -= 1
-            least = min_weight - (1 << i) + 1  # v | (2^i - 1) >= min_weight, as v has no bit below i
-            ones = match & cut[i]
-            for sub, v in ((match ^ ones, w), (ones, w | 1 << i)):
-                if sub and least <= v <= max_weight:
-                    if i:
-                        stack.append((i, v, sub))
-                    else:
-                        counts[v] = sub.bit_count()
-    return out
+    if not planes:  # every lane has weight 0
+        if min_weight <= 0:
+            counts[0] = hi - lo
+        return counts
+    stack = [(len(planes), 0, mask)]  # (planes left, weight bits so far, lanes that match them)
+    while stack:
+        i, w, match = stack.pop()
+        i -= 1
+        least = min_weight - (1 << i) + 1  # v | (2^i - 1) >= min_weight, as v has no bit below i
+        ones = match & planes[i]
+        for sub, v in ((match ^ ones, w), (ones, w | 1 << i)):
+            if sub and least <= v <= max_weight:
+                if i:
+                    stack.append((i, v, sub))
+                else:
+                    counts[v] = sub.bit_count()
+    return counts

@@ -16,13 +16,14 @@ q >= min_parity and size + q <= W cannot both hold, so it has no qualifying
 pattern whatever the code. Units stop at size t = W // 2, where matrix 1 is
 always live; for even W = 2t every matrix-2 unit of size t is dead (47% of
 the patterns of the p = 137, t = 4 census), and odd W has no dead unit.
-Dead units keep their place in the plan and their records, with empty
-tallies, but no table is built and no kernel call is made for them.
+Dead units keep their place in the plan and their records, but no table
+is built and no kernel call is made for them.
 ``pattern_cost`` counts the patterns of the live units, which is what a
 census walks.
 
 ``count_units`` is the core: it counts work units of any half-rate code,
-given its two systematic row sets and the bound W, and keeps odd weights.
+given its two systematic row sets and the bound W, into per-weight totals,
+and keeps odd weights.
 ``census_counts`` is its one entry, for the extended QR code (``run_census``)
 and folded invariant subcodes (``congruence``) alike: it takes the code's pair
 of systematic matrices (``census_setup``), checks the budget, plans and counts.
@@ -45,19 +46,17 @@ fixed set of top elements above the table depth d. Such a block is the XOR
 of the top elements' rows with a lane range of one precomputed table of
 d-subset XORs in revolving-door order, where the ranks [lo, hi) of the
 d-subsets are the lanes [lo, hi), and ``bitlinalg.weight_histograms``
-counts the whole block at once. Counting is order-free and each shard's
-tallies come from its own interval alone, so shards are independent.
+counts the whole block at once. Counting is order-free and a shard's
+count comes from its own interval alone, so shards are independent.
 
-The core counts by runs, not by shards: a run is a sequence of units of
-one (matrix, size), each starting where the one before it stops, and one
-walk of the recursion carries the run's unit boundaries down as cut points.
-Below a top element a rank r becomes lane C(a + 1, t) - 1 - r, so each
-level reflects the cuts inside it and reverses the order of their units. A
-block that shard boundaries cut into pieces thus reaches one kernel call,
-with its cut points, which builds its bit-planes once and reads each unit's
-histogram from that unit's lanes. So a run costs one kernel call per top
-prefix however many shards it is cut into, and the matrices' rows are
-checked once per census.
+A shard is a plan index and nothing more: no unit has a tally or a digest
+of its own. The core counts by runs, not by shards: a run is a sequence of
+units of one (matrix, size), each starting where the one before it stops,
+and it is one walk of the recursion over [its first start, its last stop),
+one kernel call per top prefix however many shards it is cut into. The
+matrices' rows are checked once per census. A census artifact lists its
+shards as index ranges, and the records are rebuilt from the plan
+(``census_unit``) when it is read back.
 
 One cost model (``unit_costs``) picks each matrix's table depth
 (``table_depth``) and cuts the units into shares for the workers
@@ -69,14 +68,12 @@ the same code builds none.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .bitlinalg import BitMatrix, disjoint_information_systematizations, rd_subset_columns, weight_histograms
 from .errors import BudgetExceeded, CheckFailure, InvariantViolation
@@ -125,26 +122,18 @@ def check_budget(lanes: int, long_run: bool) -> None:
         )
 
 
-def shard_digest(unit: Iterable[int], weight_counts: Iterable[tuple[int, int]]) -> str:
-    """Digest binding a plan unit (index, matrix, size, start_rank, count) to its nonzero tallies."""
-    payload = json.dumps([*unit, list(weight_counts)], separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class ShardRecord:
-    """Audit record of one processed shard: its plan unit and the digest of its tallies."""
+class ShardRecord(NamedTuple):
+    """Audit record of one processed shard: its unit of the plan."""
 
     index: int
     matrix: int
     size: int
     start_rank: int
     count: int
-    sha256: str
 
     @property
     def unit(self) -> tuple[int, int, int, int, int]:
-        return (self.index, self.matrix, self.size, self.start_rank, self.count)
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -221,39 +210,28 @@ def _binomials(n: int, t: int) -> tuple[int, ...]:
     return tuple(comb(a, t) for a in range(n + 1))
 
 
-def _rank_blocks(cuts: Sequence[int], labels: Sequence[int], t: int, depth: int, base: int, rows: Sequence[int]):
-    """Split the ranks [cuts[0], cuts[-1]) of the t-subsets of the rows into blocks.
+def _rank_blocks(lo: int, hi: int, t: int, depth: int, base: int, rows: Sequence[int]):
+    """Split the ranks [lo, hi) of the t-subsets of the rows into blocks.
 
-    The ranks [cuts[i], cuts[i + 1]) form the piece labelled labels[i]. Each
-    block (base, d, lanes, labels) is ``base`` XOR the d-subsets of ranks
-    [lanes[0], lanes[-1]), d <= depth: a lane range of the revolving-door
-    table T_d, with the fixed top elements folded into ``base``, whose lanes
-    [lanes[j], lanes[j + 1]) hold ranks of the piece labelled labels[j].
-    Patterns with largest element a hold the ranks [C(a, t), end = C(a + 1, t)),
-    and below a they walk the (t-1)-subsets of [0, a) backwards, rank r
-    at lane end - 1 - r: a cut point c goes to end - c, so each level
-    reflects its inner cuts and reverses their labels. The recursion stops at
-    the table depth and yields one block per fixed top prefix.
+    Each block (base, d, lo, hi) is ``base`` XOR the d-subsets of ranks
+    [lo, hi), d <= depth: a lane range of the revolving-door table T_d, with
+    the fixed top elements folded into ``base``. Patterns with largest
+    element a hold the ranks [C(a, t), end = C(a + 1, t)), and below a they
+    walk the (t-1)-subsets of [0, a) backwards, rank r at lane end - 1 - r,
+    so their part [lo, top_hi) of the interval is the inner interval
+    [end - top_hi, end - lo). The recursion stops at the table depth and
+    yields one block per fixed top prefix.
     """
     if t <= depth:
-        yield base, t, cuts, labels
+        yield base, t, lo, hi
         return
     starts = _binomials(len(rows), t)
-    lo, hi = cuts[0], cuts[-1]
     a = bisect_right(starts, lo) - 1
-    i = 0  # the piece that holds rank lo
     while lo < hi:
         end = starts[a + 1]
         top_hi = min(hi, end)
-        j = i + 1  # pieces i..j-1 meet [lo, top_hi)
-        if cuts[j] < top_hi:
-            j = bisect_left(cuts, top_hi, j)
-            inner = (end - top_hi, *[end - c for c in cuts[j - 1 : i : -1]], end - lo)
-            yield from _rank_blocks(inner, labels[i:j][::-1], t - 1, depth, base ^ rows[a], rows)
-        else:
-            yield from _rank_blocks((end - top_hi, end - lo), (labels[i],), t - 1, depth, base ^ rows[a], rows)
+        yield from _rank_blocks(end - top_hi, end - lo, t - 1, depth, base ^ rows[a], rows)
         lo = top_hi
-        i = j if cuts[j] == lo else j - 1  # a piece that runs past end continues under a + 1
         a += 1
 
 
@@ -348,59 +326,52 @@ def _parity_rows(matrix: int, rows: Sequence[int], k: int, left_mask: int) -> tu
 
 def _count_share(
     parities: dict[int, tuple[int, ...]], units: Sequence[tuple[int, int, int, int, int]], k: int, max_weight: int
-) -> list[tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]]:
-    """Count units whose parity rows are checked, run by run.
+) -> dict[int, int]:
+    """Count units whose parity rows are checked, run by run, into nonzero
+    per-weight totals.
 
     A run is a maximal sequence of units of one (matrix, size) in which each
-    unit starts where the one before it stops. Its units' boundaries are the
-    cut points of one ``_rank_blocks`` walk, so every block reaches one
-    ``weight_histograms`` call with the cuts that fall inside it, and each
-    piece's histogram goes to the unit it is labelled with. A block cut by
-    shards therefore builds its bit-planes once, as in an unsharded census.
+    unit starts where the one before it stops. Each unit's ranks are checked
+    against its size, and each live run is one ``_rank_blocks`` walk over
+    [its first start, its last stop), one ``weight_histograms`` call per
+    block. A run cut into shards therefore costs what it costs uncut.
     """
-    runs: list[list[tuple[int, int, int, int, int]]] = []
-    stop = None
-    for unit in units:
-        _, matrix, size, start, count = unit
+    runs: list[list[int]] = []  # [matrix, size, start, stop]
+    for _, matrix, size, start, count in units:
         if not 0 <= start < start + count <= comb(k, size):
             raise ValueError(f"shard [{start}, {start + count}) outside [0, {comb(k, size)})")
-        if runs and runs[-1][-1][1:3] == (matrix, size) and start == stop:
-            runs[-1].append(unit)
+        if runs and runs[-1][3] == start and runs[-1][:2] == [matrix, size]:
+            runs[-1][3] = start + count
         else:
-            runs.append([unit])
-        stop = start + count
-    results = []
-    for run in runs:
-        _, matrix, size, _, _ = run[0]
-        tallies: list[dict[int, int]] = [{} for _ in run]
-        if is_live(matrix, size, max_weight):
-            parity = parities[matrix]
-            depth = _depth(k, matrix, max_weight)
-            tables = _parity_tables(parity, depth)
-            cuts = [unit[3] for unit in run] + [run[-1][3] + run[-1][4]]
-            for base, d, lanes, labels in _rank_blocks(cuts, range(len(run)), size, depth, 0, parity):
-                hists = weight_histograms(tables[d], base, lanes, max_weight - size, size + (matrix == 2))
-                for u, hist in zip(labels, hists):
-                    for q, c in hist.items():
-                        tallies[u][q] = tallies[u].get(q, 0) + c
-        for unit, tally in zip(run, tallies):
-            results.append((*unit, tuple(sorted((size + q, c) for q, c in tally.items()))))
-    return results
+            runs.append([matrix, size, start, start + count])
+    totals: dict[int, int] = {}
+    for matrix, size, lo, hi in runs:
+        if not is_live(matrix, size, max_weight):
+            continue
+        parity = parities[matrix]
+        depth = _depth(k, matrix, max_weight)
+        tables = _parity_tables(parity, depth)
+        min_parity = size + (matrix == 2)
+        for base, d, block_lo, block_hi in _rank_blocks(lo, hi, size, depth, 0, parity):
+            for q, c in weight_histograms(tables[d], base, block_lo, block_hi, max_weight - size, min_parity).items():
+                totals[size + q] = totals.get(size + q, 0) + c
+    return totals
 
 
 def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]:
-    """``count_units`` for one unit, given the rows of its matrix only: ``args``
-    is (index, matrix, size, start_rank, count, rows, k, left_mask, max_weight).
-    The rows and ranks are checked, and a dead unit (``is_live``) comes back
-    with empty tallies, as in ``count_units``."""
+    """One unit, given the rows of its matrix only, with its nonzero (weight,
+    count) tallies: ``args`` is (index, matrix, size, start_rank, count, rows,
+    k, left_mask, max_weight). The rows and ranks are checked as in
+    ``count_units``, and a dead unit (``is_live``) comes back with none."""
     index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
     parities = {matrix: _parity_rows(matrix, rows, k, left_mask)}
-    return _count_share(parities, [(index, matrix, size, start_rank, count)], k, max_weight)[0]
+    unit = (index, matrix, size, start_rank, count)
+    return (*unit, tuple(sorted(_count_share(parities, [unit], k, max_weight).items())))
 
 
 def _send_share(conn, parities, units, k, max_weight) -> None:
-    """Count a share in a child process and send (True, results) or (False,
-    the exception) back to the caller."""
+    """Count a share in a child process and send (True, its totals) or
+    (False, the exception) back to the caller."""
     try:
         message = (True, _count_share(parities, units, k, max_weight))
     except Exception as exc:
@@ -433,28 +404,28 @@ def count_units(
     max_weight: int,
     *,
     workers: int = 1,
-) -> list[tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]]:
+) -> dict[int, int]:
     """The census core: count work units of any half-rate code up to max_weight.
 
     ``g1`` = [I | A] and ``g2`` = [B | I] generate one k x 2k code; ``units``
     are (index, matrix, size, start_rank, count) with size <= max_weight // 2.
-    Returns each unit with its nonzero tallies of weights <= max_weight, in
-    unit order. Over the full plan to t = max_weight // 2 every codeword of
-    weight <= max_weight is counted exactly once, odd weights included: its
-    lighter half weighs at most t and is reached by one of the two matrices.
-    A dead unit (``is_live``) comes back with empty tallies, unwalked: a
-    word found through matrix 2 has a strictly lighter right half, so a
-    pattern of size s there needs weight >= 2s + 1, and none of size t fits
-    under an even bound W = 2t. Odd bounds have no dead units.
+    Returns the nonzero counts of the words of each weight <= max_weight
+    that the units hold, in weight order. Over the full plan to
+    t = max_weight // 2 every codeword of weight <= max_weight is counted
+    exactly once, odd weights included: its lighter half weighs at most t
+    and is reached by one of the two matrices. A dead unit (``is_live``) is
+    not walked: a word found through matrix 2 has a strictly lighter right
+    half, so a pattern of size s there needs weight >= 2s + 1, and none of
+    size t fits under an even bound W = 2t. Odd bounds have no dead units.
 
     Both matrices are checked once. The units are counted in runs of one
-    (matrix, size) (``_count_share``), so a block cut by shard boundaries costs
-    what it costs uncut. ``workers`` is the most processes used: the units are
+    (matrix, size) (``_count_share``), so a run cut into shards costs what it
+    costs uncut. ``workers`` is the most processes used: the units are
     cut into ``share_count`` contiguous shares of about equal cost, and one
     share, a census too small to repay a child, is counted here without
     multiprocessing. Otherwise the caller starts a process for each nonempty
     share but the first, counts the first itself, then takes each child's
-    results, or its exception, from a one-way pipe. Every child is joined, and
+    totals, or its exception, from a one-way pipe. Every child is joined, and
     terminated if still running, however the census ends. Linux children are
     forked, not re-imported: safe only while the caller runs no other thread.
     """
@@ -465,7 +436,7 @@ def count_units(
         costs = unit_costs(units, k, max_weight)
         workers = share_count(sum(costs), workers)
     if workers == 1:
-        return sorted(_count_share(parities, units, k, max_weight))
+        return dict(sorted(_count_share(parities, units, k, max_weight).items()))
     # imported here so that a census counted in one process does not load multiprocessing
     import multiprocessing
 
@@ -480,7 +451,7 @@ def count_units(
                 child.start()
                 children.append((child, receiver))
                 sender.close()  # the child holds the only sending end, so its exit ends the pipe
-        results = _count_share(parities, own, k, max_weight)
+        totals = _count_share(parities, own, k, max_weight)
         for child, receiver in children:
             try:
                 ok, value = receiver.recv()
@@ -490,14 +461,15 @@ def count_units(
                 raise RuntimeError(message) from None
             if not ok:
                 raise value
-            results += value
+            for w, c in value.items():
+                totals[w] = totals.get(w, 0) + c
     finally:
         for child, receiver in children:
             if child.is_alive():
                 child.terminate()
             child.join()
             receiver.close()
-    return sorted(results)
+    return dict(sorted(totals.items()))
 
 
 def census_setup(g: BitMatrix) -> tuple[BitMatrix, BitMatrix] | None:
@@ -515,10 +487,11 @@ def census_counts(
     workers: int = 1,
     long_run: bool = False,
 ) -> tuple[list, dict[int, int]] | None:
-    """``count_units``'s tallied units, and their sums per weight, for the words
+    """The units counted and ``count_units``'s per-weight totals of the words
     of weight <= max_weight of the code ``g`` generates; None when
-    ``census_setup`` finds no pair. The budget is checked after the pair is
-    found, on ``units`` or else on ``pattern_cost``, before the plan is built."""
+    ``census_setup`` finds no pair. The units are the whole plan unless given.
+    The budget is checked after the pair is found, on ``units`` or else on
+    ``pattern_cost``, before the plan is built."""
     matrices = census_setup(g)
     if matrices is None:
         return None
@@ -528,12 +501,7 @@ def census_counts(
     else:
         live = sum(count for _, matrix, size, _, count in units if is_live(matrix, size, max_weight))
         check_budget(live, long_run)
-    results = count_units(*matrices, units, max_weight, workers=workers)
-    totals: dict[int, int] = {}
-    for *_, weight_counts in results:
-        for w, c in weight_counts:
-            totals[w] = totals.get(w, 0) + c
-    return results, totals
+    return units, count_units(*matrices, units, max_weight, workers=workers)
 
 
 def run_census(
@@ -550,12 +518,14 @@ def run_census(
     A thin wrapper over ``census_counts`` (which checks the budget after the
     pair is found, before the plan is built) that picks the shards,
     records the provenance and checks that no odd weight occurs.
-    With shard_indices the run covers only those work units, found by
-    arithmetic (``census_unit``) without the plan and checked against their
-    own live patterns, and returns a fragment for later merging; an index
-    outside the plan is a ValueError.
-    Results are bit-identical for any worker count and block size: shards own
-    private counters and merging is plain per-weight addition.
+    It returns one record per unit it covered. With shard_indices (any
+    iterable, a range of a..b included) the run covers only those work
+    units, found by arithmetic (``census_unit``) without the plan and checked
+    against their own live patterns, and returns a fragment for later
+    merging; an index outside the plan is a ValueError, raised at the first
+    such index without expanding the rest.
+    Results are bit-identical for any worker count and block size: counting
+    is order-free and merging is plain per-weight addition.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -565,18 +535,19 @@ def run_census(
     total_shards = census_shard_total(family.k, t, block_size)
     units = None
     if shard_indices is not None:
-        wanted = sorted(set(shard_indices))
-        missing = [i for i in wanted if not 1 <= i <= total_shards]
-        if missing:
-            raise ValueError(f"no such shard indices: {missing}; the plan has units 1..{total_shards}")
-        units = [census_unit(family.k, t, block_size, i) for i in wanted]
+        wanted = set()
+        for i in shard_indices:
+            if not 1 <= i <= total_shards:
+                raise ValueError(f"no such shard indices: {i} is not in the plan's units 1..{total_shards}")
+            wanted.add(i)
+        units = [census_unit(family.k, t, block_size, i) for i in sorted(wanted)]
     counted = census_counts(
         family.extended, max_weight, units, block_size=block_size, workers=workers, long_run=long_run
     )
     if counted is None:
         raise InvariantViolation(f"no two disjoint information sets found in the p={family.p} extended code")
-    results, totals = counted
-    records = tuple(ShardRecord(*unit, sha256=shard_digest(unit, tallies)) for *unit, tallies in results)
+    units, totals = counted
+    records = tuple(map(ShardRecord._make, units))
     for w, c in totals.items():
         if w % 2 and c:
             raise InvariantViolation(f"odd weight {w} counted in an even code")
@@ -597,13 +568,26 @@ def run_census(
     )
 
 
+def _index_ranges(indices: Iterable[int]) -> list[list[int]]:
+    """Ascending indices as inclusive ranges [first, last] of consecutive ones."""
+    ranges: list[list[int]] = []
+    for i in indices:
+        if ranges and ranges[-1][1] == i - 1:
+            ranges[-1][1] = i
+        else:
+            ranges.append([i, i])
+    return ranges
+
+
 def census_payload(result: WeightCensus) -> dict:
-    """The JSON payload of a census artifact; ``census_from_payload`` inverts it."""
+    """The JSON payload of a census artifact; ``census_from_payload`` inverts it.
+    Its shards are ascending, disjoint, inclusive index ranges, [[1, total]]
+    for a whole census."""
     prov = result.provenance
     return {
         **vars(result),
         "counts": [[w, c] for w, c in sorted(result.counts.items())],
-        "provenance": {**vars(prov), "shards": [dict(vars(rec)) for rec in prov.shards]},
+        "provenance": {**vars(prov), "shards": _index_ranges(sorted(rec.index for rec in prov.shards))},
     }
 
 
@@ -614,64 +598,79 @@ def _typed(value, kind: type):
     return value
 
 
-def census_from_payload(payload: dict) -> WeightCensus:
-    """Read a census payload back, checking only its shape.
+def _shard_ranges(ranges, total: int) -> list[tuple[int, int]]:
+    """A payload's shard ranges, each checked before any is expanded: two
+    integers [first, last], first <= last, inside the plan's units 1..total
+    and past the end of the range before it."""
+    checked: list[tuple[int, int]] = []
+    for item in ranges:
+        if type(item) is not list or len(item) != 2 or any(type(i) is not int for i in item):
+            raise CheckFailure(f"census payload: shard range {item!r} is not two integers")
+        first, last = item
+        if first > last:
+            raise CheckFailure(f"census payload: shard range {item} is reversed")
+        if first < 1 or last > total:
+            raise CheckFailure(f"census payload: shard range {item} is not in the plan's units 1..{total}")
+        if checked and first <= checked[-1][1]:
+            raise CheckFailure(f"census payload: shard range {item} overlaps or precedes {list(checked[-1])}")
+        checked.append((first, last))
+    return checked
 
-    Whether the content agrees with the code and the shard plan is checked by
-    ``merge_censuses``, which every census read from disk goes through.
+
+def census_from_payload(payload: dict) -> WeightCensus:
+    """Read a census payload back, checking its shape and its shard ranges.
+
+    The ranges are checked against the plan total recomputed from (k, t,
+    block size) before any record is built; the records are then the plan's
+    units (``census_unit``). Whether the content agrees with the code and
+    the plan is checked by ``merge_censuses``, which every census read from
+    disk goes through.
     """
     try:
         prov = payload["provenance"]
         counts = {_typed(w, int): _typed(c, int) for w, c in payload["counts"]}
         if len(counts) != len(payload["counts"]):
             raise CheckFailure("census payload lists a weight more than once")
+        p, n, k, complete_upto = (_typed(payload[f], int) for f in ("p", "n", "k", "complete_upto"))
+        t, block_size, total_shards = (_typed(prov[f], int) for f in ("max_info_weight", "block_size", "total_shards"))
+        code_digest = _typed(prov["code_digest"], str)
+        ranges = _shard_ranges(prov["shards"], census_shard_total(k, t, block_size))
         shards = tuple(
-            ShardRecord(*(_typed(rec[f], int) for f in ("index", "matrix", "size", "start_rank", "count")),
-                        sha256=_typed(rec["sha256"], str))
-            for rec in prov["shards"]
+            ShardRecord._make(census_unit(k, t, block_size, i)) for first, last in ranges for i in range(first, last + 1)
         )
         return WeightCensus(
-            *(_typed(payload[f], int) for f in ("p", "n", "k", "complete_upto")),
-            counts=counts,
-            provenance=CensusProvenance(
-                _typed(prov["code_digest"], str),
-                *(_typed(prov[f], int) for f in ("max_info_weight", "block_size", "total_shards")),
-                shards=shards,
-            ),
+            p, n, k, complete_upto, counts, CensusProvenance(code_digest, t, block_size, total_shards, shards)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckFailure(f"malformed census payload: {exc!r}") from exc
 
 
 def _check_part_counts(part: WeightCensus) -> None:
-    """A part's counts must be tallies its own shard records could have made."""
+    """A part's counts must be tallies its own units could have made: even
+    weights <= complete_upto, no more words than the live lanes of its
+    units (``is_live``)."""
     records = part.provenance.shards
     where = f"shard {records[0].index}" if len(records) == 1 else f"part of {len(records)} shards"
     for w, c in part.counts.items():
         if w % 2 or not 0 <= w <= part.complete_upto or c < 0:
             raise InvariantViolation(f"{where}: count {c} at weight {w} (even, <= {part.complete_upto} only)")
-    patterns = sum(rec.count for rec in records)
+    lanes = sum(rec.count for rec in records if is_live(rec.matrix, rec.size, part.complete_upto))
     found = sum(part.counts.values())
-    if found > patterns:
-        raise InvariantViolation(f"{where}: {found} codewords counted in only {patterns} patterns")
-    if len(records) == 1:
-        tallies = [(w, c) for w, c in sorted(part.counts.items()) if c]
-        if shard_digest(records[0].unit, tallies) != records[0].sha256:
-            raise InvariantViolation(f"{where}: sha256 does not match the shard and its counts")
+    if found > lanes:
+        raise InvariantViolation(f"{where}: {found} codewords counted in only {lanes} live lanes")
 
 
 def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
     """Combine the parts of one shard plan into the complete census.
 
     Parts may have been read from disk, so nothing in them is trusted: all
-    share one code and plan identity; their records cover the plan once; each
-    record equals its unit of the plan recomputed from (k, t, block size)
-    by ``census_unit``, so the plan itself is never built;
-    and each part's counts are even weights <= complete_upto that sum to at
-    most the patterns its records walk. A one-record part's counts are that
-    shard's tallies, so its sha256 is recomputed as well. A dead unit
-    (``is_live``) has no tallies, so its record must carry the digest of
-    none. A one-part merge validates a complete census.
+    share one code and plan identity; their records cover every index of the
+    plan exactly once; each record equals its unit of the plan recomputed
+    from (k, t, block size) by ``census_unit``, so the plan itself is never
+    built; and each part's counts are even weights <= complete_upto that
+    sum to at most the live lanes of its units, so a part of dead units
+    (``is_live``) counts nothing. A one-part merge validates a complete
+    census.
     """
     if not parts:
         raise ValueError("nothing to merge")
@@ -683,15 +682,6 @@ def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
 
     if any(identity(part) != identity(first) for part in parts):
         raise InvariantViolation("fragments come from different plans or codes")
-    seen: dict[int, ShardRecord] = {}
-    for part in parts:
-        for rec in part.provenance.shards:
-            if rec.index in seen:
-                raise CheckFailure(f"shard {rec.index} appears more than once")
-            seen[rec.index] = rec
-    missing = set(range(1, prov.total_shards + 1)) - set(seen)
-    if missing:
-        raise CheckFailure(f"missing shards: {sorted(missing)}")
     k, t, block_size = first.k, prov.max_info_weight, prov.block_size
     total = census_shard_total(k, t, block_size)
     if total != prov.total_shards or first.complete_upto != 2 * t:
@@ -699,13 +689,20 @@ def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
             f"plan claims {prov.total_shards} shards up to weight {first.complete_upto}, but t = "
             f"{t} and block size {block_size} give {total} up to weight {2 * t}"
         )
+    seen: dict[int, ShardRecord] = {}
+    for part in parts:
+        for rec in part.provenance.shards:
+            if rec.index in seen:
+                raise CheckFailure(f"shard {rec.index} appears more than once")
+            seen[rec.index] = rec
+    missing = set(range(1, total + 1)) - set(seen)
+    if missing:
+        raise CheckFailure(f"missing shards: {sorted(missing)}")
     for rec in seen.values():
         if not 1 <= rec.index <= total or census_unit(k, t, block_size, rec.index) != rec.unit:
             raise InvariantViolation(
                 f"shard {rec.index}: (matrix, size, start_rank, count) = {rec.unit[1:]} is not in the plan"
             )
-        if not is_live(rec.matrix, rec.size, first.complete_upto) and rec.sha256 != shard_digest(rec.unit, []):
-            raise InvariantViolation(f"shard {rec.index}: tallies recorded for a unit that can hold no codeword")
     totals = dict.fromkeys(range(0, first.complete_upto + 1, 2), 0)
     for part in parts:
         _check_part_counts(part)

@@ -165,15 +165,23 @@ def cmd_group(args) -> int:
 # ---------------------------------------------------------------- congruence
 
 
-def _parse_weights(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
+    """``a..b`` (inclusive) or ``a``, as a range; a reversed one is a ValueError."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo_i, hi_i = int(lo), int(hi)
     else:
         lo_i = hi_i = int(text)
-    if lo_i < 0 or hi_i < lo_i:
+    if hi_i < lo_i:
+        raise ValueError(f"bad range {text!r}")
+    return range(lo_i, hi_i + 1)
+
+
+def _parse_weights(text: str) -> list[int]:
+    weights = _parse_range(text)
+    if weights.start < 0:
         raise ValueError(f"bad weight range {text!r}")
-    return [w for w in range(lo_i, hi_i + 1) if w % 2 == 0]
+    return [w for w in weights if w % 2 == 0]
 
 
 def _compute_bundle(family, weights, long_run: bool):
@@ -238,7 +246,7 @@ def cmd_census(args) -> int:
         workers=args.workers,
         block_size=args.block_size,
         long_run=args.long_run,
-        shard_indices=None if args.shard_index is None else [args.shard_index],
+        shard_indices=None if args.shard_index is None else _parse_range(args.shard_index),
     )
     payload = census_mod.census_payload(result)
     print(_canonical(payload), end="")
@@ -573,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=_at_least(1), default=1, help=workers_help)
     sp.add_argument("--block-size", type=int, default=census_mod.DEFAULT_BLOCK_SIZE)
     sp.add_argument("--long-run", action="store_true", help=long_run_help)
-    sp.add_argument("--shard-index", type=int, default=None, help="compute only this unit of shard-plan")
+    sp.add_argument("--shard-index", default=None, help="compute only this unit of shard-plan, or the units a..b")
     sp.add_argument("--out", default=None)
 
     sp = add("census-merge", cmd_census_merge, "merge census fragments written by census --shard-index")

@@ -241,7 +241,7 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
     for j in range(1 << (k - a)):
         if j:  # gray(j) is gray(j - 1) with the lowest set bit of j flipped
             base ^= rows[a + (j & -j).bit_length() - 1]
-        for w, c in bitlinalg.weight_histograms(columns, base, (0, 1 << a), folded_max)[0].items():
+        for w, c in bitlinalg.weight_histograms(columns, base, 0, 1 << a, folded_max).items():
             counts[w * g] = counts.get(w * g, 0) + c
     return counts
 

@@ -141,14 +141,14 @@ def test_census_p41_matches_oracle(family41, dist41):
         assert result.counts[w] == dist41[w]
 
 
-# Digests of census_payload measured before the walk became Knuth's Algorithm R;
-# they pin the walk order, the shard plan and every shard record's sha256.
+# Digests of census_payload: they pin the counts, the plan's identity and the
+# shards' index ranges, so the schema of the census artifact.
 @pytest.mark.parametrize(
     "p, t, block_size, shards, digest",
     [
-        (41, 6, 1000, 174, "26edc1a2316ffc85a0c2fe2f72d496cf068ba63e310da5f9eb2ceee44f61a971"),
+        (41, 6, 1000, 174, "395384fbeccd504687fb4b85faa9b35a7dc1445189df772aee526489211823a8"),
         # shards start deep inside C(69, 3), far from rank 0
-        (137, 3, 10000, 18, "7665f3cb2dc88e52194e9f086541f8093a7f4d6a5fe3f933327b3ec75501e60f"),
+        (137, 3, 10000, 18, "4ef6104a5516e6e09cfa58f96acbcd0665b0066a1e6fa61a9673e7b59fe22535"),
     ],
 )
 def test_census_golden_digest(request, p, t, block_size, shards, digest):
@@ -289,7 +289,7 @@ def test_unit_costs_count_the_lanes_and_kernel_calls_of_a_unit(k, t):
             cost = 0
             if census.is_live(matrix, size, max_weight):
                 depth = census._depth(k, matrix, max_weight)
-                calls = sum(1 for _ in census._rank_blocks((start, start + count), (0,), size, depth, 0, rows))
+                calls = sum(1 for _ in census._rank_blocks(start, start + count, size, depth, 0, rows))
                 cost = k * count + census.KERNEL_CALL_BITS * calls
             assert census.unit_costs([unit], k, max_weight) == [cost], unit
 
@@ -389,7 +389,7 @@ def test_comb_pattern_validation():
 
 def test_census_from_payload_rejects_malformed(family17):
     payload = census_payload(run_census(family17, 2))
-    payload["provenance"]["shards"][0]["start_rank"] = "0"
+    payload["provenance"]["total_shards"] = "6"
     with pytest.raises(CheckFailure):
         census_from_payload(payload)
     del payload["provenance"]
@@ -401,20 +401,47 @@ def test_census_from_payload_rejects_malformed(family17):
         census_from_payload(payload)
 
 
-@pytest.mark.parametrize("field", ["sha256", "code_digest"])
+@pytest.mark.parametrize(
+    "shards, message",
+    [
+        ([[1, 2], [3]], "shard range [3] is not two integers"),
+        ([[1, "6"]], "shard range [1, '6'] is not two integers"),
+        ([[1, 6.0]], "shard range [1, 6.0] is not two integers"),
+        ([6], "shard range 6 is not two integers"),
+        ([[6, 1]], "shard range [6, 1] is reversed"),
+        ([[1, 4], [4, 6]], "shard range [4, 6] overlaps or precedes [1, 4]"),
+        ([[5, 6], [1, 4]], "shard range [1, 4] overlaps or precedes [5, 6]"),
+        ([[1, 7]], "shard range [1, 7] is not in the plan's units 1..6"),
+        ([[0, 6]], "shard range [0, 6] is not in the plan's units 1..6"),
+        ([[1, 10**12]], f"shard range [1, {10**12}] is not in the plan's units 1..6"),
+    ],
+    ids=["one-integer", "string", "float", "not-a-list", "reversed", "overlapping", "unordered",
+         "past-the-plan", "below-the-plan", "past-the-plan-by-far"],
+)
+def test_census_from_payload_refuses_a_bad_shard_range(family17, monkeypatch, shards, message):
+    payload = census_payload(run_census(family17, 2))  # units 1..6
+    assert payload["provenance"]["shards"] == [[1, 6]]
+    payload["provenance"]["shards"] = shards
+    # every range is checked before the first record is built
+    monkeypatch.setattr(census, "census_unit", lambda *args: pytest.fail("record built"))
+    with pytest.raises(CheckFailure, match=re.escape(message)):
+        census_from_payload(payload)
+
+
+@pytest.mark.parametrize("field", ["code_digest"])
 def test_census_from_payload_refuses_a_digest_that_is_not_a_string(family17, field):
     payload = census_payload(run_census(family17, 2))
-    live = next(rec for rec in payload["provenance"]["shards"] if census.is_live(rec["matrix"], rec["size"], 4))
-    (live if field == "sha256" else payload["provenance"])[field] = 12345
+    payload["provenance"][field] = 12345
     with pytest.raises(CheckFailure, match="expected a string, got 12345"):
         census_from_payload(payload)
 
 
 def test_merge_rejects_plan_not_matching_its_parameters(family17):
     whole = run_census(family17, 2, block_size=10)
-    forged = replace(whole, provenance=replace(whole.provenance, block_size=20))
-    with pytest.raises(InvariantViolation, match="plan claims"):
-        merge_censuses([forged])
+    for forged_field in ({"block_size": 20}, {"total_shards": 10**12}):
+        forged = replace(whole, provenance=replace(whole.provenance, **forged_field))
+        with pytest.raises(InvariantViolation, match="plan claims"):
+            merge_censuses([forged])
 
 
 def _shard_jobs(family, t, block_size):
@@ -504,9 +531,9 @@ def kernel_spy(monkeypatch):
         calls["tables"].append(depth)
         return tables(parity, depth)
 
-    def kernel_spy(columns, base, cuts, max_weight, min_weight):
-        calls["kernel"].append((columns, base, tuple(cuts), max_weight, min_weight))
-        return kernel(columns, base, cuts, max_weight, min_weight)
+    def kernel_spy(columns, base, lo, hi, max_weight, min_weight):
+        calls["kernel"].append((columns, base, lo, hi, max_weight, min_weight))
+        return kernel(columns, base, lo, hi, max_weight, min_weight)
 
     monkeypatch.setattr(census, "_parity_tables", tables_spy)
     monkeypatch.setattr(census, "weight_histograms", kernel_spy)
@@ -516,16 +543,16 @@ def kernel_spy(monkeypatch):
 
 
 def handed_lanes(calls) -> int:
-    """Lanes of the kernel calls, after checking that no lane of a table and
-    flip mask is handed twice and that every call's cut points increase."""
+    """Lanes of the kernel calls, after checking that every call's lane range
+    is nonempty and that no lane of a table and flip mask is handed twice."""
     seen: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for columns, base, cuts, _, _ in calls:
-        assert all(a < b for a, b in zip(cuts, cuts[1:])), cuts
-        seen.setdefault((id(columns), base), []).append((cuts[0], cuts[-1]))
+    for columns, base, lo, hi, _, _ in calls:
+        assert lo < hi, (lo, hi)
+        seen.setdefault((id(columns), base), []).append((lo, hi))
     for ranges in seen.values():
         ranges.sort()
         assert all(hi <= lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])), ranges
-    return sum(cuts[-1] - cuts[0] for _, _, cuts, _, _ in calls)
+    return sum(hi - lo for _, _, lo, hi, _, _ in calls)
 
 
 @pytest.mark.parametrize("t", [0, 2, 4])
@@ -565,8 +592,8 @@ def test_live_units_make_the_kernel_calls_of_the_uncapped_tables(
         tables = bitlinalg.rd_subset_columns(parity, k, depth)
         min_parity = size + (matrix == 2)
         expected = [
-            (tables[d], base, tuple(lanes), max_weight - size, min_parity)
-            for base, d, lanes, _ in census._rank_blocks((start, start + count), (0,), size, depth, 0, parity)
+            (tables[d], base, lo, hi, max_weight - size, min_parity)
+            for base, d, lo, hi in census._rank_blocks(start, start + count, size, depth, 0, parity)
         ]
         kernel_spy["kernel"].clear()
         assert _count_shard(job) == scalar_count_shard(job)
@@ -673,15 +700,15 @@ def test_pattern_cost_is_the_lanes_of_an_odd_bound(family41, kernel_spy, max_wei
 
 
 def test_a_sharded_census_builds_the_planes_of_each_block_once(family41, kernel_spy):
-    def builds(block_size):
+    def calls(block_size):
         kernel_spy["kernel"].clear()
-        run_census(family41, 6, block_size=block_size)
+        shards = len(run_census(family41, 6, block_size=block_size).provenance.shards)
         # the cached tables are the same objects in both runs, one per (matrix, depth)
-        return sorted((id(columns), base, cuts[0], cuts[-1]) for columns, base, cuts, _, _ in kernel_spy["kernel"])
+        return shards, [(id(columns), *rest) for columns, *rest in kernel_spy["kernel"]]
 
-    whole = builds(10**8)
-    assert builds(1000) == whole
-    assert max(len(cuts) for _, _, cuts, _, _ in kernel_spy["kernel"]) > 2  # blocks cut by shards
+    (whole_shards, whole), (cut_shards, cut) = calls(10**8), calls(1000)
+    assert (whole_shards, cut_shards) == (14, 174)
+    assert cut == whole  # table, base, lane range and weight bounds, call by call
 
 
 def test_pattern_cost_at_the_benchmarked_censuses():
@@ -705,14 +732,14 @@ def test_census_budget_counts_live_patterns(family17, monkeypatch):
 def test_merge_rejects_tallies_for_a_dead_unit(family17):
     whole = run_census(family17, 2)
     dead = whole.provenance.shards[-1]
-    assert dead.unit[1:3] == (2, 2) and dead.sha256 == census.shard_digest(dead.unit, [])
+    assert dead.unit[1:3] == (2, 2) and not census.is_live(2, 2, 4)
     rest = run_census(family17, 2, shard_indices=range(1, dead.index))
     honest = run_census(family17, 2, shard_indices=[dead.index])
     assert merge_censuses([rest, honest]).counts == whole.counts
-    # counts and sha256 agree, and the counts pass every per-part check
-    record = replace(dead, sha256=census.shard_digest(dead.unit, [(4, 1)]))
-    forged = replace(honest, counts={**honest.counts, 4: 1}, provenance=replace(honest.provenance, shards=(record,)))
-    with pytest.raises(InvariantViolation, match="can hold no codeword"):
+    # one word in a fragment of dead units only: even, <= complete_upto, within its patterns
+    assert dead.count >= 1
+    forged = replace(honest, counts={**honest.counts, 4: 1})
+    with pytest.raises(InvariantViolation, match=f"shard {dead.index}: 1 codewords counted in only 0 live lanes"):
         merge_censuses([rest, forged])
 
 

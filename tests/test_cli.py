@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from qrweight import census, cli, fixtures
-from qrweight.census import shard_digest
 from qrweight.cli import _digest, main
 from qrweight.fixtures import load_p137
 
@@ -172,7 +171,7 @@ def test_verify_rejects_malformed_solution(tmp_path, capsys, mutate):
     assert run(capsys, "solve", "--p", "17", "--census", str(tmp_path / "census.json"),
                "--out", out_dir)[0] == 0
     path = tmp_path / "solution.json"
-    _edit_payload(path, mutate, redigest_record=False)
+    _edit_payload(path, mutate)
     rc, err = run_err(capsys, "verify", "--p", "17", "--table", str(path))
     assert rc == 1
     assert "check failed" in err
@@ -190,16 +189,11 @@ def _emit_fragments(tmp_path, capsys) -> list[str]:
     return paths
 
 
-def _edit_payload(path, mutate, *, redigest_record=True, redigest_payload=True) -> None:
-    """Edit a census artifact's payload, optionally re-sealing its digests as a forger would."""
+def _edit_payload(path, mutate, *, redigest_payload=True) -> None:
+    """Edit an artifact's payload, optionally re-sealing its digest as a forger would."""
     artifact = json.loads(Path(path).read_text())
     payload = artifact["payload"]
     mutate(payload)
-    if redigest_record:
-        (rec,) = payload["provenance"]["shards"]
-        tallies = [(w, c) for w, c in payload["counts"] if c]
-        unit = [rec[f] for f in ("index", "matrix", "size", "start_rank", "count")]
-        rec["sha256"] = shard_digest(unit, tallies)
     if redigest_payload:
         artifact["manifest"]["payload_sha256"] = _digest(payload)
     Path(path).write_text(json.dumps(artifact))
@@ -209,7 +203,7 @@ def test_fragment_emit_and_merge(tmp_path, capsys):
     fragments = _emit_fragments(tmp_path, capsys)
     artifact = json.loads(Path(fragments[4]).read_text())
     assert set(artifact) == {"payload", "manifest"}
-    assert [rec["index"] for rec in artifact["payload"]["provenance"]["shards"]] == [5]
+    assert artifact["payload"]["provenance"]["shards"] == [[5, 5]]
     rc, whole = run(capsys, "census", "--p", "17", "--t", "2", "--block-size", "10")
     assert rc == 0
     rc, merged = run(capsys, "census-merge", *reversed(fragments), "--out", str(tmp_path / "merged"))
@@ -223,13 +217,13 @@ def test_merge_rejects_record_moved_off_the_plan(tmp_path, capsys):
     fragments = _emit_fragments(tmp_path, capsys)
 
     def mutate(payload):
-        payload["provenance"]["shards"][0]["start_rank"] += 3
+        payload["provenance"]["shards"] = [[13, 13]]  # the plan has units 1..12
         payload["counts"] = [[4, 999]]
 
     _edit_payload(fragments[4], mutate)
     rc, err = run_err(capsys, "census-merge", *fragments)
     assert rc == 1
-    assert "shard 5:" in err
+    assert "shard range [13, 13] is not in the plan's units 1..12" in err
 
 
 def test_merge_rejects_payload_edited_without_digest(tmp_path, capsys):
@@ -238,7 +232,7 @@ def test_merge_rejects_payload_edited_without_digest(tmp_path, capsys):
     def mutate(payload):
         payload["counts"][2][1] += 1
 
-    _edit_payload(fragments[4], mutate, redigest_record=False, redigest_payload=False)
+    _edit_payload(fragments[4], mutate, redigest_payload=False)
     rc, err = run_err(capsys, "census-merge", *fragments)
     assert rc == 1
     assert "payload digest mismatch" in err
@@ -253,16 +247,22 @@ def test_merge_rejects_non_artifact(tmp_path, capsys, text):
     assert "is not an artifact" in err
 
 
-def test_merge_rejects_record_digest_mismatch(tmp_path, capsys):
-    fragments = _emit_fragments(tmp_path, capsys)
-
-    def mutate(payload):
-        payload["counts"][2][1] += 1
-
-    _edit_payload(fragments[4], mutate, redigest_record=False)
-    rc, err = run_err(capsys, "census-merge", *fragments)
-    assert rc == 1
-    assert "shard 5: sha256" in err
+def test_range_fragments_merge_to_the_whole_census(tmp_path, capsys):
+    # the p = 17, t = 2, block size 10 plan has the units 1..12
+    paths = []
+    for name, indices in (("low", "1..5"), ("high", "6..12")):
+        out_dir = tmp_path / name
+        rc, _ = run(capsys, "census", "--p", "17", "--t", "2", "--block-size", "10",
+                    "--shard-index", indices, "--out", str(out_dir))
+        assert rc == 0
+        paths.append(str(out_dir / "census.json"))
+    assert json.loads(Path(paths[1]).read_text())["payload"]["provenance"]["shards"] == [[6, 12]]
+    rc, whole = run(capsys, "census", "--p", "17", "--t", "2", "--block-size", "10")
+    assert rc == 0
+    rc, merged = run(capsys, "census-merge", *paths)
+    assert rc == 0
+    assert merged == whole
+    assert json.loads(whole)["provenance"]["shards"] == [[1, 12]]
 
 
 @pytest.mark.parametrize("counts", [[[4, 11]], [[3, 1]], [[6, 1]], [[4, -1]]])
@@ -316,7 +316,7 @@ def test_pipeline_p17(tmp_path, capsys):
 
 
 PIPELINE_P41_SHA256 = {
-    "census.json": "23f339d97bc9913092ffa7c9a299caf02350548308d558dc464c16444a6b82a8",
+    "census.json": "3d030a7687b23e4427dfab9e45bc8f5b97d6c7fe9dcc0c428c4f48bb5acc08f4",
     "congruence.json": "83ab63555a8c5a5bcfe9e44d08e273492eaca73306bfa3ebaa0beb2c46c3d571",
     "construct.json": "fe7ecb37fc66b957749113c829e4362f19521e960e717034efc1dc63ef96d99e",
     "solution.json": "100acc54c537e948c3553a4b281c9112b645c7495551ba84cc15bba966b4c511",
@@ -568,7 +568,7 @@ def test_solve_rejects_a_constraint_of_another_code(tmp_path, capsys):
 def test_solve_rejects_a_malformed_constraint(tmp_path, capsys, mutate):
     assert run(capsys, "congruence", "--p", "17", "--weights", "2..4", "--out", str(tmp_path))[0] == 0
     path = tmp_path / "congruence.json"
-    _edit_payload(path, mutate, redigest_record=False)
+    _edit_payload(path, mutate)
     rc, err = run_err(capsys, "solve", "--p", "17", "--inject-a", "2=0", "--constraint", str(path))
     assert rc == 1
     assert "check failed" in err
@@ -579,7 +579,10 @@ def test_census_rejects_unknown_shard(capsys):
     assert rc == 2 and out == ""
 
 
-@pytest.mark.parametrize("index", ["-4", "0", "13"], ids=["negative", "zero", "one-past-the-last"])
+@pytest.mark.parametrize(
+    "index", ["-4", "0", "13", "1..13", "1..1000000000000"],
+    ids=["negative", "zero", "one-past-the-last", "a-range-past-the-last", "a-range-far-past-the-last"],
+)
 def test_census_shard_index_outside_the_plan_is_a_usage_error(tmp_path, capsys, index):
     # the p = 17, t = 2, block size 10 plan has the units 1..12
     rc = main(["census", "--p", "17", "--t", "2", "--block-size", "10",
