@@ -7,13 +7,17 @@ is a pure function on immutable values and safe to share across workers.
 Tables of many words are also stored transposed ("bit-sliced"): column j is
 one int whose bit x is coordinate j of word x, the table's lane x. One big-int
 operation then acts on every lane at once, and ``weight_histograms`` counts
-the weights of a whole table in a few hundred of them.
+the weights of a whole table in a few hundred of them. When the counted
+weights are low, it first sums a head of the columns and stops there if no
+lane is light enough on the head alone, as Brouwer-Zimmermann enumeration
+stops once a lower bound on the weight passes the target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import comb
 from typing import Sequence
 
@@ -262,6 +266,20 @@ def rd_subset_columns(rows: Sequence[int], width: int, max_depth: int) -> tuple[
     return tuple(tables)
 
 
+@lru_cache(maxsize=1024)
+def _head_size(width: int, lane_bits: int, max_weight: int) -> int:
+    """Columns g < width that ``weight_histograms`` sums before it checks
+    for a light lane, or 0 for no check: the fewest for which fair coin bits
+    would leave fewer than 1/16 of a lane of weight <= max_weight among
+    2^lane_bits lanes, 2^lane_bits * sum(C(g, i), i <= max_weight) < 2^(g - 4).
+    The 1/16 was fitted by timing the p = 137 censuses to t = 4 and t = 5 at
+    thresholds from 1 to 1/256 (see CHANGES.md)."""
+    for g in range(1, width):
+        if sum(comb(g, i) for i in range(min(g, max_weight) + 1)) << lane_bits + 4 < 1 << g:
+            return g
+    return 0
+
+
 def weight_histograms(
     columns: Sequence[int], flips: int, lo: int, hi: int, max_weight: int, min_weight: int = 0
 ) -> dict[int, int]:
@@ -274,39 +292,56 @@ def weight_histograms(
     w. Those ANDs share their prefixes from the top plane down, and a prefix
     is dropped once its lowest possible weight exceeds max_weight or its
     highest, v | (2^i - 1) with i planes left, falls below min_weight.
+
+    A block whose lanes are likely all heavier than max_weight is summed in
+    two parts: a head of ``_head_size`` leading columns, then the tail. A
+    lane weighs at least its head weight, so if the lightest lane of the
+    head, read from its planes top down, is heavier than max_weight, no lane
+    is counted and the tail is never read. Otherwise the tail columns join
+    the chain seeded with the head's planes, and the count is the one the
+    whole block gives.
     """
     counts: dict[int, int] = {}
     if hi <= lo or max_weight < max(min_weight, 0):
         return counts
     mask = (1 << (hi - lo)) - 1
     below = (1 << hi) - 1
-    level = []
-    for j, col in enumerate(columns):
-        # cut the lanes from whichever end copies fewer bits; a shift by 0 copies too
-        if lo == 0:
-            col &= mask
-        elif col.bit_length() - lo < hi:
-            col = (col >> lo) & mask
-        else:
-            col = (col & below) >> lo
-        if (flips >> j) & 1:
-            col ^= mask
-        if col:
-            level.append(col)
-    planes = []
-    while level:
-        carries = []
-        while len(level) > 2:  # full adder: three bits of weight 2^i make one of 2^i, one of 2^(i+1)
-            a, b, c = level.pop(), level.pop(), level.pop()
-            ab = a ^ b
-            level.append(ab ^ c)
-            carries.append((a & b) | (ab & c))
-        if len(level) == 2:
-            a, b = level
-            level = [a ^ b]
-            carries.append(a & b)
-        planes.append(level[0])
-        level = [c for c in carries if c]
+    head = _head_size(len(columns), (hi - lo).bit_length(), max_weight)
+    planes: list[int] = []
+    for first, stop in ((0, head), (head, None)) if head else ((0, None),):
+        if first and _least_weight(planes, mask) > max_weight:
+            return counts  # the tail is never read
+        level, seed = planes[:1], planes[:0:-1]  # plane i of the head joins the chain at weight 2^i
+        # islice, not a slice: a copied tuple of columns per call fragments the heap (the p = 137
+        # census's peak RSS grew by about 0.3 MB over 1000 runs)
+        for j, col in enumerate(islice(columns, first, stop) if head else columns, first):
+            # cut the lanes from whichever end copies fewer bits; a shift by 0 copies too
+            if lo == 0:
+                col &= mask
+            elif col.bit_length() - lo < hi:
+                col = (col >> lo) & mask
+            else:
+                col = (col & below) >> lo
+            if (flips >> j) & 1:
+                col ^= mask
+            if col:
+                level.append(col)
+        planes = []
+        while level:
+            carries = []
+            while len(level) > 2:  # full adder: three bits of weight 2^i make one of 2^i, one of 2^(i+1)
+                a, b, c = level.pop(), level.pop(), level.pop()
+                ab = a ^ b
+                level.append(ab ^ c)
+                carries.append((a & b) | (ab & c))
+            if len(level) == 2:
+                a, b = level
+                level = [a ^ b]
+                carries.append(a & b)
+            planes.append(level[0])
+            level = [c for c in carries if c]
+            if seed:  # kept even if 0, so that the planes above it still join
+                level.append(seed.pop())
     if not planes:  # every lane has weight 0
         if min_weight <= 0:
             counts[0] = hi - lo
@@ -324,3 +359,16 @@ def weight_histograms(
                 else:
                     counts[v] = sub.bit_count()
     return counts
+
+
+def _least_weight(planes: Sequence[int], lanes: int) -> int:
+    """The least weight of the ``lanes`` that the bit-planes spell: from the
+    top plane down, a bit is 0 if some lane still in the running has it 0."""
+    w = 0
+    for i in range(len(planes) - 1, -1, -1):
+        zeros = lanes & ~planes[i]
+        if zeros:
+            lanes = zeros
+        else:
+            w |= 1 << i
+    return w

@@ -88,7 +88,10 @@ SUBSET_TABLE_BITS = 1 << 26  # columns x lanes of one matrix's subset tables, ab
 # call's fixed cost, fitted on a 2-vCPU host by timing censuses at each depth
 # with the tables built: p = 137, t = 5 gets its fastest (4, 3) from 28,000,
 # S_3 at p = 137 keeps 4 (5 is no faster built) below 43,000. On that host
-# 2 workers beat 1 from a census cost of about 5e8.
+# 2 workers beat 1 from a census cost of about 5e8. It was fitted before the
+# kernel's head check (``bitlinalg.weight_histograms``), which lets a call
+# whose lanes are all too heavy stop after g of its k columns; it is kept, so
+# every table depth and share is what it was.
 KERNEL_CALL_BITS = 36_000
 CHILD_SHARE_BITS = 250_000_000  # the least cost of a share worth a child
 
@@ -170,13 +173,14 @@ def _run_starts(k: int, t: int, block_size: int) -> tuple[int, ...]:
     For each matrix and each size <= t the C(k, size) ranks are cut into
     consecutive shards of block_size ranks, the last one shorter, so a run
     holds ceil(C(k, size) / block_size) units; indices run from 1 in that
-    order.
+    order. Sizes above k hold no units, so the runs stop at size min(t, k):
+    no index moves, and a huge t read from disk costs no more than t = k.
     """
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     starts = [1]
     for _matrix in (1, 2):
-        for size in range(t + 1):
+        for size in range(min(t, k) + 1):
             starts.append(starts[-1] - (-comb(k, size) // block_size))
     return tuple(starts)
 
@@ -192,8 +196,9 @@ def census_unit(k: int, t: int, block_size: int, index: int) -> tuple[int, int, 
     starts = _run_starts(k, t, block_size)
     if not 1 <= index < starts[-1]:
         raise ValueError(f"no unit {index}; the plan has units 1..{starts[-1] - 1}")
-    run = bisect_right(starts, index) - 1  # the last run starting at or before index; empty runs share it
-    matrix, size = run // (t + 1) + 1, run % (t + 1)
+    run = bisect_right(starts, index) - 1  # the last run starting at or before index
+    top = min(t, k)  # the plan's largest size
+    matrix, size = run // (top + 1) + 1, run % (top + 1)
     start = (index - starts[run]) * block_size
     return index, matrix, size, start, min(block_size, comb(k, size) - start)
 

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from qrweight.bitlinalg import (
     same_row_space,
     weight_histograms,
 )
+from qrweight.bitlinalg import _head_size
 from qrweight.qrcodes import cyclic_generator_matrix
 
 from conftest import exhaustive_distribution, from_lists, hull_dimension_by_intersection, row_space_contains, span_words
@@ -290,6 +292,18 @@ def test_cyclic_matrix_shape(family17):
     assert m.cols == 17 and m.nrows == 9
 
 
+def popcount_histogram(columns, flips, lo, hi, max_weight, min_weight=0) -> dict[int, int]:
+    """Scalar oracle of ``weight_histograms``: each lane's word rebuilt bit
+    by bit and weighed with ``int.bit_count``."""
+    counts: dict[int, int] = {}
+    for x in range(lo, hi):
+        word = sum(((col >> x) & 1) << j for j, col in enumerate(columns)) ^ flips
+        w = (word & ((1 << len(columns)) - 1)).bit_count()
+        if min_weight <= w <= max_weight:
+            counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_weight_histogram_matches_direct_popcounts(data):
@@ -301,17 +315,78 @@ def test_weight_histogram_matches_direct_popcounts(data):
     flips = data.draw(st.integers(0, (1 << (width + 2)) - 1))
     max_weight = data.draw(st.integers(-1, width + 1))
     min_weight = data.draw(st.one_of(st.just(0), st.integers(-1, width + 2)))
-    def expected(start, end, least):
-        counts: dict[int, int] = {}
-        for x in range(start, end):
-            word = sum(((col >> x) & 1) << j for j, col in enumerate(columns)) ^ flips
-            w = (word & ((1 << width) - 1)).bit_count()
-            if least <= w <= max_weight:
-                counts[w] = counts.get(w, 0) + 1
-        return counts
+    hi = lo + lanes
+    assert weight_histograms(columns, flips, lo, hi, max_weight) == popcount_histogram(columns, flips, lo, hi, max_weight)
+    assert weight_histograms(columns, flips, lo, hi, max_weight, min_weight) == popcount_histogram(
+        columns, flips, lo, hi, max_weight, min_weight
+    )
 
-    assert weight_histograms(columns, flips, lo, lo + lanes, max_weight) == expected(lo, lo + lanes, 0)
-    assert weight_histograms(columns, flips, lo, lo + lanes, max_weight, min_weight) == expected(lo, lo + lanes, min_weight)
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_weight_histograms_that_check_a_head_match_direct_popcounts(data):
+    # blocks wide enough for a head check, fair coin bits with at most one
+    # planted light lane, or a head that is all zero after the flips
+    lanes = data.draw(st.integers(1, 700))
+    max_weight = data.draw(st.integers(0, 12))
+    head = _head_size(1000, lanes.bit_length(), max_weight)  # the head of every wider block
+    width = data.draw(st.integers(head + 1, 70))
+    assert _head_size(width, lanes.bit_length(), max_weight) == head
+    lo = data.draw(st.one_of(st.just(0), st.integers(0, 300)))
+    hi = lo + lanes
+    table = (1 << (hi + data.draw(st.integers(0, 100)))) - 1
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    columns = [rng.getrandbits(table.bit_length()) for _ in range(width)]
+    flips = rng.getrandbits(width)
+    plant = data.draw(st.sampled_from(["none", "light head", "light word", "zero head"]))
+    if plant == "zero head":
+        columns[:head] = [table if (flips >> j) & 1 else 0 for j in range(head)]
+    elif plant != "none":
+        x = data.draw(st.integers(lo, hi - 1))
+        ones = rng.sample(range(head if plant == "light head" else width), data.draw(st.integers(0, max_weight)))
+        for j in range(head if plant == "light head" else width):
+            bit = ((flips >> j) ^ (j in ones)) & 1  # lane x's word, flipped, has its ones at ``ones``
+            columns[j] = columns[j] & ~(1 << x) | bit << x
+    min_weight = data.draw(st.one_of(st.just(0), st.integers(-1, max_weight + 1)))
+    assert weight_histograms(columns, flips, lo, hi, max_weight, min_weight) == popcount_histogram(
+        columns, flips, lo, hi, max_weight, min_weight
+    )
+
+
+class ReadColumns(Sequence):
+    """Columns that record which indices ``weight_histograms`` reads."""
+
+    def __init__(self, columns):
+        self.columns, self.read = columns, set()
+
+    def __len__(self):
+        return len(self.columns)
+
+    def __getitem__(self, i):
+        value = self.columns[i]  # iteration ends at the IndexError of index len(self), which reads nothing
+        self.read.update(range(len(self.columns))[i] if isinstance(i, slice) else [i])
+        return value
+
+
+def test_weight_histograms_reads_no_tail_column_unless_a_head_lane_is_light():
+    rng = random.Random(3)
+    width, lo, lanes, max_weight = 69, 100, 2000, 4
+    head = _head_size(width, lanes.bit_length(), max_weight)
+    assert 0 < head < width
+    columns = [rng.getrandbits(lo + lanes + 50) for _ in range(width)]
+    flips = rng.getrandbits(width)
+    # no lane weighs max_weight or less on the head, so the tail is never read
+    assert popcount_histogram(columns[:head], flips, lo, lo + lanes, max_weight) == {}
+    block = ReadColumns(columns)
+    assert weight_histograms(block, flips, lo, lo + lanes, max_weight) == {}
+    assert block.read and max(block.read) < head
+    # one lane of weight 0 over all columns: every column is read and the lane counted
+    x = lo + 1234
+    columns = [col & ~(1 << x) | ((flips >> j) & 1) << x for j, col in enumerate(columns)]
+    block = ReadColumns(columns)
+    assert weight_histograms(block, flips, lo, lo + lanes, max_weight) == {0: 1}
+    assert block.read == set(range(width))
+    assert popcount_histogram(columns, flips, lo, lo + lanes, max_weight) == {0: 1}
 
 
 def test_weight_histograms_of_lanes_that_all_weigh_zero():

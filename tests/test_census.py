@@ -444,6 +444,33 @@ def test_merge_rejects_plan_not_matching_its_parameters(family17):
             merge_censuses([forged])
 
 
+@pytest.mark.parametrize("k, t, block_size", [(9, 9, 10), (9, 10, 10), (9, 13, 7), (5, 8, 10**8), (0, 3, 1)])
+def test_plan_above_k_keeps_every_index(k, t, block_size):
+    # the plan listed every size up to t, sizes above k holding no units
+    units = []
+    for matrix in (1, 2):
+        for size in range(t + 1):
+            for start in range(0, comb(k, size), block_size):
+                units.append((len(units) + 1, matrix, size, start, min(block_size, comb(k, size) - start)))
+    assert census_work_units(k, t, block_size) == units
+    assert len(census._run_starts(k, t, block_size)) == 2 * (min(t, k) + 1) + 1
+
+
+def test_a_payload_with_a_huge_t_is_read_back_or_refused_at_once(family17):
+    payload = census_payload(run_census(family17, 4))
+    # the plan stops at size k = 9, so a huge t costs what t = 9 costs; 10^6
+    # comes first, so that a plan of 2t + 3 entries fails the length check
+    # before 10^9 could build one
+    for t in (10**6, 10**9):
+        payload["provenance"]["max_info_weight"] = t
+        start = time.perf_counter()
+        part = census_from_payload(payload)  # its one range fits the larger plan
+        assert len(census._run_starts(family17.k, t, part.provenance.block_size)) == 2 * (family17.k + 1) + 1
+        with pytest.raises(InvariantViolation, match="plan claims"):
+            merge_censuses([part])
+        assert time.perf_counter() - start < 1.0
+
+
 def _shard_jobs(family, t, block_size):
     g1, g2 = disjoint_information_systematizations(family.extended)
     k = family.k
