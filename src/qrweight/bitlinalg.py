@@ -10,7 +10,10 @@ operation then acts on every lane at once, and ``weight_histograms`` counts
 the weights of a whole table in a few hundred of them. When the counted
 weights are low, it first sums a head of the columns and stops there if no
 lane is light enough on the head alone, as Brouwer-Zimmermann enumeration
-stops once a lower bound on the weight passes the target.
+stops once a lower bound on the weight passes the target. It can also count
+a second window of heavy weights, so that a code holding the all-ones word
+is counted from half its words, each heavy word standing for its light
+complement.
 """
 
 from __future__ import annotations
@@ -281,17 +284,26 @@ def _head_size(width: int, lane_bits: int, max_weight: int) -> int:
 
 
 def weight_histograms(
-    columns: Sequence[int], flips: int, lo: int, hi: int, max_weight: int, min_weight: int = 0
+    columns: Sequence[int],
+    flips: int,
+    lo: int,
+    hi: int,
+    max_weight: int,
+    min_weight: int = 0,
+    heavy_from: int | None = None,
 ) -> dict[int, int]:
-    """Nonzero counts of each weight in [min_weight, max_weight] among the
-    lanes [lo, hi) of a bit-sliced table, every word XORed with ``flips``.
+    """Nonzero counts of each weight in [min_weight, max_weight], and of each
+    weight >= heavy_from when that is given, among the lanes [lo, hi) of a
+    bit-sliced table, every word XORed with ``flips``. A lane in both
+    windows is counted once; the histogram is keyed by lane weight either way.
 
     A carry-save adder chain sums the columns into bit-planes of every
     lane's weight (plane i holds bit i). The count of weight w is the
     bit_count of the AND of the planes, or of their complements, that spell
     w. Those ANDs share their prefixes from the top plane down, and a prefix
-    is dropped once its lowest possible weight exceeds max_weight or its
-    highest, v | (2^i - 1) with i planes left, falls below min_weight.
+    v, with i planes left, is dropped once [v, v | (2^i - 1)] meets neither
+    window: its lowest possible weight exceeds max_weight or its highest
+    falls below min_weight, and its highest falls below heavy_from.
 
     A block whose lanes are likely all heavier than max_weight is summed in
     two parts: a head of ``_head_size`` leading columns, then the tail. A
@@ -299,14 +311,15 @@ def weight_histograms(
     head, read from its planes top down, is heavier than max_weight, no lane
     is counted and the tail is never read. Otherwise the tail columns join
     the chain seeded with the head's planes, and the count is the one the
-    whole block gives.
+    whole block gives. With heavy_from given there is no head check, as a
+    heavy lane can count.
     """
     counts: dict[int, int] = {}
-    if hi <= lo or max_weight < max(min_weight, 0):
+    if hi <= lo or max_weight < max(min_weight, 0) and heavy_from is None:
         return counts
     mask = (1 << (hi - lo)) - 1
     below = (1 << hi) - 1
-    head = _head_size(len(columns), (hi - lo).bit_length(), max_weight)
+    head = 0 if heavy_from is not None else _head_size(len(columns), (hi - lo).bit_length(), max_weight)
     planes: list[int] = []
     for first, stop in ((0, head), (head, None)) if head else ((0, None),):
         if first and _least_weight(planes, mask) > max_weight:
@@ -342,8 +355,9 @@ def weight_histograms(
             level = [c for c in carries if c]
             if seed:  # kept even if 0, so that the planes above it still join
                 level.append(seed.pop())
+    top = 1 << len(planes) if heavy_from is None else heavy_from  # no lane weighs 2^len(planes)
     if not planes:  # every lane has weight 0
-        if min_weight <= 0:
+        if min_weight <= 0 <= max_weight or top <= 0:
             counts[0] = hi - lo
         return counts
     stack = [(len(planes), 0, mask)]  # (planes left, weight bits so far, lanes that match them)
@@ -351,9 +365,10 @@ def weight_histograms(
         i, w, match = stack.pop()
         i -= 1
         least = min_weight - (1 << i) + 1  # v | (2^i - 1) >= min_weight, as v has no bit below i
+        heavy = top - (1 << i) + 1  # v | (2^i - 1) >= heavy_from
         ones = match & planes[i]
         for sub, v in ((match ^ ones, w), (ones, w | 1 << i)):
-            if sub and least <= v <= max_weight:
+            if sub and (least <= v <= max_weight or v >= heavy):
                 if i:
                     stack.append((i, v, sub))
                 else:

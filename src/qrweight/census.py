@@ -651,14 +651,18 @@ def census_from_payload(payload: dict) -> WeightCensus:
 
 
 def _check_part_counts(part: WeightCensus) -> None:
-    """A part's counts must be tallies its own units could have made: even
-    weights <= complete_upto, no more words than the live lanes of its
-    units (``is_live``)."""
+    """A part's counts must be tallies its own units could have made: one
+    count for every even weight 0..complete_upto and for no other weight,
+    no more words than the live lanes of its units (``is_live``)."""
     records = part.provenance.shards
     where = f"shard {records[0].index}" if len(records) == 1 else f"part of {len(records)} shards"
     for w, c in part.counts.items():
         if w % 2 or not 0 <= w <= part.complete_upto or c < 0:
             raise InvariantViolation(f"{where}: count {c} at weight {w} (even, <= {part.complete_upto} only)")
+    if len(part.counts) != part.complete_upto // 2 + 1:  # the weights are distinct, even and in range
+        raise InvariantViolation(
+            f"{where}: counts list {len(part.counts)} weights, not every even weight 0..{part.complete_upto}"
+        )
     lanes = sum(rec.count for rec in records if is_live(rec.matrix, rec.size, part.complete_upto))
     found = sum(part.counts.values())
     if found > lanes:
@@ -672,9 +676,11 @@ def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
     share one code and plan identity; their records cover every index of the
     plan exactly once; each record equals its unit of the plan recomputed
     from (k, t, block size) by ``census_unit``, so the plan itself is never
-    built; and each part's counts are even weights <= complete_upto that
-    sum to at most the live lanes of its units, so a part of dead units
-    (``is_live``) counts nothing. A one-part merge validates a complete
+    built; and each part lists a count for every even weight
+    0..complete_upto and no other, summing to at most the live lanes of its
+    units, so a part of dead units (``is_live``) counts nothing. The counts
+    are checked before the merged counts are built, so the merge holds no
+    more weights than the parts list. A one-part merge validates a complete
     census.
     """
     if not parts:
@@ -708,9 +714,10 @@ def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
             raise InvariantViolation(
                 f"shard {rec.index}: (matrix, size, start_rank, count) = {rec.unit[1:]} is not in the plan"
             )
-    totals = dict.fromkeys(range(0, first.complete_upto + 1, 2), 0)
     for part in parts:
         _check_part_counts(part)
+    totals = dict.fromkeys(range(0, first.complete_upto + 1, 2), 0)
+    for part in parts:
         for w, c in part.counts.items():
             totals[w] += c
     shards = tuple(seen[i] for i in sorted(seen))

@@ -18,8 +18,13 @@ Keeping s // g coordinates per class, g the gcd of the class sizes, divides
 every word's weight by exactly g and keeps the words in the same order, so the
 folded counts, with weights multiplied by g, are the exact counts.
 
-A folded code is counted one of two ways. The default walks all 2^k words in
-Gray order. When the folded code is half-rate, [2k, k], with two disjoint
+A folded code is counted one of two ways. The default walks its words in
+Gray order. The extended code holds the all-ones word and every permutation
+fixes it, so every subcode holds it too and its words come in complement
+pairs, of weights w and n - w. When the folded code holds its own all-ones
+word, the walk visits the 2^(k-1) words spanned by all rows but the last and
+counts each as itself and as its complement; otherwise it visits all 2^k.
+When the folded code is half-rate, [2k, k], with two disjoint
 information sets, the census that counts the extended code
 (``census.census_counts``) counts its words of folded weight <= W =
 max_weight // g instead, once it walks fewer patterns than the 2^k words.
@@ -174,21 +179,14 @@ def _fold(basis: BitMatrix) -> tuple[list[int], int, int]:
     and g is the gcd of the class sizes. Returns the projected rows, in the
     basis order, with g and the projected width.
     """
-    rows = basis.rows
     classes: dict[int, int] = {}  # column (bit r = row r's bit) -> class size
     for column in _basis_columns(basis):
         if column:
             classes[column] = classes.get(column, 0) + 1
     g = gcd(*classes.values()) or 1  # no nonzero column: every word weighs 0
-    folded = [0] * len(rows)
-    width = 0
-    for column, size in classes.items():
-        for _ in range(size // g):
-            for r in range(len(rows)):
-                if column >> r & 1:
-                    folded[r] |= 1 << width
-            width += 1
-    return folded, g, width
+    kept = [column for column, size in classes.items() for _ in range(size // g)]
+    # the kept columns are the rows of a basis.nrows-column matrix, whose columns are the folded rows
+    return _basis_columns(BitMatrix(basis.nrows, tuple(kept))), g, len(kept)
 
 
 def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: bool = False) -> dict[int, int]:
@@ -199,8 +197,8 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
     or the 2^k words of the walk, also when the census finds no pair of
     information sets. When 2k does not divide the support, the fold cannot be
     half-rate, so the 2^k words are checked before the fold. long_run lifts
-    the budget.
-    Word i is the combination of basis rows selected by the bits of gray(i).
+    the budget. A walk that pairs words with their complements (below)
+    visits only half of the 2^k words it is charged.
 
     The rows are folded first (``_fold``). Coordinates whose basis columns are
     equal carry the same bit in every word, so a class of s such coordinates
@@ -216,7 +214,18 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
     patterns it walks (``census.pattern_cost``) are fewer than the 2^k words.
     Its pair is found before the budget is charged.
 
-    The walk cuts the words into blocks j = 0 .. 2^(k-a) - 1 of 2^a words,
+    Otherwise the words are walked. If the folded code holds its all-ones
+    word u, and C' is spanned by all rows but the last, the code is C' and
+    C' + u: an rref basis holds u exactly when its rows XOR to u, since u
+    holds every pivot, and then the last row is u plus a word of C'. A word
+    x + u weighs width - w(x), so the walk runs over the m = k - 1 rows of C'
+    and the kernel counts a second window: a word of folded weight
+    w <= W = max_weight // g counts as w, and one of weight >= width - W as
+    width - w (both when 2W >= width). Any other basis is walked over its
+    m = k rows. Word i is the combination of the m rows selected by the bits
+    of gray(i).
+
+    The walk cuts the words into blocks j = 0 .. 2^(m-a) - 1 of 2^a words,
     i = j*2^a .. (j+1)*2^a - 1: the words of block j are the combination of
     rows[a:] selected by gray(j), XORed with every combination of rows[:a],
     the lanes of the span table of rows[:a]. Each block is one
@@ -234,15 +243,22 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
         if counted is not None:
             return {w * g: c for w, c in counted[1].items()}
     census.check_budget(1 << k, long_run)
-    a = min(k, max(0, (bitlinalg.TABLE_BITS // max(width, 1)).bit_length() - 1))
+    paired = k > 0 and reduce(xor, rows) == (1 << width) - 1
+    if paired:
+        rows = rows[:-1]
+    heavy = width - folded_max if paired else None
+    a = min(len(rows), max(0, (bitlinalg.TABLE_BITS // max(width, 1)).bit_length() - 1))
     columns = bitlinalg.span_columns(rows[:a], width)
     counts = {}
     base = 0
-    for j in range(1 << (k - a)):
+    for j in range(1 << (len(rows) - a)):
         if j:  # gray(j) is gray(j - 1) with the lowest set bit of j flipped
             base ^= rows[a + (j & -j).bit_length() - 1]
-        for w, c in bitlinalg.weight_histograms(columns, base, 0, 1 << a, folded_max).items():
-            counts[w * g] = counts.get(w * g, 0) + c
+        for w, c in bitlinalg.weight_histograms(columns, base, 0, 1 << a, folded_max, heavy_from=heavy).items():
+            if w <= folded_max:
+                counts[w * g] = counts.get(w * g, 0) + c
+            if paired and w >= heavy:  # the lane's complement, a word of the other half
+                counts[(width - w) * g] = counts.get((width - w) * g, 0) + c
     return counts
 
 

@@ -292,14 +292,14 @@ def test_cyclic_matrix_shape(family17):
     assert m.cols == 17 and m.nrows == 9
 
 
-def popcount_histogram(columns, flips, lo, hi, max_weight, min_weight=0) -> dict[int, int]:
+def popcount_histogram(columns, flips, lo, hi, max_weight, min_weight=0, heavy_from=None) -> dict[int, int]:
     """Scalar oracle of ``weight_histograms``: each lane's word rebuilt bit
     by bit and weighed with ``int.bit_count``."""
     counts: dict[int, int] = {}
     for x in range(lo, hi):
         word = sum(((col >> x) & 1) << j for j, col in enumerate(columns)) ^ flips
         w = (word & ((1 << len(columns)) - 1)).bit_count()
-        if min_weight <= w <= max_weight:
+        if min_weight <= w <= max_weight or heavy_from is not None and w >= heavy_from:
             counts[w] = counts.get(w, 0) + 1
     return counts
 
@@ -353,6 +353,40 @@ def test_weight_histograms_that_check_a_head_match_direct_popcounts(data):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_weight_histograms_with_a_heavy_window_match_direct_popcounts(data):
+    # narrow blocks of any bits with windows anywhere, overlapping or from 0;
+    # or blocks wide enough for a head check, fair coin bits with one planted
+    # lane of weight >= width - max_weight, the window a paired subcode asks for
+    wide = data.draw(st.booleans())
+    lanes = data.draw(st.integers(1, 700) if wide else st.integers(0, 200))
+    max_weight = data.draw(st.integers(0, 12)) if wide else None
+    head = _head_size(1000, lanes.bit_length(), max_weight) if wide else 0
+    width = data.draw(st.integers(head + 1, 70) if wide else st.integers(0, 40))
+    lo = data.draw(st.one_of(st.just(0), st.integers(1, 300)))
+    hi = lo + lanes
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    table_bits = hi + data.draw(st.integers(0, 100))
+    columns = [rng.getrandbits(table_bits) for _ in range(width)]
+    flips = rng.getrandbits(width + 2)
+    if wide:
+        heavy_from = width - max_weight
+        x = data.draw(st.integers(lo, hi - 1))
+        zeros = rng.sample(range(width), data.draw(st.integers(0, max_weight)))
+        for j in range(width):
+            bit = ((flips >> j) ^ (j not in zeros)) & 1  # lane x's word, flipped, has its zeros at ``zeros``
+            columns[j] = columns[j] & ~(1 << x) | bit << x
+        min_weight = data.draw(st.one_of(st.just(0), st.integers(-1, max_weight + 1)))
+    else:
+        max_weight = data.draw(st.integers(-1, width + 1))
+        min_weight = data.draw(st.one_of(st.just(0), st.integers(-1, width + 2)))
+        heavy_from = data.draw(st.one_of(st.just(0), st.just(max_weight), st.integers(-1, width + 2)))
+    assert weight_histograms(columns, flips, lo, hi, max_weight, min_weight, heavy_from) == popcount_histogram(
+        columns, flips, lo, hi, max_weight, min_weight, heavy_from
+    )
+
+
 class ReadColumns(Sequence):
     """Columns that record which indices ``weight_histograms`` reads."""
 
@@ -396,3 +430,5 @@ def test_weight_histograms_of_lanes_that_all_weigh_zero():
             {0: 2}, {}, {0: 3}
         ]
         assert weight_histograms(columns, flips, 0, 5, 3, 1) == {}
+        # a heavy window from 0 counts them even when the light window is empty
+        assert [weight_histograms(columns, flips, 0, 5, -1, 0, heavy) for heavy in (0, 1)] == [{0: 5}, {}]

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -265,9 +266,10 @@ def test_range_fragments_merge_to_the_whole_census(tmp_path, capsys):
     assert json.loads(whole)["provenance"]["shards"] == [[1, 12]]
 
 
-@pytest.mark.parametrize("counts", [[[4, 11]], [[3, 1]], [[6, 1]], [[4, -1]]])
+@pytest.mark.parametrize("counts", [[[4, 11]], [[3, 1]], [[6, 1]], [[4, -1]], [[0, 0], [2, 0], [4, 11]]])
 def test_merge_rejects_impossible_counts(tmp_path, capsys, counts):
-    # shard 5 walks 10 patterns; t = 2 makes the census complete up to weight 4
+    # shard 5 walks 10 patterns; t = 2 makes the census complete up to weight 4,
+    # so a part lists the counts of weights 0, 2 and 4, and no other
     fragments = _emit_fragments(tmp_path, capsys)
 
     def mutate(payload):
@@ -277,6 +279,29 @@ def test_merge_rejects_impossible_counts(tmp_path, capsys, counts):
     rc, err = run_err(capsys, "census-merge", *fragments)
     assert rc == 1
     assert "shard 5:" in err
+
+
+def test_merge_refuses_a_huge_t_with_a_matching_plan_at_once(tmp_path, capsys):
+    # t = 10^6 claims a census complete up to weight 2 * 10^6; the plan stops at
+    # size k = 9, so the forged plan total is small and every index is covered,
+    # but the counts list only the weights 0..8 of the census it was made from
+    assert run(capsys, "census", "--p", "17", "--t", "4", "--out", str(tmp_path / "c"))[0] == 0
+    path = tmp_path / "c" / "census.json"
+    t = 10**6
+
+    def mutate(payload):
+        prov = payload["provenance"]
+        total = census.census_shard_total(payload["k"], t, prov["block_size"])
+        prov.update(max_info_weight=t, total_shards=total)
+        prov["shards"] = [[1, total]]
+        payload["complete_upto"] = 2 * t
+
+    _edit_payload(path, mutate)
+    start = time.perf_counter()
+    rc, err = run_err(capsys, "census-merge", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert "counts list 5 weights, not every even weight 0..2000000" in err
 
 
 def test_merge_rejects_fragments_of_two_codes(tmp_path, capsys):

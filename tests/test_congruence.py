@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+from functools import reduce
+from operator import or_, xor
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from qrweight import bitlinalg, census, congruence
 from qrweight.bitlinalg import BitMatrix, same_row_space
 from qrweight.congruence import (
+    G4_0,
+    G4_1,
     CongruenceConstraint,
     InvariantSubcode,
     Reject,
@@ -190,6 +194,86 @@ def test_folded_counts_match_the_gray_walk(data):
         mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
         counts = subcode_weight_counts(sub, max_weight)
     assert counts == gray_walk_counts(rows, max_weight, 0, 1 << k)
+
+
+@st.composite
+def codes_holding_the_all_ones_word(draw):
+    """Rows whose span holds the all-ones word of their support: coordinates
+    in classes whose sizes share a factor g, as in the folded test above, each
+    column of odd parity against a drawn nonzero combination c of the rows,
+    plus all-zero coordinates, in a random order. The combination c of the
+    rows is then 1 on every coordinate of the support."""
+    k = draw(st.integers(1, 9))
+    g = draw(st.integers(1, 3))
+    c = draw(st.integers(1, (1 << k) - 1))
+    classes = draw(st.lists(
+        st.tuples(st.integers(0, (1 << k) - 1), st.integers(1, 3)), min_size=1, max_size=12))
+    low = c & -c  # flipping this bit of a column flips its parity against c
+    odd = [column if (column & c).bit_count() % 2 else column ^ low for column, _ in classes]
+    zeros = draw(st.integers(0, 3))
+    coords = draw(st.permutations(
+        [column for column, (_, mult) in zip(odd, classes) for _ in range(g * mult)] + [0] * zeros))
+    rows = tuple(sum((column >> r & 1) << j for j, column in enumerate(coords)) for r in range(k))
+    return BitMatrix(len(coords), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes_holding_the_all_ones_word(), st.data())
+def test_counts_of_codes_holding_the_all_ones_word_match_the_gray_walk(basis, data):
+    # an rref basis XORs to the all-ones word of its support, so half its
+    # words are walked, each counted with its complement; a basis as drawn
+    # mostly does not, and takes the full walk
+    if data.draw(st.booleans()):
+        basis = bitlinalg.rref(basis)[0]
+    k, rows, n = basis.nrows, basis.rows, basis.cols
+    support = reduce(or_, rows, 0)
+    assert support in {reduce(xor, (rows[r] for r in range(k) if c >> r & 1), 0) for c in range(1 << k)}
+    paired = reduce(xor, rows, 0) == support
+    # odd and even bounds, and bounds whose folded windows overlap (2W >= width)
+    max_weight = data.draw(st.one_of(st.integers(0, n), st.integers(n // 2, n)))
+    table_bits = data.draw(st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8, 1]))
+    lanes = []
+    kernel = bitlinalg.weight_histograms
+
+    def spy(columns, flips, lo, hi, *args, **kwargs):
+        lanes.append(hi - lo)
+        return kernel(columns, flips, lo, hi, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
+        mp.setattr(bitlinalg, "weight_histograms", spy)
+        counts = subcode_weight_counts(InvariantSubcode(basis=basis), max_weight)
+    assert counts == gray_walk_counts(rows, max_weight, 0, 1 << k)
+    width = congruence._fold(basis)[2]
+    if lanes or width != 2 * k:  # else a half-rate fold was counted by the census
+        assert sum(lanes) == 1 << (k - 1 if paired else k)
+
+
+def test_p137_g4_walks_hand_the_kernel_half_the_words_they_charge(family137, fx137, monkeypatch):
+    plan = find_sylow_plan(137)
+    charged, lanes = [], []
+    check_budget, kernel = census.check_budget, bitlinalg.weight_histograms
+
+    def charge(count, long_run):
+        charged.append(count)
+        check_budget(count, long_run)
+
+    def spy(columns, flips, lo, hi, *args, **kwargs):
+        lanes.append(hi - lo)
+        return kernel(columns, flips, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(census, "check_budget", charge)
+    monkeypatch.setattr(bitlinalg, "weight_histograms", spy)
+    for label, index, k in ((G4_0, 0, 19), (G4_1, 1, 18)):
+        sub = invariant_subcode(family137.extended, [to_permutation(g) for g in plan.g4_elements(index)])
+        assert sub.k == k
+        charged.clear()
+        lanes.clear()
+        counts = subcode_weight_counts(sub, 34)
+        # 138 is no multiple of 2k, so the 2^k words are charged before the fold and again before the walk
+        assert charged == [1 << k] * 2 and sum(lanes) == 1 << (k - 1)
+        row = fx137["subgroup_counts"][label]
+        assert {w: counts.get(w, 0) for w in row} == row
 
 
 @pytest.fixture
