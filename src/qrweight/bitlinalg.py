@@ -13,7 +13,8 @@ lane is light enough on the head alone, as Brouwer-Zimmermann enumeration
 stops once a lower bound on the weight passes the target. It can also count
 a second window of heavy weights, so that a code holding the all-ones word
 is counted from half its words, each heavy word standing for its light
-complement.
+complement. And a column may carry a weight, so that a class of equal
+coordinates is summed as one column that counts as many times.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ class BitMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
+
+
+def transpose(m: BitMatrix) -> list[int]:
+    """The matrix's columns: bit r of column j is coordinate j of row r."""
+    if not m.rows:
+        return [0] * m.cols
+    # each row as a string of its bits, coordinate 0 last and the last row
+    # first, so that reading the strings down one position spells a column
+    lines = [bin(row | 1 << m.cols)[3:] for row in reversed(m.rows)]
+    return [int("".join(bits), 2) for bits in zip(*lines)][::-1]
 
 
 def rref_on_columns(m: BitMatrix, col_order: Sequence[int]) -> tuple[BitMatrix, list[int]]:
@@ -205,10 +216,11 @@ def disjoint_information_systematizations(g: BitMatrix) -> tuple[BitMatrix, BitM
     moved = perm != list(range(n))
 
     def systematic(reduced: BitMatrix, pivots: list[int]) -> BitMatrix:
-        rows = [row for _, row in sorted(zip(pivots, reduced.rows))]
+        rows = tuple(row for _, row in sorted(zip(pivots, reduced.rows)))
         if moved:
-            rows = [sum((row >> c & 1) << i for i, c in enumerate(perm)) for row in rows]
-        return BitMatrix(n, tuple(rows))
+            columns = transpose(BitMatrix(n, rows))
+            rows = tuple(transpose(BitMatrix(k, tuple(columns[c] for c in perm))))
+        return BitMatrix(n, rows)
 
     return systematic(g1, first), systematic(g2, second)
 
@@ -291,28 +303,34 @@ def weight_histograms(
     max_weight: int,
     min_weight: int = 0,
     heavy_from: int | None = None,
+    weights: Sequence[int] | None = None,
 ) -> dict[int, int]:
     """Nonzero counts of each weight in [min_weight, max_weight], and of each
     weight >= heavy_from when that is given, among the lanes [lo, hi) of a
     bit-sliced table, every word XORed with ``flips``. A lane in both
     windows is counted once; the histogram is keyed by lane weight either way.
+    A lane's weight is the sum of ``weights[j]`` over the columns j where it
+    holds a 1, every weight 1 when ``weights`` is None: a column of weight m
+    counts as m copies of itself, flipped together.
 
     A carry-save adder chain sums the columns into bit-planes of every
-    lane's weight (plane i holds bit i). The count of weight w is the
-    bit_count of the AND of the planes, or of their complements, that spell
-    w. Those ANDs share their prefixes from the top plane down, and a prefix
-    v, with i planes left, is dropped once [v, v | (2^i - 1)] meets neither
-    window: its lowest possible weight exceeds max_weight or its highest
-    falls below min_weight, and its highest falls below heavy_from.
+    lane's weight (plane i holds bit i). Its inputs come per plane: a column
+    of weight m joins the chain at plane i for every set bit i of m. The
+    count of weight w is the bit_count of the AND of the planes, or of their
+    complements, that spell w. Those ANDs share their prefixes from the top
+    plane down, and a prefix v, with i planes left, is dropped once
+    [v, v | (2^i - 1)] meets neither window: its lowest possible weight
+    exceeds max_weight or its highest falls below min_weight, and its
+    highest falls below heavy_from.
 
     A block whose lanes are likely all heavier than max_weight is summed in
     two parts: a head of ``_head_size`` leading columns, then the tail. A
-    lane weighs at least its head weight, so if the lightest lane of the
-    head, read from its planes top down, is heavier than max_weight, no lane
-    is counted and the tail is never read. Otherwise the tail columns join
-    the chain seeded with the head's planes, and the count is the one the
-    whole block gives. With heavy_from given there is no head check, as a
-    heavy lane can count.
+    lane weighs at least its (weighted) head weight, so if the lightest lane
+    of the head, read from its planes top down, is heavier than max_weight,
+    no lane is counted and the tail is never read. Otherwise the tail
+    columns join the chain with plane i of the head as one more input at
+    plane i, and the count is the one the whole block gives. With heavy_from
+    given there is no head check, as a heavy lane can count.
     """
     counts: dict[int, int] = {}
     if hi <= lo or max_weight < max(min_weight, 0) and heavy_from is None:
@@ -320,11 +338,17 @@ def weight_histograms(
     mask = (1 << (hi - lo)) - 1
     below = (1 << hi) - 1
     head = 0 if heavy_from is not None else _head_size(len(columns), (hi - lo).bit_length(), max_weight)
+    if weights is not None:  # the planes each column joins the chain at, as indices of ``raised``
+        joins = [[-1 - i for i in range(m.bit_length()) if m >> i & 1] for m in weights]
+        top_bits = max(weights, default=1).bit_length()
     planes: list[int] = []
     for first, stop in ((0, head), (head, None)) if head else ((0, None),):
         if first and _least_weight(planes, mask) > max_weight:
             return counts  # the tail is never read
         level, seed = planes[:1], planes[:0:-1]  # plane i of the head joins the chain at weight 2^i
+        # raised[-1 - i] holds the weighted columns whose weight has bit i, and a 0, so that the
+        # chain runs through plane i even when no column joins there
+        raised = [[0] for _ in range(top_bits)] if weights is not None else []
         # islice, not a slice: a copied tuple of columns per call fragments the heap (the p = 137
         # census's peak RSS grew by about 0.3 MB over 1000 runs)
         for j, col in enumerate(islice(columns, first, stop) if head else columns, first):
@@ -338,7 +362,13 @@ def weight_histograms(
             if (flips >> j) & 1:
                 col ^= mask
             if col:
-                level.append(col)
+                if weights is None:
+                    level.append(col)
+                else:
+                    for i in joins[j]:
+                        raised[i].append(col)
+        if raised:
+            level += raised.pop()
         planes = []
         while level:
             carries = []
@@ -355,6 +385,8 @@ def weight_histograms(
             level = [c for c in carries if c]
             if seed:  # kept even if 0, so that the planes above it still join
                 level.append(seed.pop())
+            if raised:
+                level += raised.pop()
     top = 1 << len(planes) if heavy_from is None else heavy_from  # no lane weighs 2^len(planes)
     if not planes:  # every lane has weight 0
         if min_weight <= 0 <= max_weight or top <= 0:

@@ -10,24 +10,31 @@ A subcode is the parent code intersected, once, with the vectors constant on
 the orbits of its group. A sum of orbits lies in the code iff the syndromes of
 its orbits, each the XOR of the parity-check columns of its coordinates, sum
 to zero, so the subcode is the left kernel of the #orbits x (n - k) syndrome
-matrix mapped back to sums of orbits. The code's parity-check columns and its
-rref, against which every basis row is checked, are computed once per code.
-Its words are counted on a folded copy: coordinates whose basis columns are
-equal hold equal bits in every word, so a class of s of them weighs s or 0.
-Keeping s // g coordinates per class, g the gcd of the class sizes, divides
-every word's weight by exactly g and keeps the words in the same order, so the
-folded counts, with weights multiplied by g, are the exact counts.
+matrix. That kernel is reduced in orbit coordinates and only then mapped back
+to sums of orbits; as the orbits come in the order of their least
+coordinates, the result is the rref of the subcode in coordinates, the basis
+a reduction at full width would give. The code's parity-check columns and
+its rref, against which every basis row is checked, are computed once per
+code, and the basis columns that the fixedness check computes are kept for
+the fold. Its words are counted on a folded copy: coordinates whose basis
+columns are equal hold equal bits in every word, so a class of s of them
+weighs s or 0. Weighing each class s // g, g the gcd of the class sizes,
+divides every word's weight by exactly g and keeps the words in the same
+order, so the folded counts, with weights multiplied by g, are the exact
+counts.
 
 A folded code is counted one of two ways. The default walks its words in
-Gray order. The extended code holds the all-ones word and every permutation
-fixes it, so every subcode holds it too and its words come in complement
-pairs, of weights w and n - w. When the folded code holds its own all-ones
-word, the walk visits the 2^(k-1) words spanned by all rows but the last and
-counts each as itself and as its complement; otherwise it visits all 2^k.
-When the folded code is half-rate, [2k, k], with two disjoint
-information sets, the census that counts the extended code
-(``census.census_counts``) counts its words of folded weight <= W =
-max_weight // g instead, once it walks fewer patterns than the 2^k words.
+Gray order, one column per class, weighted by the class's weight: at
+p = 137 that is 36 columns for G4_0, whose fold is 69 wide. The extended
+code holds the all-ones word and every permutation fixes it, so every
+subcode holds it too and its words come in complement pairs, of weights w
+and n - w. When the folded code holds its own all-ones word, the walk visits
+the 2^(k-1) words spanned by all rows but the last and counts each as itself
+and as its complement; otherwise it visits all 2^k. When the folded code is
+half-rate, [2k, k], with two disjoint information sets, the census that
+counts the extended code (``census.census_counts``) counts its words of
+folded weight <= W = max_weight // g instead, once it walks fewer patterns
+than the 2^k words; its rows hold each class as many times as its weight.
 At p = 137, S_3 folds to a [46, 23] code: a census to W = 11 walks 89,104
 patterns where the walk visits 2^23 words.
 
@@ -46,7 +53,7 @@ visit 2^32 words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from math import gcd
 from operator import or_, xor
 from typing import Mapping, Sequence
@@ -67,6 +74,12 @@ class InvariantSubcode:
     @property
     def k(self) -> int:
         return self.basis.nrows
+
+    @cached_property
+    def columns(self) -> list[int]:
+        """The basis columns: bit r of column j is coordinate j of row r.
+        ``invariant_subcode`` stores the ones its fixedness check computes."""
+        return bitlinalg.transpose(self.basis)
 
 
 def fixed_space(group: Sequence[CoordPermutation], n: int) -> BitMatrix:
@@ -97,19 +110,12 @@ def fixed_space(group: Sequence[CoordPermutation], n: int) -> BitMatrix:
     return BitMatrix(n, tuple(orbits))
 
 
-def _set_bits(x: int):
-    """The set bits of x, each as a power of two, lowest first."""
-    while x:
-        low = x & -x
-        yield low
-        x ^= low
-
-
 @lru_cache(maxsize=2)
 def _parity_checks(code: BitMatrix) -> tuple[dict[int, int], dict[int, int]]:
     """The code's rref rows, and the columns of its parity-check matrix H,
     both keyed by the power of two of their coordinate and both from one
-    reduction; the last two codes' are kept.
+    reduction; the last two codes' are kept. The H-columns come in the order
+    of their coordinates.
 
     Bit t of the column at coordinate j is coordinate j of row t of
     ``bitlinalg.dual_basis(code)``: that row is free coordinate f_t plus the
@@ -120,18 +126,14 @@ def _parity_checks(code: BitMatrix) -> tuple[dict[int, int], dict[int, int]]:
     free = [1 << c for c in range(code.cols) if 1 << c not in pivot_rows]
     checks = {f: 1 << t for t, f in enumerate(free)}
     for pivot, row in pivot_rows.items():
-        checks[pivot] = reduce(or_, (checks[f] for f in _set_bits(row ^ pivot)), 0)
-    return pivot_rows, checks
-
-
-def _basis_columns(basis: BitMatrix) -> list[int]:
-    """The basis transposed: bit r of column j is coordinate j of row r."""
-    if not basis.rows:
-        return [0] * basis.cols
-    # each row as a string of its bits, coordinate 0 last and the last row
-    # first, so that reading the strings down one position spells a column
-    lines = [bin(row | 1 << basis.cols)[3:] for row in reversed(basis.rows)]
-    return [int("".join(bits), 2) for bits in zip(*lines)][::-1]
+        row ^= pivot  # the free coordinates the rref row holds
+        check = 0
+        while row:
+            low = row & -row
+            check |= checks[low]
+            row ^= low
+        checks[pivot] = check
+    return pivot_rows, {1 << c: checks[1 << c] for c in range(code.cols)}
 
 
 def invariant_subcode(code: BitMatrix, group: Sequence[CoordPermutation]) -> InvariantSubcode:
@@ -141,52 +143,89 @@ def invariant_subcode(code: BitMatrix, group: Sequence[CoordPermutation]) -> Inv
     lies in the code iff sum of c_o * H 1_o = 0, H the code's parity-check
     matrix. The syndrome H 1_o is the XOR of the H-columns of the orbit's
     coordinates, so the subcode is the left kernel of the #orbits x (n - k)
-    syndrome matrix, mapped back to sums of orbits and reduced. At p = 137
-    that is a 70 x 69 elimination for H2 and a 2 x 69 one for S_137.
+    syndrome matrix. At p = 137 that is a 70 x 69 elimination for H2 and a
+    2 x 69 one for S_137.
 
-    Two checks follow that do not use the syndromes. Every basis row must lie
-    in the code: an rref row is zero at every other pivot, so a vector lies in
-    the code iff it equals the XOR of the rows whose pivots it holds. And
-    every permutation must fix every basis row, which it does exactly when it
-    maps each coordinate to one with the same basis column. The code's rref
-    and H-columns are cached (``_parity_checks``), so a code is reduced once
-    for all its subcodes.
+    The kernel is reduced in orbit coordinates, #orbits columns (at most 70
+    at p = 137, not 138), and only then is each row expanded to its union of
+    orbits. That is the rref of the expanded rows, as rref is unique: the
+    orbits come in the order of their least coordinates, so a row's lowest
+    coordinate is the least one of its pivot orbit, and every other row is
+    zero on that orbit, so zero at that coordinate too.
+
+    Two checks follow on the expanded basis that do not use the syndromes.
+    Every basis row must lie in the code: an rref row is zero at every other
+    pivot, so a vector lies in the code iff it equals the XOR of the rows
+    whose pivots it holds. And every permutation must fix every basis row,
+    which it does exactly when it maps each coordinate to one with the same
+    basis column. Those columns are kept on the subcode (``columns``) for the
+    fold. The code's rref and H-columns are cached (``_parity_checks``), so
+    a code is reduced once for all its subcodes.
     """
+    n = code.cols
     for perm in group:
-        if len(perm.image) != code.cols:
-            raise ValueError(f"permutation degree {len(perm.image)} != code length {code.cols}")
+        if len(perm.image) != n:
+            raise ValueError(f"permutation degree {len(perm.image)} != code length {n}")
     pivot_rows, checks = _parity_checks(code)
-    orbits = fixed_space(group, code.cols).rows
-    syndromes = tuple(reduce(xor, (checks[b] for b in _set_bits(o)), 0) for o in orbits)
-    combos = bitlinalg.left_kernel(BitMatrix(code.cols - len(pivot_rows), syndromes)).rows
-    words = [reduce(or_, (orbits[b.bit_length() - 1] for b in _set_bits(c)), 0) for c in combos]
-    basis = bitlinalg.rref(BitMatrix(code.cols, tuple(words)))[0]
+    h = list(checks.values())  # the H-column of coordinate j
+    orbits = fixed_space(group, n).rows
+    syndromes = []
+    for orbit in orbits:
+        syndrome = 0
+        while orbit:
+            low = orbit & -orbit
+            syndrome ^= h[low.bit_length() - 1]
+            orbit ^= low
+        syndromes.append(syndrome)
+    combos = bitlinalg.left_kernel(BitMatrix(n - len(pivot_rows), tuple(syndromes)))
+    words = []
+    for combo in bitlinalg.rref(combos)[0].rows:
+        word = 0
+        while combo:
+            low = combo & -combo
+            word |= orbits[low.bit_length() - 1]
+            combo ^= low
+        words.append(word)
+    basis = BitMatrix(n, tuple(words))
     pivots = reduce(or_, pivot_rows, 0)
-    for v in basis.rows:
-        if v != reduce(xor, (pivot_rows[b] for b in _set_bits(v & pivots)), 0):
+    for v in words:
+        held, w = v & pivots, 0
+        while held:
+            low = held & -held
+            w ^= pivot_rows[low]
+            held ^= low
+        if w != v:
             raise InvariantViolation("invariant subcode escaped the parent code")
-    columns = _basis_columns(basis)
+    columns = bitlinalg.transpose(basis)
     for perm in group:
         if any(columns[i] != columns[v] for i, v in enumerate(perm.image)):
             raise InvariantViolation("basis row not fixed by the defining group")
-    return InvariantSubcode(basis=basis)
+    sub = InvariantSubcode(basis=basis)
+    sub.__dict__["columns"] = columns  # the cached property, computed once
+    return sub
 
 
-def _fold(basis: BitMatrix) -> tuple[list[int], int, int]:
-    """The basis rows projected onto ``size // g`` coordinates of each class.
+def _fold(sub: InvariantSubcode) -> tuple[list[int], list[int], int]:
+    """The classes of the subcode's coordinates, with their weights and g.
 
     A class is a set of coordinates whose basis columns are equal and nonzero,
-    and g is the gcd of the class sizes. Returns the projected rows, in the
-    basis order, with g and the projected width.
+    and g is the gcd of the class sizes. Returns each class's column (bit r =
+    row r's bit), in the order of its first coordinate, with its weight
+    size // g, and g.
     """
-    classes: dict[int, int] = {}  # column (bit r = row r's bit) -> class size
-    for column in _basis_columns(basis):
+    classes: dict[int, int] = {}  # column -> class size
+    for column in sub.columns:
         if column:
             classes[column] = classes.get(column, 0) + 1
     g = gcd(*classes.values()) or 1  # no nonzero column: every word weighs 0
-    kept = [column for column, size in classes.items() for _ in range(size // g)]
-    # the kept columns are the rows of a basis.nrows-column matrix, whose columns are the folded rows
-    return _basis_columns(BitMatrix(basis.nrows, tuple(kept))), g, len(kept)
+    return list(classes), [size // g for size in classes.values()], g
+
+
+def _expanded(classes: Sequence[int], weights: Sequence[int], k: int) -> BitMatrix:
+    """The k folded rows with each class held as many times as its weight,
+    the copies next to each other in the order of the classes."""
+    kept = [column for column, weight in zip(classes, weights) for _ in range(weight)]
+    return BitMatrix(len(kept), tuple(bitlinalg.transpose(BitMatrix(k, tuple(kept)))))
 
 
 def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: bool = False) -> dict[int, int]:
@@ -200,30 +239,36 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
     the budget. A walk that pairs words with their complements (below)
     visits only half of the 2^k words it is charged.
 
-    The rows are folded first (``_fold``). Coordinates whose basis columns are
-    equal carry the same bit in every word, so a class of s such coordinates
-    adds s or 0 to a word's weight. With g the gcd of the class sizes, keeping
-    s // g coordinates of each class (and none of the all-zero columns) leaves
-    a code whose word i weighs exactly 1/g of the weight of word i here: same
-    rows, same Gray order, so the counts of folded weight w are the counts of
-    weight w * g, and weight <= max_weight means folded weight <= max_weight // g.
+    The coordinates are folded first (``_fold``). Coordinates whose basis
+    columns are equal carry the same bit in every word, so a class of s such
+    coordinates adds s or 0 to a word's weight. With g the gcd of the class
+    sizes, a class of weight s // g (and no all-zero column) leaves a code
+    whose word i weighs exactly 1/g of the weight of word i here: same rows,
+    same Gray order, so the counts of folded weight w are the counts of
+    weight w * g, and weight <= max_weight means folded weight <= max_weight
+    // g. The folded width is the sum of the class weights.
 
     When the folded code is half-rate (width 2k) with two disjoint
     information sets, the census that counts the extended code counts it
     instead (``census.census_counts``, to W = max_weight // g), provided the
     patterns it walks (``census.pattern_cost``) are fewer than the 2^k words.
-    Its pair is found before the budget is charged.
+    Its rows hold each class as many times as its weight, next to each other
+    in the order of the classes. Its pair is found before the budget is
+    charged.
 
-    Otherwise the words are walked. If the folded code holds its all-ones
-    word u, and C' is spanned by all rows but the last, the code is C' and
-    C' + u: an rref basis holds u exactly when its rows XOR to u, since u
-    holds every pivot, and then the last row is u plus a word of C'. A word
-    x + u weighs width - w(x), so the walk runs over the m = k - 1 rows of C'
-    and the kernel counts a second window: a word of folded weight
-    w <= W = max_weight // g counts as w, and one of weight >= width - W as
-    width - w (both when 2W >= width). Any other basis is walked over its
-    m = k rows. Word i is the combination of the m rows selected by the bits
-    of gray(i).
+    Otherwise the words are walked, one weighted column per class: the rows
+    are the basis rows on the classes, and the kernel weighs a class's bit
+    with the class's weight (``weight_histograms(weights=...)``). At p = 137
+    that is 36 columns for G4_0 and 34 for G4_1, not 69. If the rows XOR to
+    every class, the code holds its all-ones word u; with C' spanned by all
+    rows but the last, the code is C' and C' + u: an rref basis holds u
+    exactly when its rows XOR to u, since u holds every pivot, and then the
+    last row is u plus a word of C'. A word x + u weighs width - w(x), so the
+    walk runs over the m = k - 1 rows of C' and the kernel counts a second
+    window: a word of folded weight w <= W = max_weight // g counts as w, and
+    one of weight >= width - W as width - w (both when 2W >= width). Any
+    other basis is walked over its m = k rows. Word i is the combination of
+    the m rows selected by the bits of gray(i).
 
     The walk cuts the words into blocks j = 0 .. 2^(m-a) - 1 of 2^a words,
     i = j*2^a .. (j+1)*2^a - 1: the words of block j are the combination of
@@ -236,25 +281,29 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
     support = reduce(or_, sub.basis.rows, 0).bit_count()
     if support % (2 * k or 1):
         census.check_budget(1 << k, long_run)
-    rows, g, width = _fold(sub.basis)
+    classes, weights, g = _fold(sub)
+    width = sum(weights)
     folded_max = max_weight // g
     if width == 2 * k and census.pattern_cost(k, folded_max) < 1 << k:
-        counted = census.census_counts(BitMatrix(width, tuple(rows)), folded_max, long_run=long_run)
+        counted = census.census_counts(_expanded(classes, weights, k), folded_max, long_run=long_run)
         if counted is not None:
             return {w * g: c for w, c in counted[1].items()}
     census.check_budget(1 << k, long_run)
-    paired = k > 0 and reduce(xor, rows) == (1 << width) - 1
+    rows = bitlinalg.transpose(BitMatrix(k, tuple(classes)))
+    paired = k > 0 and reduce(xor, rows) == (1 << len(classes)) - 1
     if paired:
         rows = rows[:-1]
     heavy = width - folded_max if paired else None
-    a = min(len(rows), max(0, (bitlinalg.TABLE_BITS // max(width, 1)).bit_length() - 1))
-    columns = bitlinalg.span_columns(rows[:a], width)
+    a = min(len(rows), max(0, (bitlinalg.TABLE_BITS // max(len(classes), 1)).bit_length() - 1))
+    columns = bitlinalg.span_columns(rows[:a], len(classes))
     counts = {}
     base = 0
     for j in range(1 << (len(rows) - a)):
         if j:  # gray(j) is gray(j - 1) with the lowest set bit of j flipped
             base ^= rows[a + (j & -j).bit_length() - 1]
-        for w, c in bitlinalg.weight_histograms(columns, base, 0, 1 << a, folded_max, heavy_from=heavy).items():
+        for w, c in bitlinalg.weight_histograms(
+            columns, base, 0, 1 << a, folded_max, heavy_from=heavy, weights=weights
+        ).items():
             if w <= folded_max:
                 counts[w * g] = counts.get(w * g, 0) + c
             if paired and w >= heavy:  # the lane's complement, a word of the other half

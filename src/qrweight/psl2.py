@@ -15,6 +15,7 @@ is the one check of which primes are supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
 
 from .errors import InvariantViolation
@@ -134,16 +135,25 @@ class CoordPermutation:
         return lcm(*(len(c) for c in self.cycles()))
 
 
+@lru_cache(maxsize=16)
+def _inverses(p: int) -> tuple[int, ...]:
+    """1/y mod p at index y, for y = 1..p-1 (index 0 holds 0); the last 16
+    primes' tables are kept."""
+    inv = [0, 1] + [0] * (p - 2)
+    for y in range(2, p):
+        inv[y] = -(p // y) * inv[p % y] % p  # p = (p // y) y + p % y, so 1/y = -(p // y)/(p % y)
+    return tuple(inv)
+
+
 def to_permutation(m: MoebiusMap) -> CoordPermutation:
     """Realize the Moebius map on {0..p-1, infinity} with x/0 = infinity."""
     p = m.p
     if (m.a * m.d - m.b * m.c) % p != 1 % p:
         raise ValueError("determinant not normalized")
-    image = [0] * (p + 1)
-    for y in range(p):
-        den = (m.c * y + m.d) % p
-        image[y] = p if den == 0 else ((m.a * y + m.b) * pow(den, -1, p)) % p
-    image[p] = p if m.c % p == 0 else (m.a * pow(m.c, -1, p)) % p
+    inv = _inverses(p)
+    a, b, c, d = m.a, m.b, m.c, m.d
+    image = [p if (den := (c * y + d) % p) == 0 else (a * y + b) * inv[den] % p for y in range(p)]
+    image.append(p if c % p == 0 else a * inv[c % p] % p)
     return CoordPermutation(p, tuple(image))
 
 

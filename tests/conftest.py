@@ -10,7 +10,8 @@ The MacWilliams oracle expands every term of the transform on its own, and
 the hull oracle intersects the code with its dual basis. The small helpers
 below them (matrices from 0/1 lists, row-space membership, polynomial
 evaluation, left-to-right composition of permutations, a permutation applied
-to a bit vector, the scaling-word identity of PSL2(p)) are used by tests only.
+to a bit vector, the scaling-word identity of PSL2(p), a Moebius map's images
+point by point) are used by tests only.
 """
 
 from __future__ import annotations
@@ -83,6 +84,15 @@ def verify_scaling_word(p: int, rho: int) -> bool:
     word = then(t, s_rho, t, s_mu, t, s_rho)
     scaling = to_permutation(MoebiusMap(p, rho, 0, 0, mu))
     return word == scaling
+
+
+def moebius_images(m: MoebiusMap) -> tuple[int, ...]:
+    """The image of every point under the map, point p standing for infinity,
+    by the formula (a y + b) / (c y + d) with one modular inverse per point."""
+    p = m.p
+    image = [p if (m.c * y + m.d) % p == 0 else (m.a * y + m.b) * pow(m.c * y + m.d, -1, p) % p for y in range(p)]
+    image.append(p if m.c % p == 0 else m.a * pow(m.c, -1, p) % p)
+    return tuple(image)
 
 
 def exhaustive_distribution(rows, n) -> list[int]:

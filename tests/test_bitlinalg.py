@@ -387,6 +387,54 @@ def test_weight_histograms_with_a_heavy_window_match_direct_popcounts(data):
     )
 
 
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_weighted_columns_count_as_the_columns_repeated(data):
+    # a column of weight m, flipped or not, counts as m copies of it; narrow
+    # blocks of any bits with any windows, or blocks wide enough for a head
+    # check with one planted lane of weighted weight <= max_weight
+    wide = data.draw(st.booleans())
+    lanes = data.draw(st.integers(1, 700) if wide else st.integers(0, 200))
+    lo = data.draw(st.one_of(st.just(0), st.integers(1, 300)))
+    hi = lo + lanes
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    if wide:
+        max_weight = data.draw(st.integers(0, 12))
+        head = _head_size(1000, lanes.bit_length(), max_weight)
+        width = data.draw(st.integers(head + 1, head + 20))
+        assert 0 < _head_size(width, lanes.bit_length(), max_weight) < width
+    else:
+        width = data.draw(st.integers(0, 14))
+    weights = [data.draw(st.one_of(st.just(1), st.integers(1, 9))) for _ in range(width)]
+    columns = [rng.getrandbits(hi + data.draw(st.integers(0, 100))) for _ in range(width)]
+    flips = rng.getrandbits(width + 2)
+    if wide:
+        x = data.draw(st.integers(lo, hi - 1))
+        ones, budget = set(), max_weight
+        for j in rng.sample(range(width), width):
+            if weights[j] <= budget and rng.random() < 0.5:
+                ones.add(j)
+                budget -= weights[j]
+        for j in range(width):
+            bit = ((flips >> j) ^ (j in ones)) & 1  # lane x's word, flipped, has its ones at ``ones``
+            columns[j] = columns[j] & ~(1 << x) | bit << x
+        min_weight = data.draw(st.one_of(st.just(0), st.integers(-1, max_weight + 1)))
+        heavy_from = None
+    else:
+        total = sum(weights)
+        max_weight = data.draw(st.integers(-1, total + 1))
+        min_weight = data.draw(st.one_of(st.just(0), st.integers(-1, total + 2)))
+        heavy_from = data.draw(st.one_of(st.none(), st.just(total - max_weight), st.integers(-1, total + 2)))
+    repeated = [col for col, m in zip(columns, weights) for _ in range(m)]
+    repeated_flips = sum(((flips >> j) & 1) << i for i, j in enumerate(j for j, m in enumerate(weights) for _ in range(m)))
+    expected = popcount_histogram(repeated, repeated_flips, lo, hi, max_weight, min_weight, heavy_from)
+    assert weight_histograms(repeated, repeated_flips, lo, hi, max_weight, min_weight, heavy_from) == expected
+    assert weight_histograms(columns, flips, lo, hi, max_weight, min_weight, heavy_from, weights) == expected
+    # weights of 1 are the unweighted table
+    unweighted = popcount_histogram(columns, flips, lo, hi, max_weight, min_weight, heavy_from)
+    assert weight_histograms(columns, flips, lo, hi, max_weight, min_weight, heavy_from, [1] * width) == unweighted
+
+
 class ReadColumns(Sequence):
     """Columns that record which indices ``weight_histograms`` reads."""
 
@@ -432,3 +480,7 @@ def test_weight_histograms_of_lanes_that_all_weigh_zero():
         assert weight_histograms(columns, flips, 0, 5, 3, 1) == {}
         # a heavy window from 0 counts them even when the light window is empty
         assert [weight_histograms(columns, flips, 0, 5, -1, 0, heavy) for heavy in (0, 1)] == [{0: 5}, {}]
+        # so do weighted columns that hold no 1 in the block
+        weights = [2, 5][: len(columns)]
+        assert weight_histograms(columns, flips, 2, 5, 3, weights=weights) == {0: 3}
+        assert weight_histograms(columns, flips, 0, 5, 3, 1, weights=weights) == {}

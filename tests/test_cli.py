@@ -359,6 +359,18 @@ def test_pipeline_p41_matches_brute_force(tmp_path, capsys, family41, dist41):
     assert written == PIPELINE_P41_SHA256
 
 
+def test_pipeline_p73_table_and_congruences_are_pinned(tmp_path, capsys):
+    # the one prime between 41 and 137 that a test runs: H2 (k = 19), G4_0 and
+    # G4_1 (10, 11), S_3 (13, weights 1 and 3), S_37 and S_73 in orbit
+    # coordinates, and their weighted classes
+    rc, _ = run(capsys, "pipeline", "--p", "73", "--t", "8", "--out", str(tmp_path))
+    assert rc == 0
+    assert hashlib.sha256((tmp_path / "table.txt").read_bytes()).hexdigest() == (
+        "a241193387845b69056fa4e65d5a75992765f23bf5247088f2ba39b01021a041")
+    manifest = json.loads((tmp_path / "congruence.json").read_text())["manifest"]
+    assert manifest["payload_sha256"] == "7e619232174a3624874de40235b1776be5c4719b8a5fa0e0492a24e0c2392f78"
+
+
 def test_pipeline_fails_a_census_count_that_breaks_its_congruence(tmp_path, capsys, monkeypatch):
     honest = census.run_census
 

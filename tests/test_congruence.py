@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from functools import reduce
+from math import gcd
 from operator import or_, xor
 
 import pytest
@@ -135,9 +136,9 @@ def test_budget_charges_the_lanes_of_the_route_taken(family137, fx137, monkeypat
         charged.append(lanes)
         check_budget(lanes, long_run)
 
-    def record_fold(basis):
-        folded.append(basis.nrows)
-        return fold(basis)
+    def record_fold(sub):
+        folded.append(sub.k)
+        return fold(sub)
 
     monkeypatch.setattr(census, "check_budget", charge)
     monkeypatch.setattr(congruence, "_fold", record_fold)
@@ -244,9 +245,65 @@ def test_counts_of_codes_holding_the_all_ones_word_match_the_gray_walk(basis, da
         mp.setattr(bitlinalg, "weight_histograms", spy)
         counts = subcode_weight_counts(InvariantSubcode(basis=basis), max_weight)
     assert counts == gray_walk_counts(rows, max_weight, 0, 1 << k)
-    width = congruence._fold(basis)[2]
+    width = sum(congruence._fold(InvariantSubcode(basis=basis))[1])
     if lanes or width != 2 * k:  # else a half-rate fold was counted by the census
         assert sum(lanes) == 1 << (k - 1 if paired else k)
+
+
+@st.composite
+def codes_with_weighted_classes(draw):
+    """Rows on 2..8 distinct nonzero class columns, class c repeated g * m_c
+    times with the multiplicities m_c drawn from 1..4 and not all equal, plus
+    all-zero coordinates, in a random order; half the time the last row is
+    replaced by the XOR of all rows with the all-ones word of the support,
+    so that the rows XOR to it."""
+    k = draw(st.integers(2, 8))
+    g = draw(st.integers(1, 3))
+    classes = draw(st.lists(st.integers(1, (1 << k) - 1), min_size=2, max_size=8, unique=True))
+    mults = draw(st.lists(st.integers(1, 4), min_size=len(classes), max_size=len(classes)))
+    if len(set(mults)) == 1:
+        mults[0] = mults[0] % 4 + 1
+    zeros = draw(st.integers(0, 3))
+    coords = draw(st.permutations(
+        [column for column, m in zip(classes, mults) for _ in range(g * m)] + [0] * zeros))
+    rows = [sum((column >> r & 1) << j for j, column in enumerate(coords)) for r in range(k)]
+    if draw(st.booleans()):
+        rows[-1] ^= reduce(xor, rows) ^ reduce(or_, rows)
+    return BitMatrix(len(coords), tuple(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes_with_weighted_classes(), st.data())
+def test_walks_with_weighted_classes_match_the_gray_walk(basis, data):
+    # the kernel is handed one column per class and the classes' weights
+    k, rows, n = basis.nrows, basis.rows, basis.cols
+    max_weight = data.draw(st.one_of(st.integers(0, n), st.integers(n // 2, n)))
+    table_bits = data.draw(st.sampled_from([bitlinalg.TABLE_BITS, 1 << 8, 1]))
+    handed = []
+    kernel = bitlinalg.weight_histograms
+
+    def spy(columns, flips, lo, hi, *args, weights=None, **kwargs):
+        handed.append((len(columns), weights))
+        return kernel(columns, flips, lo, hi, *args, weights=weights, **kwargs)
+
+    sub = InvariantSubcode(basis=basis)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bitlinalg, "TABLE_BITS", table_bits)
+        mp.setattr(bitlinalg, "weight_histograms", spy)
+        counts = subcode_weight_counts(sub, max_weight)
+    assert counts == gray_walk_counts(rows, max_weight, 0, 1 << k)
+    # the classes of the rows as they are: the last row may have been changed
+    sizes = {}
+    for column in bitlinalg.transpose(basis):
+        if column:
+            sizes[column] = sizes.get(column, 0) + 1
+    g = gcd(*sizes.values())
+    assert congruence._fold(sub) == (list(sizes), [s // g for s in sizes.values()], g)
+    if handed:
+        assert all(width == len(sizes) and list(weights) == [s // g for s in sizes.values()]
+                   for width, weights in handed)
+    else:  # a half-rate fold counted by the census
+        assert sum(sizes.values()) // g == 2 * k
 
 
 def test_p137_g4_walks_hand_the_kernel_half_the_words_they_charge(family137, fx137, monkeypatch):
@@ -258,20 +315,26 @@ def test_p137_g4_walks_hand_the_kernel_half_the_words_they_charge(family137, fx1
         charged.append(count)
         check_budget(count, long_run)
 
+    widths = set()
+
     def spy(columns, flips, lo, hi, *args, **kwargs):
         lanes.append(hi - lo)
+        widths.add(len(columns))
         return kernel(columns, flips, lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(census, "check_budget", charge)
     monkeypatch.setattr(bitlinalg, "weight_histograms", spy)
-    for label, index, k in ((G4_0, 0, 19), (G4_1, 1, 18)):
+    for label, index, k, classes in ((G4_0, 0, 19, 36), (G4_1, 1, 18, 34)):
         sub = invariant_subcode(family137.extended, [to_permutation(g) for g in plan.g4_elements(index)])
         assert sub.k == k
         charged.clear()
         lanes.clear()
+        widths.clear()
         counts = subcode_weight_counts(sub, 34)
         # 138 is no multiple of 2k, so the 2^k words are charged before the fold and again before the walk
         assert charged == [1 << k] * 2 and sum(lanes) == 1 << (k - 1)
+        # one weighted column per class of equal coordinates, not the 69 of the fold
+        assert widths == {classes}
         row = fx137["subgroup_counts"][label]
         assert {w: counts.get(w, 0) for w in row} == row
 
@@ -332,11 +395,11 @@ def test_census_route_matches_the_gray_walk(data):
 @given(half_rate_subcodes(), st.data())
 def test_dead_units_are_empty_under_the_scalar_walk(sub_g, data):
     sub, _ = sub_g
-    rows, _, width = congruence._fold(sub.basis)
-    k = len(rows)
-    if width != 2 * k:
+    k = sub.k
+    folded = congruence._expanded(*congruence._fold(sub)[:2], k)
+    if folded.cols != 2 * k:
         return  # no census for this code
-    matrices = bitlinalg.disjoint_information_systematizations(BitMatrix(width, tuple(rows)))
+    matrices = bitlinalg.disjoint_information_systematizations(folded)
     if matrices is None:
         return  # no census for this code
     max_weight = data.draw(st.integers(0, 2 * k))
@@ -374,9 +437,9 @@ def test_odd_prime_subcodes_match_the_gray_walk_at_every_max_weight(p, request, 
 def test_information_sets_of_the_half_rate_folds(request, p, q, found):
     # these folds are [2k, k]; a pair sends the subcode to the census route
     sub = dict(_odd_prime_subcodes(request.getfixturevalue(f"family{p}"), p))[q]
-    rows, _, width = congruence._fold(sub.basis)
-    assert width == 2 * sub.k
-    pair = bitlinalg.disjoint_information_systematizations(BitMatrix(width, tuple(rows)))
+    folded = congruence._expanded(*congruence._fold(sub)[:2], sub.k)
+    assert folded.cols == 2 * sub.k
+    pair = bitlinalg.disjoint_information_systematizations(folded)
     assert (pair is not None) == found
 
 
@@ -407,16 +470,18 @@ def test_full_subcode_rows_golden_digest(p, digest, request):
 
 
 def test_invariant_subcode_intersects_once_with_the_group_orbits(family41):
-    # H2 and G4_0 at p = 41 given as lists of elements: one intersection with
-    # the orbits of the whole group equals the intersection element by element
-    plan = find_sylow_plan(41)
-    for group in (plan.h2_elements(), plan.g4_elements(0)):
-        perms = [to_permutation(g) for g in group]
-        expected = family41.extended
-        for perm in perms:
-            expected = bitlinalg.intersect_rowspaces(expected, BitMatrix(42, tuple(
-                sum(1 << i for i in cycle) for cycle in perm.cycles())))
-        assert invariant_subcode(family41.extended, perms).basis == expected
+    # H2 and G4_0 at p = 41 and p = 73 given as lists of elements: one
+    # intersection with the orbits of the whole group equals the intersection
+    # element by element
+    for code, p in ((family41.extended, 41), (build_family(73).extended, 73)):
+        plan = find_sylow_plan(p)
+        for group in (plan.h2_elements(), plan.g4_elements(0)):
+            perms = [to_permutation(g) for g in group]
+            expected = code
+            for perm in perms:
+                expected = bitlinalg.intersect_rowspaces(expected, BitMatrix(p + 1, tuple(
+                    sum(1 << i for i in cycle) for cycle in perm.cycles())))
+            assert invariant_subcode(code, perms).basis == expected
 
 
 def test_invariant_subcode_rejects_a_word_outside_the_code(family17, monkeypatch):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import factorint, n_order, primerange, primitive_root
 
 from qrweight.qrcodes import quadratic_residues
@@ -13,7 +15,7 @@ from qrweight.psl2 import (
     to_permutation,
 )
 
-from conftest import apply_to_bits, row_space_contains, verify_scaling_word
+from conftest import apply_to_bits, moebius_images, row_space_contains, verify_scaling_word
 
 
 def random_map(rng: random.Random, p: int) -> MoebiusMap:
@@ -23,6 +25,14 @@ def random_map(rng: random.Random, p: int) -> MoebiusMap:
             return MoebiusMap(p, a, b, c, (1 + b * c) * pow(a, -1, p))
         if (b * c) % p == p - 1:
             return MoebiusMap(p, 0, b, c, rng.randrange(p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7, 17, 41, 73, 137, 1009]), st.integers(0, 2**32))
+def test_to_permutation_matches_the_pointwise_formula(p, seed):
+    # small primes make c = 0 and a pole c y + d = 0 at a finite point common
+    m = random_map(random.Random(seed), p)
+    assert to_permutation(m).image == moebius_images(m)
 
 
 def test_translation_permutation_p137():
