@@ -11,29 +11,19 @@ half is strictly lighter counts every qualifying codeword exactly once.
 The same rule leaves some work units empty. A pattern of size s is kept only
 with parity weight q >= s (matrix 1) or q > s (matrix 2), and only when
 s + q <= W, so a unit (matrix, size) is live iff size + min_parity <= W with
-min_parity = size for matrix 1 and size + 1 for matrix 2. In any other unit
-q >= min_parity and size + q <= W cannot both hold, so it has no qualifying
-pattern whatever the code. Units stop at size t = W // 2, where matrix 1 is
-always live; for even W = 2t every matrix-2 unit of size t is dead (47% of
-the patterns of the p = 137, t = 4 census), and odd W has no dead unit.
-Dead units keep their place in the plan and their records, but no table
-is built and no kernel call is made for them.
-``pattern_cost`` counts the patterns of the live units, which is what a
-census walks.
+min_parity = size for matrix 1 and size + 1 for matrix 2. Units stop at size
+t = W // 2, where matrix 1 is always live; for even W = 2t every matrix-2
+unit of size t is dead (47% of the patterns of the p = 137, t = 4 census),
+and odd W has no dead unit. Dead units keep their place in the plan, but no
+table is built and no kernel call is made for them. ``pattern_cost`` counts
+the patterns of the live units, which is what a census walks.
 
-``count_units`` is the core: it counts work units of any half-rate code,
-given its two systematic row sets and the bound W, into per-weight totals,
-and keeps odd weights.
-``census_counts`` is its one entry, for the extended QR code (``run_census``)
-and folded invariant subcodes (``congruence``) alike: it takes the code's pair
-of systematic matrices (``census_setup``), checks the budget, plans and counts.
-``run_census`` adds the records, the provenance and the odd-weight check.
-
-``check_budget`` is the package's one enumeration budget, counted in kernel
-lanes: one lane is one census pattern or one walked subcode word, one slot of
-``weight_histograms``'s bit-sliced tables. Both enumerators run at tens of
-millions of lanes per second on one core, so the default 10^8 lanes is a few
-seconds; ``long_run`` lifts it.
+``count_units`` is the core for any half-rate code, odd weights kept, and
+``census_counts`` its one entry, for the extended QR code (``run_census``)
+and folded invariant subcodes (``congruence``) alike. ``check_budget`` is
+the package's one enumeration budget, counted in kernel lanes: one census
+pattern or one walked subcode word, one slot of ``weight_histograms``'s
+bit-sliced tables; ``long_run`` lifts its default of 10^8.
 
 Shards are rank intervals of the revolving-door order for combinations.
 Patterns of a fixed largest element a_t occupy the consecutive rank interval
@@ -46,24 +36,20 @@ fixed set of top elements above the table depth d. Such a block is the XOR
 of the top elements' rows with a lane range of one precomputed table of
 d-subset XORs in revolving-door order, where the ranks [lo, hi) of the
 d-subsets are the lanes [lo, hi), and ``bitlinalg.weight_histograms``
-counts the whole block at once. Counting is order-free and a shard's
-count comes from its own interval alone, so shards are independent.
+counts the whole block at once. Counting is order-free, so shards are
+independent.
 
-A shard is a plan index and nothing more: no unit has a tally or a digest
-of its own. The core counts by runs, not by shards: a run is a sequence of
-units of one (matrix, size), each starting where the one before it stops,
-and it is one walk of the recursion over [its first start, its last stop),
-one kernel call per top prefix however many shards it is cut into. The
-matrices' rows are checked once per census. A census artifact lists its
-shards as index ranges, and the records are rebuilt from the plan
-(``census_unit``) when it is read back.
-
-One cost model (``unit_costs``) picks each matrix's table depth
-(``table_depth``) and cuts the units into shares for the workers
-(``share_count``, ``_shares``): ``workers`` is an upper bound, and a census
-too small to repay a child process is counted in the calling one. The
-tables of both matrices stay cached in the process, so a second census of
-the same code builds none.
+A shard is a plan index and nothing more. A census is counted, written,
+read back and merged as index ranges, never unit by unit: ``_intervals``
+turns them into rank intervals (matrix, size, lo, hi), one per (matrix,
+size) run they meet, by arithmetic on the plan's run starts, and the core
+walks each interval once, one kernel call per top prefix however it is
+sharded. Its records are a view of the ranges (``ShardRecords``). One cost
+model (``rank_cost``) picks each matrix's table depth (``table_depth``) and
+cuts the intervals into shares for the workers at unit boundaries
+(``share_count``, ``_shares``); a census too small to repay a child process
+is counted in the calling one. Both matrices' tables stay cached in the
+process, so a second census of the same code builds none.
 """
 
 from __future__ import annotations
@@ -108,12 +94,8 @@ def is_live(matrix: int, size: int, max_weight: int) -> bool:
 def pattern_cost(k: int, max_weight: int) -> int:
     """Patterns a full census to max_weight walks: those of its live units,
     sum(C(k, s), s <= W // 2) + sum(C(k, s), s <= (W - 1) // 2)."""
-    return sum(
-        comb(k, size)
-        for matrix in (1, 2)
-        for size in range(max_weight // 2 + 1)
-        if is_live(matrix, size, max_weight)
-    )
+    sizes = range(max_weight // 2 + 1)
+    return sum(comb(k, size) for matrix in (1, 2) for size in sizes if is_live(matrix, size, max_weight))
 
 
 def check_budget(lanes: int, long_run: bool) -> None:
@@ -140,12 +122,42 @@ class ShardRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
+class ShardRecords(Sequence[ShardRecord]):
+    """The records of a census's shards, a read-only view of its checked,
+    ascending, disjoint, inclusive index ranges (first, last) of the plan (k,
+    t, block_size): each record is built (``census_unit``) only when read.
+    Two views are equal when their plans and ranges are."""
+
+    k: int
+    t: int
+    block_size: int
+    ranges: tuple[tuple[int, int], ...]
+
+    def __len__(self) -> int:
+        return sum(last + 1 - first for first, last in self.ranges)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        i += len(self) if i < 0 else 0
+        for first, last in self.ranges:
+            if 0 <= i <= last - first:
+                return ShardRecord._make(census_unit(self.k, self.t, self.block_size, first + i))
+            i -= last + 1 - first
+        raise IndexError("shard record index out of range")
+
+    def __iter__(self):
+        plan = (self.k, self.t, self.block_size)
+        return (ShardRecord._make(census_unit(*plan, i)) for first, last in self.ranges for i in range(first, last + 1))
+
+
+@dataclass(frozen=True)
 class CensusProvenance:
     code_digest: str
     max_info_weight: int
     block_size: int
     total_shards: int
-    shards: tuple[ShardRecord, ...]
+    shards: Sequence[ShardRecord]
 
 
 @dataclass(frozen=True)
@@ -190,17 +202,34 @@ def census_shard_total(k: int, t: int, block_size: int) -> int:
     return _run_starts(k, t, block_size)[-1] - 1
 
 
+def _intervals(k: int, t: int, block_size: int, ranges: Iterable[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+    """The rank intervals (matrix, size, lo, hi) of ascending, disjoint,
+    inclusive index ranges (first, last) of the plan, one per run a range
+    meets: the units first..last of the run whose first unit is s hold the
+    ranks [(first - s) * block_size, min((last + 1 - s) * block_size, C(k, size)))."""
+    starts = _run_starts(k, t, block_size)
+    top = min(t, k)  # the plan's largest size
+    intervals: list[tuple[int, int, int, int]] = []
+    for first, last in ranges:
+        run = bisect_right(starts, first) - 1  # the last run starting at or before first
+        while first <= last:
+            stop = min(last + 1, starts[run + 1])
+            matrix, size = run // (top + 1) + 1, run % (top + 1)
+            lo = (first - starts[run]) * block_size
+            hi = min((stop - starts[run]) * block_size, comb(k, size))
+            intervals.append((matrix, size, lo, hi))
+            first, run = stop, run + 1
+    return intervals
+
+
 def census_unit(k: int, t: int, block_size: int, index: int) -> tuple[int, int, int, int, int]:
     """Unit ``index`` of the plan, (index, matrix, size, start_rank, count),
     found by arithmetic without the other units."""
-    starts = _run_starts(k, t, block_size)
-    if not 1 <= index < starts[-1]:
-        raise ValueError(f"no unit {index}; the plan has units 1..{starts[-1] - 1}")
-    run = bisect_right(starts, index) - 1  # the last run starting at or before index
-    top = min(t, k)  # the plan's largest size
-    matrix, size = run // (top + 1) + 1, run % (top + 1)
-    start = (index - starts[run]) * block_size
-    return index, matrix, size, start, min(block_size, comb(k, size) - start)
+    total = census_shard_total(k, t, block_size)
+    if not 1 <= index <= total:
+        raise ValueError(f"no unit {index}; the plan has units 1..{total}")
+    ((matrix, size, lo, hi),) = _intervals(k, t, block_size, ((index, index),))
+    return index, matrix, size, lo, hi - lo
 
 
 def census_work_units(k: int, t: int, block_size: int) -> list[tuple[int, int, int, int, int]]:
@@ -289,27 +318,15 @@ def _blocks_below(rank: int, t: int, depth: int, n: int) -> tuple[int, int]:
     return blocks - inner_ends, blocks - inner_starts
 
 
-def unit_costs(units: Sequence[tuple[int, int, int, int, int]], k: int, max_weight: int) -> list[int]:
-    """Each unit's cost: k per live lane plus KERNEL_CALL_BITS per kernel
-    call at its matrix's depth, counted as the blocks that start in its ranks
-    so that a run's units add up to the run; a dead unit costs 0. Ranks are
-    clamped, so a unit that ``count_units`` refuses gets a cost too."""
-    costs = []
-    run = stop = None
-    for _, matrix, size, start, count in units:
-        if (matrix, size) != run:
-            run, stop = (matrix, size), None
-            live, depth, total = is_live(matrix, size, max_weight), _depth(k, matrix, max_weight), comb(k, size)
-        if not live:
-            costs.append(0)
-            continue
-        if start != stop:  # not where the unit before it stopped
-            below = _blocks_below(min(start, total), size, depth, k)[0]
-        stop = start + count
-        above = _blocks_below(min(stop, total), size, depth, k)[0]
-        costs.append(k * count + KERNEL_CALL_BITS * (above - below))
-        below = above
-    return costs
+def rank_cost(k: int, max_weight: int, matrix: int, size: int, rank: int) -> int:
+    """The cost of the ranks [0, rank) of the run (matrix, size), 0 if dead:
+    k per lane plus KERNEL_CALL_BITS per kernel call at its matrix's depth,
+    counted as the blocks that start below ``rank`` clamped to the run, so a
+    run's pieces add up to the run and a refused interval has a cost too."""
+    if not is_live(matrix, size, max_weight):
+        return 0
+    blocks = _blocks_below(min(rank, comb(k, size)), size, _depth(k, matrix, max_weight), k)[0]
+    return k * rank + KERNEL_CALL_BITS * blocks
 
 
 @lru_cache(maxsize=2)
@@ -330,31 +347,19 @@ def _parity_rows(matrix: int, rows: Sequence[int], k: int, left_mask: int) -> tu
 
 
 def _count_share(
-    parities: dict[int, tuple[int, ...]], units: Sequence[tuple[int, int, int, int, int]], k: int, max_weight: int
+    parities: dict[int, tuple[int, ...]], intervals: Sequence[tuple[int, int, int, int]], k: int, max_weight: int
 ) -> dict[int, int]:
-    """Count units whose parity rows are checked, run by run, into nonzero
-    per-weight totals.
-
-    A run is a maximal sequence of units of one (matrix, size) in which each
-    unit starts where the one before it stops. Each unit's ranks are checked
-    against its size, and each live run is one ``_rank_blocks`` walk over
-    [its first start, its last stop), one ``weight_histograms`` call per
-    block. A run cut into shards therefore costs what it costs uncut.
-    """
-    runs: list[list[int]] = []  # [matrix, size, start, stop]
-    for _, matrix, size, start, count in units:
-        if not 0 <= start < start + count <= comb(k, size):
-            raise ValueError(f"shard [{start}, {start + count}) outside [0, {comb(k, size)})")
-        if runs and runs[-1][3] == start and runs[-1][:2] == [matrix, size]:
-            runs[-1][3] = start + count
-        else:
-            runs.append([matrix, size, start, start + count])
+    """Count rank intervals whose parity rows are checked into nonzero
+    per-weight totals. Each interval's ranks are checked against its size,
+    and each live one is one ``_rank_blocks`` walk, one ``weight_histograms``
+    call per block, so a run cut into shards costs what it costs uncut."""
     totals: dict[int, int] = {}
-    for matrix, size, lo, hi in runs:
+    for matrix, size, lo, hi in intervals:
+        if not 0 <= lo < hi <= comb(k, size):
+            raise ValueError(f"shard [{lo}, {hi}) outside [0, {comb(k, size)})")
         if not is_live(matrix, size, max_weight):
             continue
-        parity = parities[matrix]
-        depth = _depth(k, matrix, max_weight)
+        parity, depth = parities[matrix], _depth(k, matrix, max_weight)
         tables = _parity_tables(parity, depth)
         min_parity = size + (matrix == 2)
         for base, d, block_lo, block_hi in _rank_blocks(lo, hi, size, depth, 0, parity):
@@ -370,30 +375,47 @@ def _count_shard(args: tuple) -> tuple[int, int, int, int, int, tuple[tuple[int,
     ``count_units``, and a dead unit (``is_live``) comes back with none."""
     index, matrix, size, start_rank, count, rows, k, left_mask, max_weight = args
     parities = {matrix: _parity_rows(matrix, rows, k, left_mask)}
-    unit = (index, matrix, size, start_rank, count)
-    return (*unit, tuple(sorted(_count_share(parities, [unit], k, max_weight).items())))
+    totals = _count_share(parities, [(matrix, size, start_rank, start_rank + count)], k, max_weight)
+    return index, matrix, size, start_rank, count, tuple(sorted(totals.items()))
 
 
-def _send_share(conn, parities, units, k, max_weight) -> None:
+def _send_share(conn, parities, intervals, k, max_weight) -> None:
     """Count a share in a child process and send (True, its totals) or
     (False, the exception) back to the caller."""
     try:
-        message = (True, _count_share(parities, units, k, max_weight))
+        message = (True, _count_share(parities, intervals, k, max_weight))
     except Exception as exc:
         message = (False, exc)
     conn.send(message)
     conn.close()
 
 
-def _shares(units: Sequence[tuple[int, int, int, int, int]], costs: Sequence[int], count: int) -> list[list]:
-    """Cut the units, in order, into ``count`` contiguous shares of about
-    equal cost; a unit goes to the share that holds its middle cost."""
-    total = sum(costs) or 1
-    shares: list[list] = [[] for _ in range(count)]
-    done = 0
-    for unit, cost in zip(units, costs):
-        shares[min(count - 1, (2 * done + cost) * count // (2 * total))].append(unit)
-        done += cost
+def _shares(
+    intervals: Sequence[tuple[int, int, int, int]], k: int, max_weight: int, block_size: int, workers: int
+) -> list[list[tuple[int, int, int, int]]]:
+    """Cut the intervals, in order, into ``share_count`` contiguous shares of
+    about equal cost (``rank_cost``): an interval's units start every
+    block_size ranks, and a unit goes to the share that holds its middle
+    cost, found by bisection over an interval's units, not unit by unit."""
+    costs = [[rank_cost(k, max_weight, matrix, size, r) for r in (lo, hi)] for matrix, size, lo, hi in intervals]
+    total = sum(above - below for below, above in costs)
+    count, total = share_count(total, workers), total or 1
+    shares: list[list[tuple[int, int, int, int]]] = [[] for _ in range(count)]
+    done = 0  # the cost of the intervals before this one
+    for (matrix, size, lo, hi), (below, above) in zip(intervals, costs):
+        starts = range(lo, max(hi, lo + 1), block_size)  # a refused, empty interval is one unit
+
+        def middle(r: int) -> int:  # the middle cost of the unit from rank r, times 2 * count
+            top = rank_cost(k, max_weight, matrix, size, min(hi, r + block_size))
+            return (2 * (done - below) + rank_cost(k, max_weight, matrix, size, r) + top) * count
+
+        first = 0
+        for share in range(count):
+            stop = len(starts) if share == count - 1 else bisect_left(starts, 2 * total * (share + 1), key=middle)
+            if stop > first:
+                shares[share].append((matrix, size, starts[first], starts[stop] if stop < len(starts) else hi))
+                first = stop
+        done += above - below
     return shares
 
 
@@ -405,48 +427,42 @@ def share_count(cost: int, workers: int) -> int:
 def count_units(
     g1: BitMatrix,
     g2: BitMatrix,
-    units: Sequence[tuple[int, int, int, int, int]],
+    intervals: Sequence[tuple[int, int, int, int]],
     max_weight: int,
     *,
     workers: int = 1,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> dict[int, int]:
-    """The census core: count work units of any half-rate code up to max_weight.
+    """The census core: count rank intervals of any half-rate code up to max_weight.
 
-    ``g1`` = [I | A] and ``g2`` = [B | I] generate one k x 2k code; ``units``
-    are (index, matrix, size, start_rank, count) with size <= max_weight // 2.
-    Returns the nonzero counts of the words of each weight <= max_weight
-    that the units hold, in weight order. Over the full plan to
-    t = max_weight // 2 every codeword of weight <= max_weight is counted
-    exactly once, odd weights included: its lighter half weighs at most t
-    and is reached by one of the two matrices. A dead unit (``is_live``) is
-    not walked: a word found through matrix 2 has a strictly lighter right
-    half, so a pattern of size s there needs weight >= 2s + 1, and none of
-    size t fits under an even bound W = 2t. Odd bounds have no dead units.
+    ``g1`` = [I | A] and ``g2`` = [B | I] generate one k x 2k code; an
+    interval (matrix, size, lo, hi) is the ranks [lo, hi) of the size-subsets
+    of one matrix's rows, size <= max_weight // 2. Returns the nonzero counts
+    of the words of each weight <= max_weight that the intervals hold, in
+    weight order; over the full plan every such codeword, odd weights
+    included, is counted exactly once. A dead interval is not walked.
 
-    Both matrices are checked once. The units are counted in runs of one
-    (matrix, size) (``_count_share``), so a run cut into shards costs what it
-    costs uncut. ``workers`` is the most processes used: the units are
-    cut into ``share_count`` contiguous shares of about equal cost, and one
-    share, a census too small to repay a child, is counted here without
-    multiprocessing. Otherwise the caller starts a process for each nonempty
-    share but the first, counts the first itself, then takes each child's
-    totals, or its exception, from a one-way pipe. Every child is joined, and
-    terminated if still running, however the census ends. Linux children are
-    forked, not re-imported: safe only while the caller runs no other thread.
+    Both matrices are checked once. ``workers`` is the most processes used:
+    the intervals are cut into ``share_count`` shares at the unit boundaries
+    of ``block_size`` (``_shares``), and one share, a census too small to
+    repay a child, is counted here without multiprocessing. Otherwise the
+    caller starts a process for each nonempty share but the first, counts the
+    first itself, then takes each child's totals, or its exception, from a
+    one-way pipe. Every child is joined, and terminated if still running, however the
+    census ends. Linux children are forked, not re-imported: safe only while
+    the caller runs no other thread.
     """
     k = g1.nrows
     left_mask = (1 << k) - 1
     parities = {matrix: _parity_rows(matrix, g.rows, k, left_mask) for matrix, g in ((1, g1), (2, g2))}
-    if workers > 1:
-        costs = unit_costs(units, k, max_weight)
-        workers = share_count(sum(costs), workers)
-    if workers == 1:
-        return dict(sorted(_count_share(parities, units, k, max_weight).items()))
+    shares = _shares(intervals, k, max_weight, block_size, workers) if workers > 1 else [intervals]
+    if len(shares) == 1:
+        return dict(sorted(_count_share(parities, intervals, k, max_weight).items()))
     # imported here so that a census counted in one process does not load multiprocessing
     import multiprocessing
 
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    own, *rest = _shares(units, costs, workers)
+    own, *rest = shares
     children = []
     try:
         for share in rest:
@@ -486,27 +502,51 @@ def census_setup(g: BitMatrix) -> tuple[BitMatrix, BitMatrix] | None:
 def census_counts(
     g: BitMatrix,
     max_weight: int,
-    units: Sequence[tuple[int, int, int, int, int]] | None = None,
+    ranges: Sequence[tuple[int, int]] | None = None,
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
     long_run: bool = False,
-) -> tuple[list, dict[int, int]] | None:
-    """The units counted and ``count_units``'s per-weight totals of the words
-    of weight <= max_weight of the code ``g`` generates; None when
-    ``census_setup`` finds no pair. The units are the whole plan unless given.
-    The budget is checked after the pair is found, on ``units`` or else on
-    ``pattern_cost``, before the plan is built."""
+) -> dict[int, int] | None:
+    """``count_units``'s totals for the code ``g`` generates, over the plan's
+    index ranges given or the whole plan; None when ``census_setup`` finds no
+    pair. The budget is checked then, on the live lanes: ``pattern_cost`` for a whole plan."""
     matrices = census_setup(g)
     if matrices is None:
         return None
-    if units is None:
-        check_budget(pattern_cost(g.nrows, max_weight), long_run)
-        units = census_work_units(g.nrows, max_weight // 2, block_size)
-    else:
-        live = sum(count for _, matrix, size, _, count in units if is_live(matrix, size, max_weight))
-        check_budget(live, long_run)
-    return units, count_units(*matrices, units, max_weight, workers=workers)
+    k, t = g.nrows, max_weight // 2
+    if ranges is None:
+        ranges = ((1, census_shard_total(k, t, block_size)),)
+    intervals = _intervals(k, t, block_size, ranges)
+    check_budget(_live_lanes(intervals, max_weight), long_run)
+    return count_units(*matrices, intervals, max_weight, workers=workers, block_size=block_size)
+
+
+def _live_lanes(intervals: Iterable[tuple[int, int, int, int]], max_weight: int) -> int:
+    return sum(hi - lo for matrix, size, lo, hi in intervals if is_live(matrix, size, max_weight))
+
+
+def _ranges_of_indices(indices: Iterable[int], total: int) -> tuple[tuple[int, int], ...]:
+    """Shard indices as ascending, disjoint, inclusive ranges (first, last),
+    the first index outside the plan's units 1..total a ValueError. A range
+    of step 1 is not iterated; any other iterable is sorted and deduplicated."""
+
+    def outside(i: int) -> ValueError:
+        return ValueError(f"no such shard indices: {i} is not in the plan's units 1..{total}")
+
+    if isinstance(indices, range) and indices.step == 1:
+        for i in (indices.start, total + 1):  # the first index outside the plan is one of these
+            if i in indices and not 1 <= i <= total:
+                raise outside(i)
+        return ((indices.start, indices.stop - 1),) if indices else ()
+    wanted = set()
+    for i in indices:
+        if not 1 <= i <= total:
+            raise outside(i)
+        wanted.add(i)
+    ordered = sorted(wanted)
+    starts = [j for j in range(len(ordered)) if j == 0 or ordered[j] > ordered[j - 1] + 1]
+    return tuple((ordered[a], ordered[b - 1]) for a, b in zip(starts, [*starts[1:], len(ordered)]))
 
 
 def run_census(
@@ -520,68 +560,32 @@ def run_census(
 ) -> WeightCensus:
     """Count extended-code codewords of every weight <= 2t.
 
-    A thin wrapper over ``census_counts`` (which checks the budget after the
-    pair is found, before the plan is built) that picks the shards,
-    records the provenance and checks that no odd weight occurs.
-    It returns one record per unit it covered. With shard_indices (any
-    iterable, a range of a..b included) the run covers only those work
-    units, found by arithmetic (``census_unit``) without the plan and checked
-    against their own live patterns, and returns a fragment for later
-    merging; an index outside the plan is a ValueError, raised at the first
-    such index without expanding the rest.
-    Results are bit-identical for any worker count and block size: counting
-    is order-free and merging is plain per-weight addition.
+    A thin wrapper over ``census_counts`` that records the shards' index
+    ranges and checks that no odd weight occurs. With shard_indices (any
+    iterable, ``_ranges_of_indices``) the run covers only those work units and
+    returns a fragment for later merging. Results are bit-identical for any
+    worker count and block size: counting is order-free and merging is
+    plain per-weight addition.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    max_weight = 2 * t
-    total_shards = census_shard_total(family.k, t, block_size)
-    units = None
-    if shard_indices is not None:
-        wanted = set()
-        for i in shard_indices:
-            if not 1 <= i <= total_shards:
-                raise ValueError(f"no such shard indices: {i} is not in the plan's units 1..{total_shards}")
-            wanted.add(i)
-        units = [census_unit(family.k, t, block_size, i) for i in sorted(wanted)]
-    counted = census_counts(
-        family.extended, max_weight, units, block_size=block_size, workers=workers, long_run=long_run
+    max_weight, k = 2 * t, family.k
+    total_shards = census_shard_total(k, t, block_size)
+    ranges = ((1, total_shards),) if shard_indices is None else _ranges_of_indices(shard_indices, total_shards)
+    totals = census_counts(
+        family.extended, max_weight, ranges, block_size=block_size, workers=workers, long_run=long_run
     )
-    if counted is None:
+    if totals is None:
         raise InvariantViolation(f"no two disjoint information sets found in the p={family.p} extended code")
-    units, totals = counted
-    records = tuple(map(ShardRecord._make, units))
     for w, c in totals.items():
         if w % 2 and c:
             raise InvariantViolation(f"odd weight {w} counted in an even code")
     counts = {w: totals.get(w, 0) for w in range(0, max_weight + 1, 2)}
-    return WeightCensus(
-        p=family.p,
-        n=family.n_extended,
-        k=family.k,
-        complete_upto=max_weight,
-        counts=counts,
-        provenance=CensusProvenance(
-            code_digest=family.code_digest(),
-            max_info_weight=t,
-            block_size=block_size,
-            total_shards=total_shards,
-            shards=records,
-        ),
-    )
-
-
-def _index_ranges(indices: Iterable[int]) -> list[list[int]]:
-    """Ascending indices as inclusive ranges [first, last] of consecutive ones."""
-    ranges: list[list[int]] = []
-    for i in indices:
-        if ranges and ranges[-1][1] == i - 1:
-            ranges[-1][1] = i
-        else:
-            ranges.append([i, i])
-    return ranges
+    shards = ShardRecords(k, t, block_size, ranges)
+    provenance = CensusProvenance(family.code_digest(), t, block_size, total_shards, shards)
+    return WeightCensus(family.p, family.n_extended, k, max_weight, counts, provenance)
 
 
 def census_payload(result: WeightCensus) -> dict:
@@ -592,7 +596,7 @@ def census_payload(result: WeightCensus) -> dict:
     return {
         **vars(result),
         "counts": [[w, c] for w, c in sorted(result.counts.items())],
-        "provenance": {**vars(prov), "shards": _index_ranges(sorted(rec.index for rec in prov.shards))},
+        "provenance": {**vars(prov), "shards": [list(r) for r in prov.shards.ranges]},
     }
 
 
@@ -603,10 +607,10 @@ def _typed(value, kind: type):
     return value
 
 
-def _shard_ranges(ranges, total: int) -> list[tuple[int, int]]:
-    """A payload's shard ranges, each checked before any is expanded: two
-    integers [first, last], first <= last, inside the plan's units 1..total
-    and past the end of the range before it."""
+def _shard_ranges(ranges, total: int) -> tuple[tuple[int, int], ...]:
+    """A payload's shard ranges, each checked: two integers [first, last],
+    first <= last, inside the plan's units 1..total and past the end of the
+    range before it."""
     checked: list[tuple[int, int]] = []
     for item in ranges:
         if type(item) is not list or len(item) != 2 or any(type(i) is not int for i in item):
@@ -619,18 +623,14 @@ def _shard_ranges(ranges, total: int) -> list[tuple[int, int]]:
         if checked and first <= checked[-1][1]:
             raise CheckFailure(f"census payload: shard range {item} overlaps or precedes {list(checked[-1])}")
         checked.append((first, last))
-    return checked
+    return tuple(checked)
 
 
 def census_from_payload(payload: dict) -> WeightCensus:
-    """Read a census payload back, checking its shape and its shard ranges.
-
-    The ranges are checked against the plan total recomputed from (k, t,
-    block size) before any record is built; the records are then the plan's
-    units (``census_unit``). Whether the content agrees with the code and
-    the plan is checked by ``merge_censuses``, which every census read from
-    disk goes through.
-    """
+    """Read a census payload back, checking its shape and its shard ranges
+    against the plan total recomputed from (k, t, block size); no record is
+    built. Whether the content agrees with the code and the plan is checked
+    by ``merge_censuses``, which every census read from disk goes through."""
     try:
         prov = payload["provenance"]
         counts = {_typed(w, int): _typed(c, int) for w, c in payload["counts"]}
@@ -639,23 +639,19 @@ def census_from_payload(payload: dict) -> WeightCensus:
         p, n, k, complete_upto = (_typed(payload[f], int) for f in ("p", "n", "k", "complete_upto"))
         t, block_size, total_shards = (_typed(prov[f], int) for f in ("max_info_weight", "block_size", "total_shards"))
         code_digest = _typed(prov["code_digest"], str)
-        ranges = _shard_ranges(prov["shards"], census_shard_total(k, t, block_size))
-        shards = tuple(
-            ShardRecord._make(census_unit(k, t, block_size, i)) for first, last in ranges for i in range(first, last + 1)
-        )
-        return WeightCensus(
-            p, n, k, complete_upto, counts, CensusProvenance(code_digest, t, block_size, total_shards, shards)
-        )
+        shards = ShardRecords(k, t, block_size, _shard_ranges(prov["shards"], census_shard_total(k, t, block_size)))
+        provenance = CensusProvenance(code_digest, t, block_size, total_shards, shards)
+        return WeightCensus(p, n, k, complete_upto, counts, provenance)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckFailure(f"malformed census payload: {exc!r}") from exc
 
 
-def _check_part_counts(part: WeightCensus) -> None:
-    """A part's counts must be tallies its own units could have made: one
-    count for every even weight 0..complete_upto and for no other weight,
-    no more words than the live lanes of its units (``is_live``)."""
-    records = part.provenance.shards
-    where = f"shard {records[0].index}" if len(records) == 1 else f"part of {len(records)} shards"
+def _check_part_counts(part: WeightCensus, intervals: list[tuple[int, int, int, int]]) -> None:
+    """A part's counts must be tallies its own rank intervals could have
+    made: one count for every even weight 0..complete_upto and for no other
+    weight, no more words than their live lanes (``is_live``)."""
+    shards = part.provenance.shards
+    where = f"shard {shards.ranges[0][0]}" if len(shards) == 1 else f"part of {len(shards)} shards"
     for w, c in part.counts.items():
         if w % 2 or not 0 <= w <= part.complete_upto or c < 0:
             raise InvariantViolation(f"{where}: count {c} at weight {w} (even, <= {part.complete_upto} only)")
@@ -663,7 +659,7 @@ def _check_part_counts(part: WeightCensus) -> None:
         raise InvariantViolation(
             f"{where}: counts list {len(part.counts)} weights, not every even weight 0..{part.complete_upto}"
         )
-    lanes = sum(rec.count for rec in records if is_live(rec.matrix, rec.size, part.complete_upto))
+    lanes = _live_lanes(intervals, part.complete_upto)
     found = sum(part.counts.values())
     if found > lanes:
         raise InvariantViolation(f"{where}: {found} codewords counted in only {lanes} live lanes")
@@ -673,15 +669,11 @@ def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
     """Combine the parts of one shard plan into the complete census.
 
     Parts may have been read from disk, so nothing in them is trusted: all
-    share one code and plan identity; their records cover every index of the
-    plan exactly once; each record equals its unit of the plan recomputed
-    from (k, t, block size) by ``census_unit``, so the plan itself is never
-    built; and each part lists a count for every even weight
-    0..complete_upto and no other, summing to at most the live lanes of its
-    units, so a part of dead units (``is_live``) counts nothing. The counts
-    are checked before the merged counts are built, so the merge holds no
-    more weights than the parts list. A one-part merge validates a complete
-    census.
+    share one code and plan identity; their index ranges, sorted and swept,
+    cover each unit of the plan recomputed from (k, t, block size) once; and
+    each part lists a count for every even weight 0..complete_upto and no
+    other, summing to at most the live lanes of its rank intervals. A
+    one-part merge validates a complete census.
     """
     if not parts:
         raise ValueError("nothing to merge")
@@ -700,25 +692,19 @@ def merge_censuses(parts: Sequence[WeightCensus]) -> WeightCensus:
             f"plan claims {prov.total_shards} shards up to weight {first.complete_upto}, but t = "
             f"{t} and block size {block_size} give {total} up to weight {2 * t}"
         )
-    seen: dict[int, ShardRecord] = {}
-    for part in parts:
-        for rec in part.provenance.shards:
-            if rec.index in seen:
-                raise CheckFailure(f"shard {rec.index} appears more than once")
-            seen[rec.index] = rec
-    missing = set(range(1, total + 1)) - set(seen)
+    ranges = sorted(r for part in parts for r in part.provenance.shards.ranges)
+    for (_, before), (start, last) in zip([(0, 0), *ranges], ranges):
+        if not 1 <= start <= last <= total:
+            raise InvariantViolation(f"shard range [{start}, {last}] is not in the plan's units 1..{total}")
+        if start <= before:
+            raise CheckFailure(f"shard {start} appears more than once")
+    missing = [[a + 1, b - 1] for (_, a), (b, _) in zip([(0, 0), *ranges], [*ranges, (total + 1, 0)]) if b > a + 1]
     if missing:
-        raise CheckFailure(f"missing shards: {sorted(missing)}")
-    for rec in seen.values():
-        if not 1 <= rec.index <= total or census_unit(k, t, block_size, rec.index) != rec.unit:
-            raise InvariantViolation(
-                f"shard {rec.index}: (matrix, size, start_rank, count) = {rec.unit[1:]} is not in the plan"
-            )
+        raise CheckFailure(f"missing shards: {missing}")
     for part in parts:
-        _check_part_counts(part)
+        _check_part_counts(part, _intervals(k, t, block_size, part.provenance.shards.ranges))
     totals = dict.fromkeys(range(0, first.complete_upto + 1, 2), 0)
     for part in parts:
         for w, c in part.counts.items():
             totals[w] += c
-    shards = tuple(seen[i] for i in sorted(seen))
-    return replace(first, counts=totals, provenance=replace(prov, shards=shards))
+    return replace(first, counts=totals, provenance=replace(prov, shards=ShardRecords(k, t, block_size, ((1, total),))))

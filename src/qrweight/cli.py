@@ -229,9 +229,9 @@ def cmd_congruence(args) -> int:
 
 
 def cmd_shard_plan(args) -> int:
-    family = build_family(args.p)
-    for unit in census_mod.census_work_units(family.k, args.t, args.block_size):
-        print(*unit)
+    k = build_family(args.p).k
+    for index in range(1, census_mod.census_shard_total(k, args.t, args.block_size) + 1):
+        print(*census_mod.census_unit(k, args.t, args.block_size, index))
     return 0
 
 

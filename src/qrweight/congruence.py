@@ -287,7 +287,7 @@ def subcode_weight_counts(sub: InvariantSubcode, max_weight: int, *, long_run: b
     if width == 2 * k and census.pattern_cost(k, folded_max) < 1 << k:
         counted = census.census_counts(_expanded(classes, weights, k), folded_max, long_run=long_run)
         if counted is not None:
-            return {w * g: c for w, c in counted[1].items()}
+            return {w * g: c for w, c in counted.items()}
     census.check_budget(1 << k, long_run)
     rows = bitlinalg.transpose(BitMatrix(k, tuple(classes)))
     paired = k > 0 and reduce(xor, rows) == (1 << len(classes)) - 1

@@ -222,11 +222,23 @@ class SylowPlan:
         return (MoebiusMap.identity(self.p), z, flip, z * flip)
 
 
+def _has_order(m: MoebiusMap, n: int) -> bool:
+    """Whether m has order exactly n, from its 2 x 2 matrix powers mod p: by
+    Cayley-Hamilton m^e = u_e m - u_(e-1) I, u_0 = 0, u_1 = 1 and u_(e+1) =
+    trace * u_e - u_(e-1), so m^e = +-I for m != +-I iff u_e = 0."""
+    if m == MoebiusMap.identity(m.p):
+        return n == 1
+    trace, u = (m.a + m.d) % m.p, [0, 1]
+    while len(u) <= n:
+        u.append((trace * u[-1] - u[-2]) % m.p)
+    return u[n] == 0 and 0 not in u[1:n]
+
+
 def _element_of_order(p: int, target: int) -> MoebiusMap:
     """Scan companion forms [[0, 1], [-1, t]] for an element of the given order."""
     for t in range(p):
         m = MoebiusMap(p, 0, 1, -1, t)
-        if to_permutation(m).order() == target:
+        if _has_order(m, target):
             return m
     raise InvariantViolation(f"no companion-form element of order {target} mod {p}")
 
@@ -245,7 +257,7 @@ def _symmetric_element_of_order(p: int, target: int) -> MoebiusMap:
                 if (a * d - b * b) % p != 1 % p:
                     continue
                 m = MoebiusMap(p, a, b, b, d)
-                if to_permutation(m).order() == target:
+                if _has_order(m, target):
                     return m
     raise InvariantViolation(f"no symmetric element of order {target} mod {p}")
 

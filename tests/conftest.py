@@ -3,8 +3,9 @@
 The oracles walk codewords one at a time: full spans and subcode index
 ranges by a plain binary-reflected Gray walk over generator rows, and census
 shards by the revolving-door walk of Knuth's Algorithm R, started at the
-pattern that ``rd_unrank`` computes from a rank, and the shard plan by a
-plain loop over its units. They share no code
+pattern that ``rd_unrank`` computes from a rank, and the shard plan, its
+runs, the costs of its units, their worker shares and the coverage of a
+merge by plain loops over its units. They share no code
 with the bit-sliced kernel that the census and congruence paths count with.
 The MacWilliams oracle expands every term of the transform on its own, and
 the hull oracle intersects the code with its dual basis. The small helpers
@@ -267,6 +268,66 @@ def plan_units(k: int, t: int, block_size: int) -> list[tuple[int, int, int, int
             for start in range(0, total, block_size):
                 units.append((len(units) + 1, matrix, size, start, min(block_size, total - start)))
     return units
+
+
+def plan_runs(units) -> list[tuple[int, int, int, int]]:
+    """Units (index, matrix, size, start, count) grouped into runs, as the
+    census counted them unit by unit: a maximal sequence of units of one
+    (matrix, size), each starting where the one before it stops, as
+    (matrix, size, first start, last stop)."""
+    runs: list[list[int]] = []
+    for _, matrix, size, start, count in units:
+        if runs and runs[-1][3] == start and runs[-1][:2] == [matrix, size]:
+            runs[-1][3] = start + count
+        else:
+            runs.append([matrix, size, start, start + count])
+    return [tuple(run) for run in runs]
+
+
+def unit_costs(units, k: int, max_weight: int) -> list[int]:
+    """Each unit's cost, priced one unit at a time: k per live lane plus
+    ``census.KERNEL_CALL_BITS`` per kernel call, counted as the blocks of
+    ``census._blocks_below`` that start in its ranks; a dead unit costs 0."""
+    from qrweight import census
+
+    costs = []
+    for _, matrix, size, start, count in units:
+        if not census.is_live(matrix, size, max_weight):
+            costs.append(0)
+            continue
+        depth, total = census._depth(k, matrix, max_weight), comb(k, size)
+        below = census._blocks_below(min(start, total), size, depth, k)[0]
+        above = census._blocks_below(min(start + count, total), size, depth, k)[0]
+        costs.append(k * count + census.KERNEL_CALL_BITS * (above - below))
+    return costs
+
+
+def unit_shares(units, costs, count: int) -> list[list]:
+    """The units, in order, cut into ``count`` contiguous shares of about
+    equal cost one unit at a time: a unit goes to the share that holds its
+    middle cost."""
+    total = sum(costs) or 1
+    shares: list[list] = [[] for _ in range(count)]
+    done = 0
+    for unit, cost in zip(units, costs):
+        shares[min(count - 1, (2 * done + cost) * count // (2 * total))].append(unit)
+        done += cost
+    return shares
+
+
+def cover_refusal(index_lists, total: int) -> str | None:
+    """How a set-based check refuses parts listing these shard indices:
+    "duplicate" if an index appears twice, else "missing" if one of 1..total
+    is not listed, else "outside" if one is not in 1..total, else None."""
+    seen: set[int] = set()
+    for indices in index_lists:
+        for i in indices:
+            if i in seen:
+                return "duplicate"
+            seen.add(i)
+    if set(range(1, total + 1)) - seen:
+        return "missing"
+    return "outside" if seen - set(range(1, total + 1)) else None
 
 
 def scalar_count_shard(args: tuple) -> tuple:

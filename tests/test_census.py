@@ -27,7 +27,7 @@ from qrweight.census import (
 from qrweight.cli import _digest
 from qrweight.errors import BudgetExceeded, CheckFailure, InvariantViolation
 
-from conftest import CombPattern, rd_rank, rd_successor, rd_unrank, scalar_count_shard
+from conftest import CombPattern, rd_rank, rd_successor, rd_unrank, scalar_count_shard, unit_costs, unit_shares
 
 
 def full_walk(s, t):
@@ -86,6 +86,11 @@ def test_unrank_out_of_range():
         rd_unrank(comb(8, 3), 8, 3)
     with pytest.raises(ValueError, match="outside"):
         rd_unrank(-1, 8, 3)
+
+
+def plan_intervals(k, t, block_size):
+    """The rank intervals of the whole plan, one per (matrix, size) run."""
+    return census._intervals(k, t, block_size, ((1, census.census_shard_total(k, t, block_size)),))
 
 
 def shards_of(k, size, block_size):
@@ -185,11 +190,11 @@ def test_census_deterministic_across_workers_and_blocks(family41, family137, chi
 def test_a_failing_child_share_reaches_the_caller(family41, children_start):
     g1, g2 = disjoint_information_systematizations(family41.extended)
     k = family41.k
-    units = census_work_units(k, 6, 1000)
-    bad = (len(units) + 1, 1, 2, comb(k, 2), 5)  # past the end of its rank range
-    assert census._shares(units + [bad], census.unit_costs(units + [bad], k, 12), 2)[1][-1] == bad
+    intervals = plan_intervals(k, 6, 1000)
+    bad = (1, 2, comb(k, 2), comb(k, 2) + 5)  # past the end of its rank range
+    assert census._shares(intervals + [bad], k, 12, 1000, 2)[1][-1] == bad
     with pytest.raises(ValueError, match=re.escape("shard [210, 215) outside [0, 210)")):
-        census.count_units(g1, g2, units + [bad], 12, workers=2)
+        census.count_units(g1, g2, intervals + [bad], 12, workers=2, block_size=1000)
     assert multiprocessing.active_children() == []
 
 
@@ -200,7 +205,7 @@ FORKS = pytest.mark.skipif(sys.platform != "linux", reason="children are forked 
 @FORKS
 def test_children_are_forked_whatever_the_default_start_method(family41, monkeypatch, children_start):
     g1, g2 = disjoint_information_systematizations(family41.extended)
-    units = census_work_units(family41.k, 6, 1000)
+    intervals = plan_intervals(family41.k, 6, 1000)
     count_share = census._count_share
 
     def exit_in_the_child(*args):
@@ -214,7 +219,7 @@ def test_children_are_forked_whatever_the_default_start_method(family41, monkeyp
     try:
         # a spawned child would import the unpatched counter and send its tallies
         with pytest.raises(RuntimeError, match="census worker exited with code 3"):
-            census.count_units(g1, g2, units, 12, workers=2)
+            census.count_units(g1, g2, intervals, 12, workers=2, block_size=1000)
     finally:
         multiprocessing.set_start_method(default, force=True)
     assert multiprocessing.active_children() == []
@@ -224,7 +229,7 @@ def test_children_are_forked_whatever_the_default_start_method(family41, monkeyp
 @pytest.mark.parametrize("error", [InvariantViolation("caller failed"), KeyboardInterrupt()])
 def test_a_failing_caller_share_leaves_no_child_running(family41, monkeypatch, children_start, error):
     g1, g2 = disjoint_information_systematizations(family41.extended)
-    units = census_work_units(family41.k, 6, 1000)
+    intervals = plan_intervals(family41.k, 6, 1000)
     count_share = census._count_share
 
     def fail_in_the_caller(*args):
@@ -237,7 +242,7 @@ def test_a_failing_caller_share_leaves_no_child_running(family41, monkeypatch, c
     monkeypatch.setattr(census, "_count_share", fail_in_the_caller)
     start = time.monotonic()
     with pytest.raises(type(error), match=str(error) or None):
-        census.count_units(g1, g2, units, 12, workers=3)
+        census.count_units(g1, g2, intervals, 12, workers=3, block_size=1000)
     assert time.monotonic() - start < 30  # the children were stopped, not waited for
     assert multiprocessing.active_children() == []
 
@@ -245,7 +250,7 @@ def test_a_failing_caller_share_leaves_no_child_running(family41, monkeypatch, c
 @FORKS
 def test_a_child_that_exits_without_tallies_is_an_error(family41, monkeypatch, children_start):
     g1, g2 = disjoint_information_systematizations(family41.extended)
-    units = census_work_units(family41.k, 6, 1000)
+    intervals = plan_intervals(family41.k, 6, 1000)
     count_share = census._count_share
 
     def exit_in_the_child(*args):
@@ -255,7 +260,7 @@ def test_a_child_that_exits_without_tallies_is_an_error(family41, monkeypatch, c
 
     monkeypatch.setattr(census, "_count_share", exit_in_the_child)
     with pytest.raises(RuntimeError, match="census worker exited with code 3 before sending its tallies"):
-        census.count_units(g1, g2, units, 12, workers=2)
+        census.count_units(g1, g2, intervals, 12, workers=2, block_size=1000)
     assert multiprocessing.active_children() == []
 
 
@@ -271,8 +276,7 @@ def test_share_count_is_clamped_to_one_and_the_workers():
 
 def test_only_a_census_that_repays_a_child_is_cut_into_shares():
     def shares(k, t, block_size):
-        units = census_work_units(k, t, block_size)
-        return census.share_count(sum(census.unit_costs(units, k, 2 * t)), 2)
+        return len(census._shares(plan_intervals(k, t, block_size), k, 2 * t, block_size, 2))
 
     assert shares(21, 6, 1000) == 1  # p = 41, t = 6
     assert shares(21, 8, 2000) == 1  # p = 41, t = 8
@@ -291,7 +295,8 @@ def test_unit_costs_count_the_lanes_and_kernel_calls_of_a_unit(k, t):
                 depth = census._depth(k, matrix, max_weight)
                 calls = sum(1 for _ in census._rank_blocks(start, start + count, size, depth, 0, rows))
                 cost = k * count + census.KERNEL_CALL_BITS * calls
-            assert census.unit_costs([unit], k, max_weight) == [cost], unit
+            below, above = (census.rank_cost(k, max_weight, matrix, size, r) for r in (start, start + count))
+            assert above - below == cost == unit_costs([unit], k, max_weight)[0], unit
 
 
 @settings(max_examples=200, deadline=None)
@@ -308,15 +313,34 @@ def test_cost_cut_shares_are_contiguous_and_cover_every_unit_once(k, t, odd, blo
     plan = census_work_units(k, t, block_size)
     # a sharded plan costs what the plan costs with one unit per run
     whole = census_work_units(k, t, 2**k)
-    assert sum(census.unit_costs(plan, k, max_weight)) == sum(census.unit_costs(whole, k, max_weight))
+    assert sum(unit_costs(plan, k, max_weight)) == sum(unit_costs(whole, k, max_weight))
     units = sorted(data.draw(st.sets(st.sampled_from(plan)))) if data.draw(st.booleans()) else plan
-    costs = dict(zip(units, census.unit_costs(units, k, max_weight)))
-    shares = census._shares(units, list(costs.values()), count)
-    assert len(shares) == count
-    assert [unit for share in shares for unit in share] == units  # in order, each unit once
+    costs = dict(zip(units, unit_costs(units, k, max_weight)))
+    ranges = census._ranges_of_indices([u[0] for u in units], len(plan))
+    intervals = census._intervals(k, t, block_size, ranges)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census, "CHILD_SHARE_BITS", 1)  # as many shares as the cost allows
+        shares = census._shares(intervals, k, max_weight, block_size, count)
+    assert len(shares) == max(1, min(count, sum(costs.values())))
+    # each share's intervals hold the units the unit-by-unit cut gives it
+    starts = census._run_starts(k, t, block_size)
+    indices = [
+        starts[(matrix - 1) * (min(t, k) + 1) + size] + rank // block_size
+        for share in shares
+        for matrix, size, lo, hi in share
+        for rank in range(lo, hi, block_size)
+    ]
+    assert indices == [u[0] for u in units]  # in order, each unit once
+    by_index = {u[0]: u for u in units}
+    cut, done = [], 0
+    for share in shares:
+        n = sum(-(-(hi - lo) // block_size) for _, _, lo, hi in share)
+        cut.append([by_index[i] for i in indices[done : done + n]])
+        done += n
+    assert cut == unit_shares(units, list(costs.values()), len(shares))
     total, largest = sum(costs.values()), max(costs.values(), default=0)
-    for share in shares:  # each within one unit of an equal cut
-        assert abs(count * sum(costs[unit] for unit in share) - total) <= count * largest
+    for share in cut:  # each within one unit of an equal cut
+        assert abs(len(cut) * sum(costs[unit] for unit in share) - total) <= len(cut) * largest
 
 
 def test_census_budget_gate(family137):
@@ -340,6 +364,51 @@ def test_a_one_shard_run_builds_no_plan(family137, monkeypatch):
     assert fragment.counts[0] == 1
     with pytest.raises(ValueError, match="no such shard indices"):
         run_census(family137, 14, shard_indices=[fragment.provenance.total_shards + 1])
+
+
+def test_a_whole_plan_census_builds_no_unit_and_no_record(family41, monkeypatch):
+    # 23,476 units: counted, written, read back and merged as one index range
+    calls = {"census_unit": 0, "ShardRecord": 0}
+    unit, record = census.census_unit, census.ShardRecord
+
+    class Record(record):
+        @classmethod
+        def _make(cls, iterable):
+            calls["ShardRecord"] += 1
+            return record._make(iterable)
+
+    def unit_spy(*args):
+        calls["census_unit"] += 1
+        return unit(*args)
+
+    monkeypatch.setattr(census, "census_unit", unit_spy)
+    monkeypatch.setattr(census, "ShardRecord", Record)
+    result = run_census(family41, 6, block_size=7)
+    merged = merge_censuses([census_from_payload(census_payload(result))])
+    assert calls == {"census_unit": 0, "ShardRecord": 0}
+    assert merged == result and census_payload(result)["provenance"]["shards"] == [[1, 23_476]]
+    assert len(result.provenance.shards) == 23_476 and calls == {"census_unit": 0, "ShardRecord": 0}
+    assert result.provenance.shards[-1] == (23_476, 2, 6, 54_257, 7)  # built when read
+    assert calls == {"census_unit": 1, "ShardRecord": 1}
+
+
+def test_a_range_of_shard_indices_is_checked_at_its_ends(family17, family137):
+    # at block size 1 the t = 14 plan has about 10^14 units; iterating them would never end
+    total = census.census_shard_total(family137.k, 14, 1)
+    assert total > 10**14
+    with pytest.raises(BudgetExceeded):
+        run_census(family137, 14, block_size=1, shard_indices=range(1, total + 1))
+    for indices, outside in ((range(0, 5), 0), (range(-3, 2), -3), (range(total, total + 4), total + 1)):
+        with pytest.raises(ValueError, match=f"no such shard indices: {outside} is not in the plan's units 1..{total}"):
+            run_census(family137, 14, block_size=1, shard_indices=indices)
+    with pytest.raises(ValueError, match=f"{total + 2} is not in"):
+        run_census(family137, 14, block_size=1, shard_indices=range(total + 2, total + 9))
+    # a range of another step, or any other iterable, is checked index by index
+    with pytest.raises(ValueError, match="7 is not in the plan's units 1..6"):
+        run_census(family17, 2, shard_indices=range(1, 9, 2))
+    empty = run_census(family17, 2, shard_indices=range(4, 4))
+    assert len(empty.provenance.shards) == 0 and empty.counts == dict.fromkeys(range(0, 5, 2), 0)
+    assert run_census(family17, 2, shard_indices=[]) == empty
 
 
 def test_merge_builds_no_plan(family17, monkeypatch):
@@ -687,13 +756,14 @@ def test_count_units_tallies_are_the_same_at_every_forced_depth(family17, family
         g1, g2 = disjoint_information_systematizations((family17 if code == 17 else family41).extended)
         max_weight = data.draw(st.integers(0, 8 if code == 17 else 9))
     units = census_work_units(g1.nrows, max_weight // 2, data.draw(st.sampled_from([1, 7, 10**8])))
+    intervals = [(matrix, size, start, start + count) for _, matrix, size, start, count in units]  # one per unit
     census._parity_tables.cache_clear()
     try:
-        chosen = census.count_units(g1, g2, units, max_weight)
+        chosen = census.count_units(g1, g2, intervals, max_weight)
         for depth in range(max_weight // 2 + 1):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(census, "table_depth", lambda k, top, cap: depth)
-                assert census.count_units(g1, g2, units, max_weight) == chosen, depth
+                assert census.count_units(g1, g2, intervals, max_weight) == chosen, depth
     finally:
         census._parity_tables.cache_clear()
 
@@ -720,10 +790,10 @@ def test_pattern_cost_is_the_lanes_the_kernel_is_handed(request, kernel_spy, p, 
 @pytest.mark.parametrize("max_weight", [7, 9, 13])
 def test_pattern_cost_is_the_lanes_of_an_odd_bound(family41, kernel_spy, max_weight):
     g1, g2 = disjoint_information_systematizations(family41.extended)
-    units = census_work_units(family41.k, max_weight // 2, 500)
-    census.count_units(g1, g2, units, max_weight)
+    intervals = plan_intervals(family41.k, max_weight // 2, 500)
+    census.count_units(g1, g2, intervals, max_weight)
     assert handed_lanes(kernel_spy["kernel"]) == census.pattern_cost(family41.k, max_weight)
-    assert census.pattern_cost(family41.k, max_weight) == sum(u[4] for u in units)  # no dead unit
+    assert census.pattern_cost(family41.k, max_weight) == sum(hi - lo for *_, lo, hi in intervals)  # no dead unit
 
 
 def test_a_sharded_census_builds_the_planes_of_each_block_once(family41, kernel_spy):

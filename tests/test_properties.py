@@ -2,6 +2,7 @@
 the revolving-door subset tables and blocks, shard plans, merges."""
 
 import json
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 
 from qrweight import bitlinalg
 from qrweight.census import (
+    ShardRecord,
+    ShardRecords,
+    _intervals,
     _rank_blocks,
     census_from_payload,
     census_payload,
@@ -20,7 +24,9 @@ from qrweight.census import (
     run_census,
 )
 
-from conftest import CombPattern, plan_units, rd_rank, rd_step, rd_unrank
+from qrweight.errors import CheckFailure, InvariantViolation
+
+from conftest import CombPattern, cover_refusal, plan_runs, plan_units, rd_rank, rd_step, rd_unrank
 
 
 def lane(columns, x) -> int:
@@ -102,6 +108,95 @@ def test_census_unit_is_the_unit_of_the_plan(k, t, block_size):
     for index in (0, len(units) + 1):
         with pytest.raises(ValueError, match="no unit"):
             census_unit(k, t, block_size, index)
+
+
+def index_ranges(indices) -> tuple[tuple[int, int], ...]:
+    """Ascending indices as inclusive ranges of consecutive ones, one index at a time."""
+    ranges: list[list[int]] = []
+    for i in sorted(set(indices)):
+        if ranges and ranges[-1][1] == i - 1:
+            ranges[-1][1] = i
+        else:
+            ranges.append([i, i])
+    return tuple(map(tuple, ranges))
+
+
+@st.composite
+def plan_and_ranges(draw):
+    """A small plan (k, t, block size) and ranges of a random set of its indices."""
+    k = draw(st.integers(0, 12))
+    t = draw(st.integers(0, 5))
+    block_size = draw(st.integers(1, 50))
+    total = census_shard_total(k, t, block_size)
+    indices = draw(st.sets(st.integers(1, total))) if draw(st.booleans()) else range(1, total + 1)
+    return k, t, block_size, index_ranges(indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plan_and_ranges())
+def test_intervals_are_the_units_grouped_into_runs(plan):
+    k, t, block_size, ranges = plan
+    wanted = {i for first, last in ranges for i in range(first, last + 1)}
+    units = [u for u in plan_units(k, t, block_size) if u[0] in wanted]
+    assert _intervals(k, t, block_size, ranges) == plan_runs(units)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan_and_ranges(), st.data())
+def test_shard_records_view_matches_a_tuple_of_records(plan, data):
+    k, t, block_size, ranges = plan
+    wanted = {i for first, last in ranges for i in range(first, last + 1)}
+    records = tuple(ShardRecord._make(u) for u in plan_units(k, t, block_size) if u[0] in wanted)
+    view = ShardRecords(k, t, block_size, ranges)
+    assert len(view) == len(records)
+    assert tuple(view) == records
+    assert [view[i] for i in range(-len(records), len(records))] == list(records + records)
+    for i in (len(records), -len(records) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    bounds = st.one_of(st.none(), st.integers(-len(records) - 2, len(records) + 2))
+    step = data.draw(st.one_of(st.none(), st.integers(1, 4), st.integers(-4, -1)))
+    cut = slice(data.draw(bounds), data.draw(bounds), step)
+    assert view[cut] == records[cut]
+    assert sum(rec.count for rec in view) == sum(rec.count for rec in records)
+    assert view == ShardRecords(k, t, block_size, ranges)
+    assert view != ShardRecords(k, t + 1, block_size, ranges)
+    assert view != ShardRecords(k, t, block_size, ranges[1:] if ranges else ((1, 1),))
+
+
+@st.composite
+def covers(draw, total):
+    """Parts of a plan of ``total`` units: a cut of 1..total into index sets,
+    then a few indices of 0..total + 1 toggled in random parts, each leaving
+    a gap, an overlap or an index outside the plan."""
+    cuts = sorted(draw(st.sets(st.integers(2, total), max_size=5)))
+    parts = [set(range(a, b)) for a, b in zip([1, *cuts], [*cuts, total + 1])]
+    for _ in range(draw(st.integers(0, 3))):
+        draw(st.sampled_from(parts)).symmetric_difference_update({draw(st.integers(0, total + 1))})
+    return parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_merge_sweep_accepts_exactly_the_covers_a_set_accepts(family17, data):
+    k, t, block_size = family17.k, 2, data.draw(st.sampled_from([1, 3, 10]))
+    whole = run_census(family17, t, block_size=block_size)
+    total = whole.provenance.total_shards
+    drawn = data.draw(covers(total))
+    ranges = [index_ranges(indices) for indices in drawn]
+    zero = dict.fromkeys(whole.counts, 0)
+    parts = [
+        replace(whole, counts=zero, provenance=replace(whole.provenance, shards=ShardRecords(k, t, block_size, r)))
+        for r in ranges
+    ]
+    refusal = cover_refusal(drawn, total)
+    if refusal is None:
+        assert merge_censuses(parts).provenance.shards == whole.provenance.shards
+        return
+    with pytest.raises((CheckFailure, InvariantViolation)) as refused:
+        merge_censuses(parts)
+    if all(1 <= i <= total for indices in drawn for i in indices):
+        assert {"duplicate": "appears more than once", "missing": "missing shards"}[refusal] in str(refused.value)
 
 
 P17_T, P17_BLOCK = 4, 40

@@ -9,6 +9,7 @@ from qrweight.qrcodes import quadratic_residues
 from qrweight.psl2 import (
     CoordPermutation,
     MoebiusMap,
+    _has_order,
     find_sylow_plan,
     group_order,
     prime_factors,
@@ -33,6 +34,18 @@ def test_to_permutation_matches_the_pointwise_formula(p, seed):
     # small primes make c = 0 and a pole c y + d = 0 at a finite point common
     m = random_map(random.Random(seed), p)
     assert to_permutation(m).image == moebius_images(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([7, 17, 23, 41, 73, 137]), st.integers(0, 2**32))
+def test_order_from_matrix_powers_is_the_permutation_order(p, seed):
+    m = random_map(random.Random(seed), p)
+    order = to_permutation(m).order()
+    group = group_order(p)[0]
+    divisors = [n for n in range(1, p + 2) if group % n == 0]
+    assert order in divisors
+    for n in divisors + [2 * order, 3 * order]:
+        assert _has_order(m, n) == (n == order), (m, n, order)
 
 
 def test_translation_permutation_p137():
