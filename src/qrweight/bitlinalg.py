@@ -182,6 +182,7 @@ def hull_dimension(g: BitMatrix) -> int:
     return g.nrows - rank(BitMatrix(g.nrows, gram))
 
 
+@lru_cache(maxsize=4)
 def disjoint_information_systematizations(g: BitMatrix) -> tuple[BitMatrix, BitMatrix] | None:
     """Systematize a k x 2k generator on two disjoint information sets.
 
@@ -193,7 +194,7 @@ def disjoint_information_systematizations(g: BitMatrix) -> tuple[BitMatrix, BitM
     other k columns have rank < k, the next order is their dependent columns,
     then their pivots, then the old pivots, which exchanges dependent columns
     into the first set. The search stops after 2k + 1 orders, or at once if
-    the rows are dependent, so it is deterministic.
+    the rows are dependent, so it is deterministic, and cached per process.
     """
     k, n = g.nrows, g.cols
     if n != 2 * k:

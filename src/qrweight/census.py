@@ -46,10 +46,11 @@ size) run they meet, by arithmetic on the plan's run starts, and the core
 walks each interval once, one kernel call per top prefix however it is
 sharded. Its records are a view of the ranges (``ShardRecords``). One cost
 model (``rank_cost``) picks each matrix's table depth (``table_depth``) and
-cuts the intervals into shares for the workers at unit boundaries
-(``share_count``, ``_shares``); a census too small to repay a child process
-is counted in the calling one. Both matrices' tables stay cached in the
-process, so a second census of the same code builds none.
+cuts the intervals into shares of about equal cost for the workers at any
+rank, inside a plan unit too (``share_count``, ``_shares``); a census too
+small to repay a child process is counted in the calling one. Both
+matrices' tables stay cached in the process, so a second census of the
+same code builds none.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ SUBSET_TABLE_BITS = 1 << 26  # columns x lanes of one matrix's subset tables, ab
 # every table depth and share is what it was.
 KERNEL_CALL_BITS = 36_000
 CHILD_SHARE_BITS = 250_000_000  # the least cost of a share worth a child
+Interval = tuple[int, int, int, int]  # (matrix, size, lo, hi): the ranks [lo, hi) of one run
 
 
 def is_live(matrix: int, size: int, max_weight: int) -> bool:
@@ -202,14 +204,14 @@ def census_shard_total(k: int, t: int, block_size: int) -> int:
     return _run_starts(k, t, block_size)[-1] - 1
 
 
-def _intervals(k: int, t: int, block_size: int, ranges: Iterable[tuple[int, int]]) -> list[tuple[int, int, int, int]]:
+def _intervals(k: int, t: int, block_size: int, ranges: Iterable[tuple[int, int]]) -> list[Interval]:
     """The rank intervals (matrix, size, lo, hi) of ascending, disjoint,
     inclusive index ranges (first, last) of the plan, one per run a range
     meets: the units first..last of the run whose first unit is s hold the
     ranks [(first - s) * block_size, min((last + 1 - s) * block_size, C(k, size)))."""
     starts = _run_starts(k, t, block_size)
     top = min(t, k)  # the plan's largest size
-    intervals: list[tuple[int, int, int, int]] = []
+    intervals: list[Interval] = []
     for first, last in ranges:
         run = bisect_right(starts, first) - 1  # the last run starting at or before first
         while first <= last:
@@ -347,7 +349,7 @@ def _parity_rows(matrix: int, rows: Sequence[int], k: int, left_mask: int) -> tu
 
 
 def _count_share(
-    parities: dict[int, tuple[int, ...]], intervals: Sequence[tuple[int, int, int, int]], k: int, max_weight: int
+    parities: dict[int, tuple[int, ...]], intervals: Sequence[Interval], k: int, max_weight: int
 ) -> dict[int, int]:
     """Count rank intervals whose parity rows are checked into nonzero
     per-weight totals. Each interval's ranks are checked against its size,
@@ -390,31 +392,30 @@ def _send_share(conn, parities, intervals, k, max_weight) -> None:
     conn.close()
 
 
-def _shares(
-    intervals: Sequence[tuple[int, int, int, int]], k: int, max_weight: int, block_size: int, workers: int
-) -> list[list[tuple[int, int, int, int]]]:
+def _shares(intervals: Sequence[Interval], k: int, max_weight: int, workers: int) -> list[list[Interval]]:
     """Cut the intervals, in order, into ``share_count`` contiguous shares of
-    about equal cost (``rank_cost``): an interval's units start every
-    block_size ranks, and a unit goes to the share that holds its middle
-    cost, found by bisection over an interval's units, not unit by unit."""
+    about equal cost (``rank_cost``): share i ends at the first rank where
+    the cost so far reaches (i + 1) / count of the total, found by bisection
+    over the ranks of the interval it falls in, so a cut may split a unit.
+    Every interval, a refused one too, lands in some share."""
     costs = [[rank_cost(k, max_weight, matrix, size, r) for r in (lo, hi)] for matrix, size, lo, hi in intervals]
     total = sum(above - below for below, above in costs)
-    count, total = share_count(total, workers), total or 1
-    shares: list[list[tuple[int, int, int, int]]] = [[] for _ in range(count)]
-    done = 0  # the cost of the intervals before this one
+    count = share_count(total, workers)
+    shares: list[list[Interval]] = [[] for _ in range(count)]
+    share, done = 0, 0  # the share being filled, and the cost of the intervals before this one
     for (matrix, size, lo, hi), (below, above) in zip(intervals, costs):
-        starts = range(lo, max(hi, lo + 1), block_size)  # a refused, empty interval is one unit
 
-        def middle(r: int) -> int:  # the middle cost of the unit from rank r, times 2 * count
-            top = rank_cost(k, max_weight, matrix, size, min(hi, r + block_size))
-            return (2 * (done - below) + rank_cost(k, max_weight, matrix, size, r) + top) * count
+        def so_far(r: int) -> int:  # the cost up to rank r, times count
+            return (done - below + rank_cost(k, max_weight, matrix, size, r)) * count
 
-        first = 0
-        for share in range(count):
-            stop = len(starts) if share == count - 1 else bisect_left(starts, 2 * total * (share + 1), key=middle)
-            if stop > first:
-                shares[share].append((matrix, size, starts[first], starts[stop] if stop < len(starts) else hi))
-                first = stop
+        start = lo
+        while share < count - 1 and (done + above - below) * count >= total * (share + 1):
+            cut = bisect_left(range(start, hi + 1), total * (share + 1), key=so_far) + start
+            if cut > start:
+                shares[share].append((matrix, size, start, cut))
+            start, share = cut, share + 1
+        if start < hi or start == lo:
+            shares[share].append((matrix, size, start, hi))
         done += above - below
     return shares
 
@@ -427,11 +428,10 @@ def share_count(cost: int, workers: int) -> int:
 def count_units(
     g1: BitMatrix,
     g2: BitMatrix,
-    intervals: Sequence[tuple[int, int, int, int]],
+    intervals: Sequence[Interval],
     max_weight: int,
     *,
     workers: int = 1,
-    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> dict[int, int]:
     """The census core: count rank intervals of any half-rate code up to max_weight.
 
@@ -443,19 +443,19 @@ def count_units(
     included, is counted exactly once. A dead interval is not walked.
 
     Both matrices are checked once. ``workers`` is the most processes used:
-    the intervals are cut into ``share_count`` shares at the unit boundaries
-    of ``block_size`` (``_shares``), and one share, a census too small to
-    repay a child, is counted here without multiprocessing. Otherwise the
-    caller starts a process for each nonempty share but the first, counts the
-    first itself, then takes each child's totals, or its exception, from a
-    one-way pipe. Every child is joined, and terminated if still running, however the
-    census ends. Linux children are forked, not re-imported: safe only while
-    the caller runs no other thread.
+    the intervals are cut into ``share_count`` shares of about equal cost,
+    at any rank (``_shares``), and one share, a census too small to repay a
+    child, is counted here without multiprocessing. Otherwise the caller
+    starts a process for each nonempty share but the first, counts the first
+    itself, then takes each child's totals, or its exception, from a one-way
+    pipe. Every child is joined, and terminated if still running, however
+    the census ends. Linux children are forked, not re-imported: safe only
+    while the caller runs no other thread.
     """
     k = g1.nrows
     left_mask = (1 << k) - 1
     parities = {matrix: _parity_rows(matrix, g.rows, k, left_mask) for matrix, g in ((1, g1), (2, g2))}
-    shares = _shares(intervals, k, max_weight, block_size, workers) if workers > 1 else [intervals]
+    shares = _shares(intervals, k, max_weight, workers) if workers > 1 else [intervals]
     if len(shares) == 1:
         return dict(sorted(_count_share(parities, intervals, k, max_weight).items()))
     # imported here so that a census counted in one process does not load multiprocessing
@@ -493,12 +493,6 @@ def count_units(
     return dict(sorted(totals.items()))
 
 
-def census_setup(g: BitMatrix) -> tuple[BitMatrix, BitMatrix] | None:
-    """The k x 2k code's matrices systematic on disjoint information sets (in
-    permuted columns), or None: the one place a census finds its pair."""
-    return disjoint_information_systematizations(g)
-
-
 def census_counts(
     g: BitMatrix,
     max_weight: int,
@@ -509,9 +503,11 @@ def census_counts(
     long_run: bool = False,
 ) -> dict[int, int] | None:
     """``count_units``'s totals for the code ``g`` generates, over the plan's
-    index ranges given or the whole plan; None when ``census_setup`` finds no
-    pair. The budget is checked then, on the live lanes: ``pattern_cost`` for a whole plan."""
-    matrices = census_setup(g)
+    index ranges given or the whole plan; None when no two disjoint
+    information sets are found (``disjoint_information_systematizations``,
+    cached per process). The budget is checked then, on the live lanes:
+    ``pattern_cost`` for a whole plan."""
+    matrices = disjoint_information_systematizations(g)
     if matrices is None:
         return None
     k, t = g.nrows, max_weight // 2
@@ -519,10 +515,10 @@ def census_counts(
         ranges = ((1, census_shard_total(k, t, block_size)),)
     intervals = _intervals(k, t, block_size, ranges)
     check_budget(_live_lanes(intervals, max_weight), long_run)
-    return count_units(*matrices, intervals, max_weight, workers=workers, block_size=block_size)
+    return count_units(*matrices, intervals, max_weight, workers=workers)
 
 
-def _live_lanes(intervals: Iterable[tuple[int, int, int, int]], max_weight: int) -> int:
+def _live_lanes(intervals: Iterable[Interval], max_weight: int) -> int:
     return sum(hi - lo for matrix, size, lo, hi in intervals if is_live(matrix, size, max_weight))
 
 
@@ -646,7 +642,7 @@ def census_from_payload(payload: dict) -> WeightCensus:
         raise CheckFailure(f"malformed census payload: {exc!r}") from exc
 
 
-def _check_part_counts(part: WeightCensus, intervals: list[tuple[int, int, int, int]]) -> None:
+def _check_part_counts(part: WeightCensus, intervals: list[Interval]) -> None:
     """A part's counts must be tallies its own rank intervals could have
     made: one count for every even weight 0..complete_upto and for no other
     weight, no more words than their live lanes (``is_live``)."""

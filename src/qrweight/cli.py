@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 check failure, 2 usage, 3 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -541,7 +542,9 @@ def _at_least(minimum: int):
     return integer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, on first use: ``set_defaults`` binds the ``cmd_*`` functions then."""
     parser = argparse.ArgumentParser(
         prog="qrweight",
         description="Weight distributions of binary quadratic residue codes.",

@@ -302,19 +302,6 @@ def unit_costs(units, k: int, max_weight: int) -> list[int]:
     return costs
 
 
-def unit_shares(units, costs, count: int) -> list[list]:
-    """The units, in order, cut into ``count`` contiguous shares of about
-    equal cost one unit at a time: a unit goes to the share that holds its
-    middle cost."""
-    total = sum(costs) or 1
-    shares: list[list] = [[] for _ in range(count)]
-    done = 0
-    for unit, cost in zip(units, costs):
-        shares[min(count - 1, (2 * done + cost) * count // (2 * total))].append(unit)
-        done += cost
-    return shares
-
-
 def cover_refusal(index_lists, total: int) -> str | None:
     """How a set-based check refuses parts listing these shard indices:
     "duplicate" if an index appears twice, else "missing" if one of 1..total

@@ -27,7 +27,7 @@ from qrweight.census import (
 from qrweight.cli import _digest
 from qrweight.errors import BudgetExceeded, CheckFailure, InvariantViolation
 
-from conftest import CombPattern, rd_rank, rd_successor, rd_unrank, scalar_count_shard, unit_costs, unit_shares
+from conftest import CombPattern, rd_rank, rd_successor, rd_unrank, scalar_count_shard, unit_costs
 
 
 def full_walk(s, t):
@@ -191,11 +191,12 @@ def test_a_failing_child_share_reaches_the_caller(family41, children_start):
     g1, g2 = disjoint_information_systematizations(family41.extended)
     k = family41.k
     intervals = plan_intervals(k, 6, 1000)
-    bad = (1, 2, comb(k, 2), comb(k, 2) + 5)  # past the end of its rank range
-    assert census._shares(intervals + [bad], k, 12, 1000, 2)[1][-1] == bad
-    with pytest.raises(ValueError, match=re.escape("shard [210, 215) outside [0, 210)")):
-        census.count_units(g1, g2, intervals + [bad], 12, workers=2, block_size=1000)
-    assert multiprocessing.active_children() == []
+    for lo, hi in ((210, 215), (5, 5)):  # past the end of its rank range (C(21, 2) = 210), or empty
+        bad = (1, 2, lo, hi)
+        assert census._shares(intervals + [bad], k, 12, 2)[1][-1] == bad
+        with pytest.raises(ValueError, match=re.escape(f"shard [{lo}, {hi}) outside [0, 210)")):
+            census.count_units(g1, g2, intervals + [bad], 12, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 # the tests below patch the share counter, which reaches a child only through fork
@@ -219,7 +220,7 @@ def test_children_are_forked_whatever_the_default_start_method(family41, monkeyp
     try:
         # a spawned child would import the unpatched counter and send its tallies
         with pytest.raises(RuntimeError, match="census worker exited with code 3"):
-            census.count_units(g1, g2, intervals, 12, workers=2, block_size=1000)
+            census.count_units(g1, g2, intervals, 12, workers=2)
     finally:
         multiprocessing.set_start_method(default, force=True)
     assert multiprocessing.active_children() == []
@@ -242,7 +243,7 @@ def test_a_failing_caller_share_leaves_no_child_running(family41, monkeypatch, c
     monkeypatch.setattr(census, "_count_share", fail_in_the_caller)
     start = time.monotonic()
     with pytest.raises(type(error), match=str(error) or None):
-        census.count_units(g1, g2, intervals, 12, workers=3, block_size=1000)
+        census.count_units(g1, g2, intervals, 12, workers=3)
     assert time.monotonic() - start < 30  # the children were stopped, not waited for
     assert multiprocessing.active_children() == []
 
@@ -260,7 +261,7 @@ def test_a_child_that_exits_without_tallies_is_an_error(family41, monkeypatch, c
 
     monkeypatch.setattr(census, "_count_share", exit_in_the_child)
     with pytest.raises(RuntimeError, match="census worker exited with code 3 before sending its tallies"):
-        census.count_units(g1, g2, intervals, 12, workers=2, block_size=1000)
+        census.count_units(g1, g2, intervals, 12, workers=2)
     assert multiprocessing.active_children() == []
 
 
@@ -276,7 +277,7 @@ def test_share_count_is_clamped_to_one_and_the_workers():
 
 def test_only_a_census_that_repays_a_child_is_cut_into_shares():
     def shares(k, t, block_size):
-        return len(census._shares(plan_intervals(k, t, block_size), k, 2 * t, block_size, 2))
+        return len(census._shares(plan_intervals(k, t, block_size), k, 2 * t, 2))
 
     assert shares(21, 6, 1000) == 1  # p = 41, t = 6
     assert shares(21, 8, 2000) == 1  # p = 41, t = 8
@@ -299,6 +300,14 @@ def test_unit_costs_count_the_lanes_and_kernel_calls_of_a_unit(k, t):
             assert above - below == cost == unit_costs([unit], k, max_weight)[0], unit
 
 
+def share_cost(share, k, max_weight):
+    """The cost of a share's intervals, priced by ``census.rank_cost``."""
+    return sum(
+        census.rank_cost(k, max_weight, m, size, hi) - census.rank_cost(k, max_weight, m, size, lo)
+        for m, size, lo, hi in share
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     k=st.integers(0, 14),
@@ -308,39 +317,37 @@ def test_unit_costs_count_the_lanes_and_kernel_calls_of_a_unit(k, t):
     count=st.integers(1, 6),
     data=st.data(),
 )
-def test_cost_cut_shares_are_contiguous_and_cover_every_unit_once(k, t, odd, block_size, count, data):
+def test_rank_cut_shares_cover_every_rank_once_at_an_equal_cost(k, t, odd, block_size, count, data):
     max_weight = 2 * t + odd
     plan = census_work_units(k, t, block_size)
     # a sharded plan costs what the plan costs with one unit per run
     whole = census_work_units(k, t, 2**k)
     assert sum(unit_costs(plan, k, max_weight)) == sum(unit_costs(whole, k, max_weight))
     units = sorted(data.draw(st.sets(st.sampled_from(plan)))) if data.draw(st.booleans()) else plan
-    costs = dict(zip(units, unit_costs(units, k, max_weight)))
+    total = sum(unit_costs(units, k, max_weight))
     ranges = census._ranges_of_indices([u[0] for u in units], len(plan))
     intervals = census._intervals(k, t, block_size, ranges)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(census, "CHILD_SHARE_BITS", 1)  # as many shares as the cost allows
-        shares = census._shares(intervals, k, max_weight, block_size, count)
-    assert len(shares) == max(1, min(count, sum(costs.values())))
-    # each share's intervals hold the units the unit-by-unit cut gives it
-    starts = census._run_starts(k, t, block_size)
-    indices = [
-        starts[(matrix - 1) * (min(t, k) + 1) + size] + rank // block_size
-        for share in shares
-        for matrix, size, lo, hi in share
-        for rank in range(lo, hi, block_size)
-    ]
-    assert indices == [u[0] for u in units]  # in order, each unit once
-    by_index = {u[0]: u for u in units}
-    cut, done = [], 0
-    for share in shares:
-        n = sum(-(-(hi - lo) // block_size) for _, _, lo, hi in share)
-        cut.append([by_index[i] for i in indices[done : done + n]])
-        done += n
-    assert cut == unit_shares(units, list(costs.values()), len(shares))
-    total, largest = sum(costs.values()), max(costs.values(), default=0)
-    for share in cut:  # each within one unit of an equal cut
-        assert abs(len(cut) * sum(costs[unit] for unit in share) - total) <= len(cut) * largest
+        shares = census._shares(intervals, k, max_weight, count)
+    assert len(shares) == max(1, min(count, total))
+    # taken in order, the shares hold every rank of the intervals once
+    pieces = [piece for share in shares for piece in share]
+    assert all(lo < hi for _, _, lo, hi in pieces)
+    ranks = [(m, size, r) for m, size, lo, hi in pieces for r in range(lo, hi)]
+    assert ranks == [(m, size, r) for m, size, lo, hi in intervals for r in range(lo, hi)]
+    for share in shares:  # each within one rank's cost of an equal cut
+        cost = share_cost(share, k, max_weight)
+        assert abs(len(shares) * cost - total) <= len(shares) * (k + census.KERNEL_CALL_BITS), (cost, total)
+
+
+def test_the_p137_t5_census_is_cut_inside_a_unit_into_two_equal_shares():
+    k, max_weight = 69, 10
+    intervals = plan_intervals(k, 5, census.DEFAULT_BLOCK_SIZE)  # one unit per (matrix, size) run
+    first, second = census._shares(intervals, k, max_weight, 2)
+    assert first[-1][:2] == second[0][:2] == (1, 5)  # the matrix-1 run of size 5 is split
+    costs = [share_cost(share, k, max_weight) for share in (first, second)]
+    assert abs(costs[0] - costs[1]) <= k + census.KERNEL_CALL_BITS, costs
 
 
 def test_census_budget_gate(family137):

@@ -361,6 +361,28 @@ def test_pipeline_p41_matches_brute_force(tmp_path, capsys, family41, dist41):
     assert written == PIPELINE_P41_SHA256
 
 
+def test_each_code_is_set_up_once_per_process(tmp_path, capsys, family137):
+    finder = census.disjoint_information_systematizations  # a cache miss runs the finder
+
+    def finds(call) -> int:
+        misses = finder.cache_info().misses
+        call()
+        return finder.cache_info().misses - misses
+
+    census.run_census(family137, 4)
+    assert finds(lambda: census.run_census(family137, 4)) == 0
+    # a p = 41 pipeline sets up the extended code and two folded subcodes
+    assert run(capsys, "pipeline", "--p", "41", "--t", "6", "--out", str(tmp_path / "first"))[0] == 0
+    assert finds(lambda: run(capsys, "pipeline", "--p", "41", "--t", "6", "--out", str(tmp_path / "second"))) == 0
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "group", "--p", "17")[0] == 0
+    assert run(capsys, "group", "--p", "17")[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_pipeline_p73_table_and_congruences_are_pinned(tmp_path, capsys):
     # the one prime between 41 and 137 that a test runs: H2 (k = 19), G4_0 and
     # G4_1 (10, 11), S_3 (13, weights 1 and 3), S_37 and S_73 in orbit
