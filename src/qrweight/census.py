@@ -49,8 +49,11 @@ model (``rank_cost``) picks each matrix's table depth (``table_depth``) and
 cuts the intervals into shares of about equal cost for the workers at any
 rank, inside a plan unit too (``share_count``, ``_shares``); a census too
 small to repay a child process is counted in the calling one. Both
-matrices' tables stay cached in the process, so a second census of the
-same code builds none.
+matrices' tables of the last four codes censused stay cached in the
+process (``_parity_tables``), so a census of one of them builds none. The
+depth still charges the build: a one-shot process pays it, and the depths
+fastest once built can be slow to build (at p = 137, t = 4, depths (4, 3)
+need a 7.9-MB depth-4 table).
 """
 
 from __future__ import annotations
@@ -331,9 +334,15 @@ def rank_cost(k: int, max_weight: int, matrix: int, size: int, rank: int) -> int
     return k * rank + KERNEL_CALL_BITS * blocks
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=8)
 def _parity_tables(parity: tuple[int, ...], depth: int) -> tuple[tuple[int, ...], ...]:
-    """Revolving-door subset tables of one matrix's parity rows, both matrices kept."""
+    """Revolving-door subset tables of one matrix's parity rows.
+
+    The bound is per code: both matrices' tables of the last four codes
+    censused, as many as ``disjoint_information_systematizations`` keeps
+    the pair of, so a fold census (S_3) does not evict the extended code's.
+    A census of a code at new depths takes two more entries. Each matrix's
+    tables are held to SUBSET_TABLE_BITS, so the cache holds at most 64 MB."""
     return rd_subset_columns(parity, len(parity), depth)
 
 

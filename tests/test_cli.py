@@ -12,7 +12,10 @@ import pytest
 
 from qrweight import census, cli, fixtures
 from qrweight.cli import _digest, main
+from qrweight.congruence import compute_bundle
 from qrweight.fixtures import load_p137
+from qrweight.psl2 import find_sylow_plan
+from qrweight.qrcodes import build_family
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -374,6 +377,49 @@ def test_each_code_is_set_up_once_per_process(tmp_path, capsys, family137):
     # a p = 41 pipeline sets up the extended code and two folded subcodes
     assert run(capsys, "pipeline", "--p", "41", "--t", "6", "--out", str(tmp_path / "first"))[0] == 0
     assert finds(lambda: run(capsys, "pipeline", "--p", "41", "--t", "6", "--out", str(tmp_path / "second"))) == 0
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """``builds(call)`` runs ``call`` and returns how many subset tables it built."""
+    built = []
+    build = census.rd_subset_columns
+    monkeypatch.setattr(census, "rd_subset_columns", lambda *args: built.append(args) or build(*args))
+
+    def builds(call) -> int:
+        before = len(built)
+        call()
+        return len(built) - before
+
+    return builds
+
+
+def test_a_second_pipeline_builds_no_table(tmp_path, capsys, table_builds):
+    # the extended code's depth-7 and depth-6 tables outlive the S_3 fold census
+    argv = ("pipeline", "--p", "41", "--t", "8", "--workers", "2", "--block-size", "2000", "--out")
+    assert run(capsys, *argv, str(tmp_path / "first"))[0] == 0
+    assert table_builds(lambda: run(capsys, *argv, str(tmp_path / "second"))) == 0
+    names = sorted(path.name for path in (tmp_path / "first").iterdir())
+    assert len(names) == 5
+    assert names == sorted(path.name for path in (tmp_path / "second").iterdir())
+    for name in names:
+        assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+
+
+def test_a_fold_census_keeps_the_extended_codes_tables(family137, table_builds):
+    census.run_census(family137, 4)
+    h2 = load_p137()["subgroup_counts"]["H2"]
+    compute_bundle(family137, find_sylow_plan(137), list(range(22, 35, 2)), h2_counts_fixture=h2)
+    assert table_builds(lambda: census.run_census(family137, 4)) == 0
+
+
+def test_the_tables_of_four_codes_are_kept_and_no_more(table_builds):
+    first, second, *others = (build_family(p) for p in (7, 17, 23, 31, 47))
+    for family in (first, second, *others[:2]):
+        census.run_census(family, 2)
+    assert table_builds(lambda: census.run_census(first, 2)) == 0
+    census.run_census(others[2], 2)  # a fifth code evicts the least recent, the second
+    assert table_builds(lambda: census.run_census(second, 2)) == 2
 
 
 def test_the_parser_is_built_once_per_process(capsys):
