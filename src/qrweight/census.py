@@ -51,9 +51,10 @@ rank, inside a plan unit too (``share_count``, ``_shares``); a census too
 small to repay a child process is counted in the calling one. Both
 matrices' tables of the last four codes censused stay cached in the
 process (``_parity_tables``), so a census of one of them builds none. The
-depth still charges the build: a one-shot process pays it, and the depths
-fastest once built can be slow to build (at p = 137, t = 4, depths (4, 3)
-need a 7.9-MB depth-4 table).
+depth still charges the build, since a one-shot process pays it, and a call
+at the price of the head-checked kernel (``KERNEL_CALL_BITS``): at p = 137,
+t = 4, matrix 2 walks a depth-3 table in 4 kernel calls, not 70 at depth 2,
+while the depth-4 table of (4, 3), no faster once built, would take 7.9 MB.
 """
 
 from __future__ import annotations
@@ -76,13 +77,14 @@ DEFAULT_PATTERN_BUDGET = 10**8
 SUBSET_TABLE_BITS = 1 << 26  # columns x lanes of one matrix's subset tables, about 8 MB
 # Costs are bits of kernel work, k per lane of a k-column table. A kernel
 # call's fixed cost, fitted on a 2-vCPU host by timing censuses at each depth
-# with the tables built: p = 137, t = 5 gets its fastest (4, 3) from 28,000,
-# S_3 at p = 137 keeps 4 (5 is no faster built) below 43,000. On that host
-# 2 workers beat 1 from a census cost of about 5e8. It was fitted before the
-# kernel's head check (``bitlinalg.weight_histograms``), which lets a call
-# whose lanes are all too heavy stop after g of its k columns; it is kept, so
-# every table depth and share is what it was.
-KERNEL_CALL_BITS = 36_000
+# with the tables built, on the head-checked kernel (``weight_histograms``
+# stops a call once no lane is light enough): p = 137, t = 4 gets its fastest
+# (3, 3) from 54,780, S_3 at p = 137 its (5, 5) from 43,000 and p = 41, t = 6
+# its (6, 5) from 75,970, while p = 137, t = 5 keeps (4, 3). Below 174,425
+# p = 41, t = 8 keeps (7, 6), as its (7, 7), no slower built, is slower to
+# build. The price is near the middle of 75,970..174,425. On that host 2
+# workers beat 1 from a census cost of about 5e8.
+KERNEL_CALL_BITS = 120_000
 CHILD_SHARE_BITS = 250_000_000  # the least cost of a share worth a child
 Interval = tuple[int, int, int, int]  # (matrix, size, lo, hi): the ranks [lo, hi) of one run
 

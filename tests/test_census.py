@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qrweight
-from qrweight import bitlinalg, census
+from qrweight import bitlinalg, census, congruence
 from qrweight.bitlinalg import BitMatrix, disjoint_information_systematizations
 from qrweight.census import (
     _count_shard,
@@ -26,6 +26,7 @@ from qrweight.census import (
 )
 from qrweight.cli import _digest
 from qrweight.errors import BudgetExceeded, CheckFailure, InvariantViolation
+from qrweight.psl2 import find_sylow_plan, to_permutation
 
 from conftest import CombPattern, rd_rank, rd_successor, rd_unrank, scalar_count_shard, unit_costs
 
@@ -154,6 +155,8 @@ def test_census_p41_matches_oracle(family41, dist41):
         (41, 6, 1000, 174, "395384fbeccd504687fb4b85faa9b35a7dc1445189df772aee526489211823a8"),
         # shards start deep inside C(69, 3), far from rank 0
         (137, 3, 10000, 18, "4ef6104a5516e6e09cfa58f96acbcd0665b0066a1e6fa61a9673e7b59fe22535"),
+        # the benchmarked census, at its default block size
+        (137, 4, 10**8, 10, "cae186b622210d32f2f14cc1eb0b9298e0e9fd1e2e621535fe0ddfac09b0c035"),
     ],
 )
 def test_census_golden_digest(request, p, t, block_size, shards, digest):
@@ -669,7 +672,7 @@ def test_a_dead_unit_builds_no_tables_and_calls_no_kernel(family17, kernel_spy, 
 
 
 # (matrix-1 depth, matrix-2 depth) that ``table_depth`` picks for the cases below
-CHOSEN_DEPTHS = {(17, 4, None): (4, 3), (41, 6, None): (5, 5), (41, 5, 21 * 22): (1, 1)}
+CHOSEN_DEPTHS = {(17, 4, None): (4, 3), (41, 6, None): (6, 5), (41, 5, 21 * 22): (1, 1)}
 
 
 @pytest.mark.parametrize(
@@ -680,7 +683,9 @@ def test_live_units_make_the_kernel_calls_of_the_uncapped_tables(
     request, monkeypatch, kernel_spy, p, t, block_size, table_bits
 ):
     # one call per block of the shard, on the tables at its matrix's chosen
-    # depth (table_depth), which need not be its largest live size
+    # depth (table_depth), which need not be its largest live size; a call
+    # is compared by the index of its table, not by the table's columns, ints
+    # of thousands of digits that a failure could not print
     if table_bits is not None:
         monkeypatch.setattr(census, "SUBSET_TABLE_BITS", table_bits)
     family = request.getfixturevalue(f"family{p}")
@@ -695,25 +700,29 @@ def test_live_units_make_the_kernel_calls_of_the_uncapped_tables(
         tables = bitlinalg.rd_subset_columns(parity, k, depth)
         min_parity = size + (matrix == 2)
         expected = [
-            (tables[d], base, lo, hi, max_weight - size, min_parity)
+            (d, base, lo, hi, max_weight - size, min_parity)
             for base, d, lo, hi in census._rank_blocks(start, start + count, size, depth, 0, parity)
         ]
         kernel_spy["kernel"].clear()
         assert _count_shard(job) == scalar_count_shard(job)
-        assert kernel_spy["kernel"] == expected, job[:5]
+        calls = [
+            (next((d for d, table in enumerate(tables) if table == columns), None), *rest)
+            for columns, *rest in kernel_spy["kernel"]
+        ]
+        assert calls == expected, job[:5]
     assert set(kernel_spy["tables"]) == set(depths)
 
 
 @pytest.mark.parametrize(
     "k, top, depth",
     [
-        (69, 4, 3),  # p = 137, t = 4: matrix 1; (4, 3) and (3, 3) cost more to build than they save
-        (69, 3, 2),  # p = 137, t = 4: matrix 2
+        (69, 4, 3),  # p = 137, t = 4: matrix 1; depth 4 costs more to build than it saves
+        (69, 3, 3),  # p = 137, t = 4: matrix 2, 4 kernel calls against 70 at depth 2
         (69, 5, 4),  # p = 137, t = 5: matrix 1, and t = 6: matrix 2
         (69, 6, 4),  # p = 137, t = 6: matrix 1; depth 5 would exceed the cap
         (69, 7, 4),
         (69, 16, 4),
-        (23, 5, 4),  # S_3 at p = 137
+        (23, 5, 5),  # S_3 at p = 137
         (21, 8, 7),  # p = 41, t = 8
         (21, 7, 6),
         (35, 8, 5),  # H2 at p = 137 as a census to W = 17
@@ -777,9 +786,42 @@ def test_count_units_tallies_are_the_same_at_every_forced_depth(family17, family
 
 def test_each_matrix_builds_its_tables_once(family41, table_builds):
     first = run_census(family41, 6, block_size=1000)
-    assert table_builds == [5, 5]  # matrix 1 and matrix 2, each at its chosen depth
+    assert table_builds == [6, 5]  # matrix 1 and matrix 2, each at its chosen depth
     assert run_census(family41, 6, block_size=1000) == first
-    assert table_builds == [5, 5]  # the second census on the same code builds none
+    assert table_builds == [6, 5]  # the second census on the same code builds none
+
+
+def _s3_fold_p137(family137):
+    """The S_3-invariant subcode of the p = 137 extended code folded to a
+    [46, 23] code, and the folded bound of its census for weights <= 34."""
+    sub = congruence.invariant_subcode(family137.extended, [to_permutation(find_sylow_plan(137).odd_generators[3])])
+    classes, weights, g = congruence._fold(sub)
+    return congruence._expanded(classes, weights, sub.k), 34 // g
+
+
+def test_the_refitted_depths_count_what_the_shallower_ones_did(family137, kernel_spy):
+    # p = 137, t = 4 and the S_3 fold at p = 137, each at the (matrix-1,
+    # matrix-2) depths of the call price before the head check and at its own
+    cases = [(family137.extended, 8, ((3, 2), (3, 3))), (*_s3_fold_p137(family137), ((4, 4), (5, 5)))]
+    for g, max_weight, pairs in cases:
+        k = g.nrows
+        assert tuple(census._depth(k, matrix, max_weight) for matrix in (1, 2)) == pairs[-1]
+        counts = []
+        for depths in pairs:
+            kernel_spy["kernel"].clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(census, "_depth", lambda k, matrix, max_weight: depths[matrix - 1])
+                counts.append(census.census_counts(g, max_weight))
+            assert handed_lanes(kernel_spy["kernel"]) == census.pattern_cost(k, max_weight), depths
+        assert counts[0] == counts[1], (k, max_weight)
+
+
+def test_the_benchmarked_census_makes_74_kernel_calls(family137, kernel_spy):
+    # both matrices at depth 3: matrix 1 makes 4 calls for sizes 0..3 and 66
+    # for size 4, one per top element; matrix 2 makes 4, against 70 at depth 2
+    run_census(family137, 4)
+    assert set(kernel_spy["tables"]) == {3}
+    assert len(kernel_spy["kernel"]) == 74
 
 
 @pytest.mark.parametrize(
